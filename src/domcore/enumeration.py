@@ -8,7 +8,11 @@ label-independent orbit of deletable (non-cut) vertices.  That orbit is
 located in stages that only ever consult label-independent data: first
 the deletable vertices minimizing a cheap invariant (degree, then the
 sorted multiset of neighbor degrees), then, among ties, the vertices
-minimizing the vertex-rooted canonical form.  Candidates surviving the
+minimizing the vertex-rooted canonical form.  The new vertex itself is
+never a cut vertex, because the parent it joins is connected, so
+deletability is tested only for its rivals (vertices whose invariant is
+below the new vertex's) and ties (equal invariant), with one cut-vertex
+pass, and not at all when there are none.  Candidates surviving the
 deletion test within one parent can still collide (different subsets,
 isomorphic results), so each parent deduplicates its accepted children
 by canonical form; acceptance plus per-parent deduplication yields each
@@ -31,24 +35,33 @@ ENUMERATION_MAX = 10
 TREE_ENUMERATION_MAX = 16
 
 
-def _cheap_invariant(g: Graph, v: int) -> tuple[int, tuple[int, ...]]:
-    degs = sorted(g.adj[u].bit_count() for u in bits(g.adj[v]))
-    return (g.adj[v].bit_count(), tuple(degs))
-
-
 def _is_canonical_child(g: Graph, new: int) -> bool:
     """Accept g iff the just-added vertex sits in the deletion orbit."""
-    deletable = g.full_mask & ~cut_vertices(g)
-    new_inv = _cheap_invariant(g, new)
-    ties = 0
-    for v in bits(deletable):
-        if v == new:
+    adj = g.adj
+    deg = [a.bit_count() for a in adj]
+    new_deg = deg[new]
+    new_nbrs = sorted(deg[u] for u in bits(adj[new]))
+    # the cheap invariant is (degree, sorted neighbor degrees); neighbor
+    # degrees are only sorted for vertices that tie on degree
+    rivals = ties = 0
+    for v in range(g.n):
+        d = deg[v]
+        if d > new_deg or v == new:
             continue
-        inv = _cheap_invariant(g, v)
-        if inv < new_inv:
-            return False
-        if inv == new_inv:
+        if d < new_deg:
+            rivals |= 1 << v
+            continue
+        nbrs = sorted(deg[u] for u in bits(adj[v]))
+        if nbrs < new_nbrs:
+            rivals |= 1 << v
+        elif nbrs == new_nbrs:
             ties |= 1 << v
+    if not rivals | ties:
+        return True
+    deletable = ~cut_vertices(g)
+    if rivals & deletable:
+        return False
+    ties &= deletable
     if not ties:
         return True
     new_key = rooted_canonical_bits(g, new)

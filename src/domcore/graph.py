@@ -8,7 +8,12 @@ single AND/OR operations regardless of degree.
 
 Graphs are frozen dataclasses and every operation returns a new graph;
 nothing here mutates.  Validity (symmetric adjacency, no self-loops, no
-bits outside the vertex range) is enforced at construction time, so a
+bits outside the vertex range) is enforced by the public constructors
+that take data from outside the program: ``Graph(...)``, build_graph,
+parse_edge_list and graph6's parse_graph6.  Graphs derived from a valid
+graph by add_vertex, delete_vertex and add_pendant inherit its validity:
+those functions check their own arguments (vertex, neighbor mask,
+capacity) and then build the result without validating it again.  So a
 Graph that exists is always well formed.
 """
 
@@ -94,6 +99,19 @@ class Graph:
             raise GraphError(f"vertex {v} outside 0..{self.n - 1}")
 
 
+def _derived(n: int, adj: tuple[int, ...]) -> Graph:
+    """Graph built from a valid graph's data, without validating it again.
+
+    Only for add_vertex, delete_vertex and add_pendant, whose results are
+    well formed whenever their input graph is and their own argument
+    checks pass.
+    """
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adj", adj)
+    return g
+
+
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; duplicate edges collapse silently."""
     if not 0 <= n <= MAX_VERTICES:
@@ -151,7 +169,7 @@ def delete_vertex(g: Graph, v: int) -> Graph:
             continue
         a = g.adj[u] & ~(1 << v)
         adj.append((a & low) | ((a >> 1) & ~low))
-    return Graph(g.n - 1, tuple(adj))
+    return _derived(g.n - 1, tuple(adj))
 
 
 def index_after_delete(u: int, v: int) -> int:
@@ -169,7 +187,7 @@ def add_pendant(g: Graph, v: int) -> Graph:
     adj = list(g.adj)
     adj[v] |= 1 << g.n
     adj.append(1 << v)
-    return Graph(g.n + 1, tuple(adj))
+    return _derived(g.n + 1, tuple(adj))
 
 
 def add_vertex(g: Graph, neighbors: int) -> Graph:
@@ -180,7 +198,7 @@ def add_vertex(g: Graph, neighbors: int) -> Graph:
         raise GraphError(f"cannot exceed {MAX_VERTICES} vertices")
     adj = [a | (1 << g.n) if (neighbors >> v) & 1 else a for v, a in enumerate(g.adj)]
     adj.append(neighbors)
-    return Graph(g.n + 1, tuple(adj))
+    return _derived(g.n + 1, tuple(adj))
 
 
 def is_dominating(g: Graph, s: int) -> bool:
@@ -250,31 +268,58 @@ def is_connected(g: Graph) -> bool:
     return component_of(g, 0) == g.full_mask
 
 
-def is_connected_mask(g: Graph, sub: int) -> bool:
-    """True if the subgraph induced on the masked vertices is connected."""
-    if sub & ~g.full_mask:
-        raise GraphError("set mask has bits outside the vertex range")
-    if sub == 0:
-        return True
-    comp = sub & -sub
-    frontier = comp
-    while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= g.adj[v]
-        frontier = nxt & sub & ~comp
-        comp |= frontier
-    return comp == sub
-
-
 def cut_vertices(g: Graph) -> int:
-    """Mask of vertices whose removal disconnects their component."""
+    """Mask of vertices whose removal disconnects their component.
+
+    One iterative depth-first search with low-points (Hopcroft and
+    Tarjan, 1973).  low[v] is the earliest discovery time among v's DFS
+    subtree and its neighbors; a non-root vertex p is a cut vertex iff
+    some DFS child v has low[v] >= disc[p], and a root iff it has two or
+    more children.
+    """
+    adj = g.adj
+    disc = [0] * g.n  # discovery time, counted from 1
+    low = [0] * g.n
+    unvisited = g.full_mask
+    clock = 0
     result = 0
-    for v in range(g.n):
-        comp = component_of(g, v)
-        rest = comp & ~(1 << v)
-        if rest and not is_connected_mask(g, rest):
-            result |= 1 << v
+    while unvisited:
+        bit = unvisited & -unvisited
+        unvisited ^= bit
+        root = bit.bit_length() - 1
+        clock += 1
+        disc[root] = low[root] = clock
+        root_children = 0
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            fresh = adj[v] & unvisited
+            if fresh:
+                bit = fresh & -fresh
+                unvisited ^= bit
+                u = bit.bit_length() - 1
+                clock += 1
+                disc[u] = low[u] = clock
+                stack.append(u)
+                continue
+            # v is finished: every neighbor is discovered and every
+            # child's low-point is already folded into low[v]
+            stack.pop()
+            lv = low[v]
+            for u in bits(adj[v]):
+                if disc[u] < lv:
+                    lv = disc[u]
+            if not stack:
+                break
+            p = stack[-1]
+            if lv < low[p]:
+                low[p] = lv
+            if p == root:
+                root_children += 1
+            elif lv >= disc[p]:
+                result |= 1 << p
+        if root_children > 1:
+            result |= 1 << root
     return result
 
 

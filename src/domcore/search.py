@@ -9,13 +9,16 @@ probes for removal), never against the structural theorems, so search
 results stay independent of the theorems the package verifies.
 
 search_signature scans the connected-graph stream order by order.  A
-cheap necessary test using membership masks alone filters most graphs
-before any removal probes run: replacing each removal atom by the full
-vertex set relaxes every expression to a superset, so a failed
-nonempty/cover/size requirement on the relaxed masks is a sound
-rejection.  Budgets (graph-count caps) are reported in the result, and
-a scan that reaches its ceiling without a witness is an explicit
-"exhausted" outcome rather than a silent pass.
+cheap necessary test using membership masks alone runs before any
+removal probes: replacing each removal atom by the full vertex set
+relaxes every expression to a superset, so a failed nonempty/cover/size
+requirement on the relaxed masks is a sound rejection.  Empty
+requirements are not tested, so how much it rejects depends on the
+signature: min-plus-zero-minus-empty-anticore, whose nonempty atoms are
+all removal classes, passes every graph (all 11117 at n = 8).  Budgets
+(graph-count caps) are reported in the result, and a scan that reaches
+its ceiling without a witness is an explicit "exhausted" outcome rather
+than a silent pass.
 """
 
 from __future__ import annotations

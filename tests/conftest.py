@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from domcore import enumerate_connected
+
+# property tests draw the same examples on every run and keep no state
+# between runs, so a failure reproduces and a pass means the same thing
+settings.register_profile("domcore", derandomize=True, deadline=None, database=None)
+settings.load_profile("domcore")
 
 
 @pytest.fixture(scope="session")

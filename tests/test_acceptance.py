@@ -7,6 +7,7 @@ vertices that simultaneously feeds the minimality, witness, counting,
 and round-trip criteria.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -90,6 +91,21 @@ def nine_sweep():
         if cut_possible and cut_sig.evaluate(g, masks):
             sweep.cut_vertex_witnesses.append(text)
     return sweep
+
+
+# SHA-256 of the newline-terminated graph6 stream of enumerate_connected(n);
+# any change to which graphs the enumerator yields, or in what order,
+# changes these digests
+STREAM_DIGESTS = {
+    7: "6871917ed31b2469a9efc4807444af8d654a8af5b5af571b6c7c8e46f98235f8",
+    8: "4275e461cf113a1d545d21d268aebbc4859f64c13f6e7abb4e951b312b5462b1",
+}
+
+
+def test_enumeration_stream_digest(corpus8):
+    for n, want in STREAM_DIGESTS.items():
+        text = "".join(write_graph6(g) + "\n" for k, g in corpus8 if k == n)
+        assert hashlib.sha256(text.encode()).hexdigest() == want, n
 
 
 def test_criterion_1_solver_oracle_equivalence(corpus8):

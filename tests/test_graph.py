@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from domcore import Graph, GraphError, add_pendant, add_vertex, build_graph, delete_vertex, parse_edge_list
 from domcore.graph import (
@@ -15,7 +16,12 @@ from domcore.graph import (
     mask_of,
     private_neighbors,
 )
-from helpers import complete, cycle, path, star
+from helpers import complete, cut_vertices_bruteforce, cycle, graphs, path, star
+
+
+def _revalidated(g: Graph) -> Graph:
+    assert type(g.adj) is tuple
+    return Graph(g.n, g.adj)
 
 
 def test_build_graph_basics():
@@ -57,6 +63,10 @@ def test_graph_validation_rejects_asymmetry():
 def test_capacity_boundary():
     g = build_graph(MAX_VERTICES, [(0, 63)])
     assert g.has_edge(0, 63)
+    with pytest.raises(GraphError):
+        add_vertex(g, 0b1)
+    with pytest.raises(GraphError):
+        add_pendant(g, 0)
 
 
 def test_bits_and_mask_of():
@@ -86,6 +96,8 @@ def test_delete_vertex_compacts():
     assert h.n == 4
     # survivors 0,1,3,4 renumber to 0,1,2,3 leaving the path 1-0-3-2
     assert sorted(h.edges()) == [(0, 1), (0, 3), (2, 3)]
+    with pytest.raises(GraphError):
+        delete_vertex(g, 5)
 
 
 def test_index_after_delete():
@@ -103,6 +115,10 @@ def test_add_pendant_and_add_vertex():
     h = add_vertex(g, 0b11)
     assert h.n == 3
     assert h.degree(2) == 2
+    with pytest.raises(GraphError):
+        add_vertex(g, 0b100)  # vertex 2 does not exist yet
+    with pytest.raises(GraphError):
+        add_pendant(g, -1)
 
 
 def test_is_dominating():
@@ -138,6 +154,25 @@ def test_cut_vertices():
     assert cut_vertices(star(4)) == 0b00001
     assert cut_vertices(cycle(4)) == 0
     assert cut_vertices(complete(3)) == 0
+    # disconnected, with an isolated vertex: a path 0-1-2, vertex 3, an edge 4-5
+    assert cut_vertices(build_graph(6, [(0, 1), (1, 2), (4, 5)])) == 0b10
+    assert cut_vertices(build_graph(0, [])) == 0
+
+
+@given(graphs())
+def test_cut_vertices_match_definition(g):
+    assert cut_vertices(g) == cut_vertices_bruteforce(g)
+
+
+@given(st.data())
+def test_derived_graphs_equal_validated_rebuild(data):
+    g = data.draw(graphs(max_n=MAX_VERTICES - 1))
+    h = add_vertex(g, data.draw(st.integers(0, g.full_mask)))
+    assert _revalidated(h) == h
+    if g.n:
+        v = data.draw(st.integers(0, g.n - 1))
+        for h in (delete_vertex(g, v), add_pendant(g, v)):
+            assert _revalidated(h) == h
 
 
 def test_parse_edge_list():
