@@ -8,13 +8,15 @@ number up (PLUS), not at all (ZERO), or down (MINUS).
 Two routes compute the same classification.  The definitional route
 enumerates every minimum dominating set and reads membership off the
 intersection and union; it is the reference.  The structural route
-never enumerates: anticore membership is a single feasibility probe on
-the graph with a pendant attached (the number grows iff the vertex is
-in no minimum set), and core membership reduces to removal behavior
-plus anticore probes on the neighbors in the deleted graph.  Removal
-classes come from two feasibility probes on the deleted graph, since
-deleting one vertex changes the number by at most one in either
-direction.
+never enumerates and never builds a graph: it runs feasibility probes
+on closed-neighborhood masks.  Deleting v clears bit v from every mask
+and from the vertex set, so no index shifts.  The removal class needs
+only the sign of the change, so two probes on the deleted masks (at
+budgets gamma and gamma - 1) give it.  A vertex u lies in no minimum
+set exactly when no set of gamma - 1 vertices dominates what N[u]
+leaves undominated (the pendant argument: a pendant at u raises gamma
+iff u is in no minimum set).  Core membership reduces to the removal
+class plus that anticore probe on each neighbor in the deleted masks.
 """
 
 from __future__ import annotations
@@ -25,16 +27,17 @@ from dataclasses import dataclass
 from .graph import (
     Graph,
     GraphError,
-    add_pendant,
+    add_pendant,  # noqa: F401 -- not called here; bench/tracing.py binds this name
     bits,
+    closed_masks,
     delete_vertex,
-    index_after_delete,
 )
 from .solve import (
     ALL_SETS_MAX,
+    _exists_dominating,
     all_minimum_dominating_sets,
     core_and_corona,
-    exists_dominating_within,
+    exists_dominating_within,  # noqa: F401 -- not called here; bench/tracing.py binds this name
     gamma_value,
 )
 
@@ -100,99 +103,87 @@ class ClassificationReport:
         }
 
 
-def removal_class(g: Graph, v: int, gamma: int | None = None) -> RemovalClass:
-    """How gamma changes when v is deleted: PLUS up, MINUS down, ZERO same.
+def _delete(closed: list[int], full: int, v: int) -> tuple[list[int], int]:
+    """Closed masks and vertex set of the graph with v deleted, indices kept."""
+    keep = ~(1 << v)
+    return [c & keep for c in closed], full & keep
 
-    Deleting a vertex never moves the number by more than one, so two
-    budget probes on the deleted graph decide the class.
-    """
-    g._check_vertex(v)
-    if gamma is None:
-        gamma = gamma_value(g)
-    h = delete_vertex(g, v)
-    if not exists_dominating_within(h, gamma):
+
+def _removal(h: list[int], h_full: int, gamma: int) -> RemovalClass:
+    """Removal class from two probes on the masks of the deleted graph."""
+    if not _exists_dominating(h, h_full, gamma):
         return RemovalClass.PLUS
-    if exists_dominating_within(h, gamma - 1):
+    if _exists_dominating(h, h_full, gamma - 1):
         return RemovalClass.MINUS
     return RemovalClass.ZERO
 
 
-def in_anticore(g: Graph, v: int, gamma: int | None = None) -> bool:
-    """True if no minimum dominating set contains v.
+def _in_no_minimum_set(closed: list[int], full: int, u: int, gamma: int) -> bool:
+    """True if u is in no dominating set of size gamma, the domination number.
 
-    Attaching a pendant to v raises gamma by either zero or one, and it
-    stays flat exactly when some minimum set already contains v (that
-    set still dominates) -- so one probe at the old budget decides.
+    Such a set would be u plus at most gamma - 1 vertices dominating
+    everything outside N[u].
     """
+    return not _exists_dominating(closed, full, gamma - 1, closed[u])
+
+
+def _classify_vertex(closed: list[int], full: int, v: int, gamma: int) -> VertexClassification:
+    """Removal and membership class of v by the structural route.
+
+    v is in the core exactly when it is isolated, or deleting it raises
+    gamma, or deleting it keeps gamma while every neighbor is in the
+    anticore of the deleted graph (no surviving minimum set dominates v).
+    """
+    h, h_full = _delete(closed, full, v)
+    removal = _removal(h, h_full, gamma)
+    neighbors = closed[v] & h_full
+    if removal is RemovalClass.PLUS or not neighbors:
+        membership = MembershipClass.CORE
+    elif removal is RemovalClass.ZERO and all(
+        _in_no_minimum_set(h, h_full, u, gamma) for u in bits(neighbors)
+    ):
+        membership = MembershipClass.CORE
+    elif _in_no_minimum_set(closed, full, v, gamma):
+        membership = MembershipClass.ANTICORE
+    else:
+        membership = MembershipClass.CORONA_ONLY
+    return VertexClassification(v, removal, membership)
+
+
+def _vertex(g: Graph, v: int, gamma: int | None) -> VertexClassification:
+    """Structural classification of one vertex; gamma, if given, must be gamma(g)."""
     g._check_vertex(v)
     if gamma is None:
         gamma = gamma_value(g)
-    return not exists_dominating_within(add_pendant(g, v), gamma)
+    return _classify_vertex(closed_masks(g), g.full_mask, v, gamma)
+
+
+def removal_class(g: Graph, v: int, gamma: int | None = None) -> RemovalClass:
+    """How gamma changes when v is deleted: PLUS up, MINUS down, ZERO same."""
+    return _vertex(g, v, gamma).removal
+
+
+def in_anticore(g: Graph, v: int, gamma: int | None = None) -> bool:
+    """True if no minimum dominating set contains v."""
+    return _vertex(g, v, gamma).membership is MembershipClass.ANTICORE
 
 
 def in_core(g: Graph, v: int, gamma: int | None = None) -> bool:
-    """True if every minimum dominating set contains v.
-
-    Holds exactly when v is isolated, or deleting v raises gamma, or
-    deleting v keeps gamma while every neighbor of v is in the anticore
-    of the deleted graph (no surviving minimum set could dominate v).
-    """
-    g._check_vertex(v)
-    if g.adj[v] == 0:
-        return True
-    if gamma is None:
-        gamma = gamma_value(g)
-    h = delete_vertex(g, v)
-    if not exists_dominating_within(h, gamma):
-        return True
-    if exists_dominating_within(h, gamma - 1):
-        return False
-    for u in bits(g.adj[v]):
-        if not in_anticore(h, index_after_delete(u, v), gamma):
-            return False
-    return True
+    """True if every minimum dominating set contains v."""
+    return _vertex(g, v, gamma).membership is MembershipClass.CORE
 
 
 def membership_class(g: Graph, v: int, gamma: int | None = None) -> MembershipClass:
-    if gamma is None:
-        gamma = gamma_value(g)
-    if in_core(g, v, gamma):
-        return MembershipClass.CORE
-    if in_anticore(g, v, gamma):
-        return MembershipClass.ANTICORE
-    return MembershipClass.CORONA_ONLY
+    return _vertex(g, v, gamma).membership
 
 
 def classify_all(g: Graph) -> ClassificationReport:
     """Classify every vertex by the structural route (no set enumeration)."""
     gamma = gamma_value(g)
-    rows = []
-    for v in range(g.n):
-        h = delete_vertex(g, v)
-        stays = exists_dominating_within(h, gamma)
-        if not stays:
-            removal = RemovalClass.PLUS
-        elif exists_dominating_within(h, gamma - 1):
-            removal = RemovalClass.MINUS
-        else:
-            removal = RemovalClass.ZERO
-
-        if g.adj[v] == 0:
-            membership = MembershipClass.CORE
-        elif removal is RemovalClass.PLUS:
-            membership = MembershipClass.CORE
-        else:
-            core = removal is RemovalClass.ZERO and all(
-                in_anticore(h, index_after_delete(u, v), gamma) for u in bits(g.adj[v])
-            )
-            if core:
-                membership = MembershipClass.CORE
-            elif in_anticore(g, v, gamma):
-                membership = MembershipClass.ANTICORE
-            else:
-                membership = MembershipClass.CORONA_ONLY
-        rows.append(VertexClassification(v, removal, membership))
-    return ClassificationReport(gamma, tuple(rows))
+    closed = closed_masks(g)
+    full = g.full_mask
+    rows = tuple(_classify_vertex(closed, full, v, gamma) for v in range(g.n))
+    return ClassificationReport(gamma, rows)
 
 
 def classify_by_enumeration(g: Graph) -> ClassificationReport:
@@ -240,19 +231,14 @@ def classification_masks(
     if gamma is None:
         gamma = gamma_value(g)
     core, corona = core_corona if core_corona is not None else core_and_corona(g)
-    plus = zero = minus = 0
+    closed = closed_masks(g)
+    removal = dict.fromkeys(RemovalClass, 0)
     for v in range(g.n):
-        h = delete_vertex(g, v)
-        if not exists_dominating_within(h, gamma):
-            plus |= 1 << v
-        elif exists_dominating_within(h, gamma - 1):
-            minus |= 1 << v
-        else:
-            zero |= 1 << v
+        removal[_removal(*_delete(closed, g.full_mask, v), gamma)] |= 1 << v
     return {
-        "plus": plus,
-        "zero": zero,
-        "minus": minus,
+        "plus": removal[RemovalClass.PLUS],
+        "zero": removal[RemovalClass.ZERO],
+        "minus": removal[RemovalClass.MINUS],
         "core": core,
         "corona_only": corona & ~core,
         "anticore": g.full_mask & ~corona,

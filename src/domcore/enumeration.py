@@ -100,6 +100,18 @@ def enumerate_connected(n: int):
     return level(n)
 
 
+def _batched(stream, size: int):
+    """Lists of `size` consecutive items (the last may be shorter), for pool workers."""
+    batch = []
+    for item in stream:
+        batch.append(item)
+        if len(batch) == size:
+            yield batch
+            batch = []
+    if batch:
+        yield batch
+
+
 def enumerate_trees(n: int):
     """Yield one representative per isomorphism class of trees.
 

@@ -228,44 +228,34 @@ def private_neighbors(g: Graph, u: int, s: int) -> int:
     return (g.adj[u] | (1 << u)) & ~blocked
 
 
-def connected_components(g: Graph) -> list[int]:
-    """Component masks, ordered by their smallest vertex."""
-    remaining = g.full_mask
+def connected_components(g: Graph, within: int | None = None) -> list[int]:
+    """Component masks of the subgraph induced by `within`, by smallest vertex.
+
+    `within` defaults to every vertex.
+    """
+    if within is None:
+        within = g.full_mask
+    elif within & ~g.full_mask:
+        raise GraphError("vertex mask has bits outside the vertex range")
+    remaining = within
     comps = []
     while remaining:
-        start = remaining & -remaining
-        comp = start
-        frontier = start
+        comp = remaining & -remaining
+        frontier = comp
         while frontier:
             nxt = 0
             for v in bits(frontier):
                 nxt |= g.adj[v]
-            frontier = nxt & ~comp
+            frontier = nxt & within & ~comp
             comp |= frontier
         comps.append(comp)
         remaining &= ~comp
     return comps
 
 
-def component_of(g: Graph, v: int) -> int:
-    """Mask of the component containing v."""
-    g._check_vertex(v)
-    comp = 1 << v
-    frontier = comp
-    while frontier:
-        nxt = 0
-        for u in bits(frontier):
-            nxt |= g.adj[u]
-        frontier = nxt & ~comp
-        comp |= frontier
-    return comp
-
-
 def is_connected(g: Graph) -> bool:
     """True for the empty graph and for graphs with one component."""
-    if g.n == 0:
-        return True
-    return component_of(g, 0) == g.full_mask
+    return len(connected_components(g)) <= 1
 
 
 def cut_vertices(g: Graph) -> int:

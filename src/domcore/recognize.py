@@ -259,5 +259,4 @@ __all__ = [
     "ClassFlags",
     "class_flags",
     "flags_to_dict",
-    "mask_of",
 ]

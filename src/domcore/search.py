@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from multiprocessing import Pool
 
 from .classify import classification_masks
-from .enumeration import enumerate_connected
+from .enumeration import _batched, enumerate_connected
 from .graph import Graph, GraphError, bits, cut_vertices
 from .graph6 import parse_graph6, write_graph6
 from .recognize import contains_induced, is_bipartite
@@ -297,17 +297,6 @@ def _search_worker(batch: list[str]) -> list[str]:
         if evaluate_signature(sig, g):
             hits.append(text)
     return hits
-
-
-def _batched(stream, size: int):
-    batch = []
-    for item in stream:
-        batch.append(item)
-        if len(batch) == size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
 
 
 def search_signature(

@@ -1,15 +1,20 @@
 """Exact solvers for domination and independence numbers.
 
-The workhorse is a branch-and-bound feasibility test: does a dominating
-set of size at most k exist?  Branching always targets an undominated
-vertex with the fewest candidate dominators, and every search node is
-cut by two lower bounds: a greedy packing of pairwise-disjoint closed
-neighborhoods (each packed vertex needs its own dominator) and a
-coverage bound (budget times the largest closed neighborhood must reach
-every undominated vertex).  The domination number is found by probing
-increasing budgets between a packing lower bound and a greedy upper
-bound; the reported witness is recomputed by a lexicographic first-fit
-search at the optimum, so it matches brute-force enumeration exactly.
+Two searches do the work.  The feasibility test asks whether a
+dominating set of at most k vertices exists: it branches on the
+candidate dominators of the undominated vertex with the fewest of them,
+and cuts a node when the packing bound (undominated vertices with
+pairwise-disjoint closed neighborhoods, each needing its own dominator)
+exceeds the budget.  The domination number is the first budget between
+that bound and a greedy cover that the test accepts.
+
+The second search, _minimum_sets, yields every dominating set of a
+given size in lexicographic order, cut by the same packing bound taken
+over the vertices still available.  The witness of gamma_exact is its
+first set, all_minimum_dominating_sets is all of them, core_and_corona
+folds them, and independent_domination_number takes the first
+independent one; so every witness matches brute-force enumeration
+exactly.
 
 All functions are pure: graphs come in, numbers and bitmask sets come
 out, and no state survives a call.
@@ -19,8 +24,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterator
 
-from .graph import Graph, GraphError, bits, closed_masks, connected_components, is_dominating
+from .graph import (
+    MAX_VERTICES,
+    Graph,
+    GraphError,
+    bits,
+    closed_masks,
+    connected_components,
+    is_dominating,
+)
 
 BRUTEFORCE_MAX = 30
 ALL_SETS_MAX = 24
@@ -58,11 +72,13 @@ def _greedy_cover(closed: list[int], full: int) -> list[int]:
     return picked
 
 
-def _packing_bound(closed: list[int], undominated: int) -> int:
-    """Count undominated vertices with pairwise-disjoint closed neighborhoods.
+def _packing_bound(closed: list[int], undominated: int, avail: int) -> int:
+    """Lower bound on the picks from `avail` still needed to dominate `undominated`.
 
-    No vertex can dominate two of them, so any completion needs at least
-    this many further picks.
+    Counts undominated vertices with pairwise-disjoint closed
+    neighborhoods: no vertex can dominate two of them.  Returns
+    MAX_VERTICES + 1, more than any budget, when some undominated vertex
+    has no dominator left in `avail`.
     """
     count = 0
     blocked = 0
@@ -72,6 +88,8 @@ def _packing_bound(closed: list[int], undominated: int) -> int:
         v = low.bit_length() - 1
         m ^= low
         nb = closed[v]
+        if not nb & avail:
+            return MAX_VERTICES + 1
         if not nb & blocked:
             count += 1
             blocked |= nb
@@ -85,7 +103,7 @@ def _exists_dominating(closed: list[int], full: int, budget: int, dominated: int
         return True
     if budget <= 0:
         return False
-    if _packing_bound(closed, undominated) > budget:
+    if _packing_bound(closed, undominated, full) > budget:
         return False
     # pivot: undominated vertex with the fewest candidate dominators
     pivot_candidates = 0
@@ -121,73 +139,54 @@ def exists_dominating_within(g: Graph, budget: int) -> bool:
 
 def gamma_value(g: Graph) -> int:
     """Domination number, computed by budget probes between two bounds."""
-    if g.n == 0:
-        return 0
     closed = closed_masks(g)
     full = g.full_mask
     upper = len(_greedy_cover(closed, full))
-    lower = _packing_bound(closed, full)
+    lower = _packing_bound(closed, full, full)
     for k in range(lower, upper):
         if _exists_dominating(closed, full, k):
             return k
     return upper
 
 
-def _lex_smallest_dominating(
-    closed: list[int], full: int, n: int, size: int, independent_adj: tuple[int, ...] | None = None
-) -> int | None:
-    """Lexicographically first set of exactly `size` vertices that dominates.
+def _minimum_sets(
+    closed: list[int], full: int, size: int, independent_adj: tuple[int, ...] | None = None
+) -> Iterator[int]:
+    """Every dominating set of exactly `size` vertices, in lexicographic order.
 
     Vertex sets compare as their sorted index sequences, matching the
     order itertools.combinations produces.  With independent_adj given,
-    only independent sets are considered.
+    only independent sets are yielded.  Complete by construction: a
+    branch is cut only when too few vertices are left to pick from or
+    the packing bound over the vertices still available exceeds the
+    picks left.
     """
 
-    def rec(start: int, dominated: int, banned: int, remaining: int) -> int | None:
+    def rec(avail: int, dominated: int, chosen: int, remaining: int) -> Iterator[int]:
         if remaining == 0:
-            return 0 if dominated == full else None
-        if n - start < remaining:
-            return None
-        avail = (full & ~((1 << start) - 1)) & ~banned
-        undominated = full & ~dominated
-        packing = 0
-        blocked = 0
-        m = undominated
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            nb = closed[v]
-            if not nb & avail:
-                return None
-            if not nb & blocked:
-                packing += 1
-                blocked |= nb
-        if packing > remaining:
-            return None
-        w = start
+            if dominated == full:
+                yield chosen
+            return
+        if avail.bit_count() < remaining:
+            return
+        if _packing_bound(closed, full & ~dominated, avail) > remaining:
+            return
         rest = avail
         while rest:
             low = rest & -rest
-            w = low.bit_length() - 1
             rest ^= low
-            nb = banned | independent_adj[w] if independent_adj is not None else banned
-            sub = rec(w + 1, dominated | closed[w], nb, remaining - 1)
-            if sub is not None:
-                return sub | (1 << w)
-        return None
+            w = low.bit_length() - 1
+            # later picks come from above w, independent of w if asked
+            after = rest & ~independent_adj[w] if independent_adj is not None else rest
+            yield from rec(after, dominated | closed[w], chosen | low, remaining - 1)
 
-    return rec(0, 0, 0, size)
+    return rec(full, 0, 0, size)
 
 
 def gamma_exact(g: Graph) -> DominationReport:
     """Domination number with the lexicographically smallest witness."""
-    if g.n == 0:
-        return DominationReport(0, 0)
     value = gamma_value(g)
-    witness = _lex_smallest_dominating(closed_masks(g), g.full_mask, g.n, value)
-    assert witness is not None
-    return DominationReport(value, witness)
+    return DominationReport(value, next(_minimum_sets(closed_masks(g), g.full_mask, value)))
 
 
 def gamma_bruteforce(g: Graph) -> DominationReport:
@@ -212,100 +211,28 @@ def gamma_bruteforce(g: Graph) -> DominationReport:
 
 
 def all_minimum_dominating_sets(g: Graph) -> DominationReport:
-    """Every minimum dominating set, in lexicographic order.
-
-    Complete by construction: the search only prunes branches that
-    cannot reach any set of the optimum size (not enough indices left,
-    an undominated vertex with no remaining candidate dominator, or a
-    disjoint-neighborhood packing larger than the remaining budget).
-    """
+    """Every minimum dominating set, in lexicographic order."""
     if g.n > ALL_SETS_MAX:
         raise GraphError(f"exhaustive set listing is limited to {ALL_SETS_MAX} vertices")
-    if g.n == 0:
-        return DominationReport(0, 0, (0,))
-    closed = closed_masks(g)
-    full = g.full_mask
     value = gamma_value(g)
-    found: list[int] = []
-
-    def rec(start: int, dominated: int, chosen: int, remaining: int) -> None:
-        if remaining == 0:
-            if dominated == full:
-                found.append(chosen)
-            return
-        if g.n - start < remaining:
-            return
-        avail = full & ~((1 << start) - 1)
-        undominated = full & ~dominated
-        packing = 0
-        blocked = 0
-        m = undominated
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            nb = closed[v]
-            if not nb & avail:
-                return
-            if not nb & blocked:
-                packing += 1
-                blocked |= nb
-        if packing > remaining:
-            return
-        for w in range(start, g.n):
-            rec(w + 1, dominated | closed[w], chosen | (1 << w), remaining - 1)
-
-    rec(0, 0, 0, value)
-    return DominationReport(value, found[0], tuple(found))
+    found = tuple(_minimum_sets(closed_masks(g), g.full_mask, value))
+    return DominationReport(value, found[0], found)
 
 
 def core_and_corona(g: Graph) -> tuple[int, int]:
     """Masks (intersection, union) over all minimum dominating sets.
 
-    Streams the same complete search as all_minimum_dominating_sets but
-    folds each witness into two accumulators, stopping early once the
-    intersection is empty and the union is everything.
+    Folds the minimum-set stream, stopping early once the intersection
+    is empty and the union is everything.
     """
-    if g.n == 0:
-        return (0, 0)
-    closed = closed_masks(g)
     full = g.full_mask
-    value = gamma_value(g)
-    state = {"core": full, "corona": 0}
-
-    def rec(start: int, dominated: int, chosen: int, remaining: int) -> bool:
-        if remaining == 0:
-            if dominated == full:
-                state["core"] &= chosen
-                state["corona"] |= chosen
-                return state["core"] == 0 and state["corona"] == full
-            return False
-        if g.n - start < remaining:
-            return False
-        avail = full & ~((1 << start) - 1)
-        undominated = full & ~dominated
-        packing = 0
-        blocked = 0
-        m = undominated
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            nb = closed[v]
-            if not nb & avail:
-                return False
-            if not nb & blocked:
-                packing += 1
-                blocked |= nb
-        if packing > remaining:
-            return False
-        for w in range(start, g.n):
-            if rec(w + 1, dominated | closed[w], chosen | (1 << w), remaining - 1):
-                return True
-        return False
-
-    rec(0, 0, 0, value)
-    return (state["core"], state["corona"])
+    core, corona = full, 0
+    for s in _minimum_sets(closed_masks(g), full, gamma_value(g)):
+        core &= s
+        corona |= s
+        if not core and corona == full:
+            break
+    return (core, corona)
 
 
 def independence_number(g: Graph) -> int:
@@ -352,7 +279,7 @@ def _exists_independent_dominating(
         return True
     if budget <= 0:
         return False
-    if _packing_bound(closed, undominated) > budget:
+    if _packing_bound(closed, undominated, allowed) > budget:
         return False
     low = undominated & -undominated
     v = low.bit_length() - 1
@@ -373,8 +300,6 @@ def independent_domination_number(g: Graph) -> DominationReport:
     because that vertex's dominator must be one of its closed neighbors
     and must stay independent from earlier picks.
     """
-    if g.n == 0:
-        return DominationReport(0, 0)
     closed = closed_masks(g)
     full = g.full_mask
     # greedy maximal independent set gives an upper bound
@@ -386,15 +311,13 @@ def independent_domination_number(g: Graph) -> DominationReport:
         greedy |= low
         free &= ~closed[v]
     upper = greedy.bit_count()
-    lower = _packing_bound(closed, full)
+    lower = _packing_bound(closed, full, full)
     value = upper
     for k in range(lower, upper):
         if _exists_independent_dominating(g, closed, k, 0, full):
             value = k
             break
-    witness = _lex_smallest_dominating(closed, full, g.n, value, independent_adj=g.adj)
-    assert witness is not None
-    return DominationReport(value, witness)
+    return DominationReport(value, next(_minimum_sets(closed, full, value, g.adj)))
 
 
 def _forest_components(g: Graph) -> list[list[int]] | None:

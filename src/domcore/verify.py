@@ -32,6 +32,7 @@ from .classify import (
     classify_by_enumeration,
 )
 from .enumeration import (
+    _batched,
     count_connected_graphs,
     enumerate_connected,
     labeled_connected_bitmap,
@@ -270,23 +271,6 @@ def _check_simplicial(ctx: _Ctx):
                 yield f"simplicial vertex {v} sits in the core"
 
 
-def _components_of_mask(g: Graph, sub: int) -> list[int]:
-    comps = []
-    remaining = sub
-    while remaining:
-        comp = remaining & -remaining
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= g.adj[v]
-            frontier = nxt & sub & ~comp
-            comp |= frontier
-        comps.append(comp)
-        remaining &= ~comp
-    return comps
-
-
 def _is_clique(g: Graph, s: int) -> bool:
     for v in bits(s):
         if s & ~(g.adj[v] | (1 << v)):
@@ -302,7 +286,7 @@ def _check_cut_vertex_lemma(ctx: _Ctx):
     for v in bits(core & cuts):
         rest = g.full_mask & ~(1 << v)
         if all(
-            _is_clique(g, comp & g.adj[v]) for comp in _components_of_mask(g, rest)
+            _is_clique(g, comp & g.adj[v]) for comp in connected_components(g, rest)
         ):
             if rep.vertices[v].removal is not RemovalClass.PLUS:
                 yield f"clique-attachment cut vertex {v} in core does not raise gamma"
@@ -317,7 +301,7 @@ def _check_attachment_lemma(ctx: _Ctx):
         outside = g.full_mask & ~ctx.closed[v]
         attachments = [
             g.adj[v] & _neighbors_of_mask(g, comp)
-            for comp in _components_of_mask(g, outside)
+            for comp in connected_components(g, outside)
         ]
         if all(_is_clique(g, a) for a in attachments):
             if rep.vertices[v].removal is not RemovalClass.PLUS:
@@ -688,13 +672,3 @@ def _corpus_level_checks(counts: dict[int, int], n_max: int) -> list[CheckResult
     )
     return results
 
-
-def _batched(stream, size: int):
-    batch = []
-    for item in stream:
-        batch.append(item)
-        if len(batch) == size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given
 
 from domcore import (
     Graph,
@@ -16,7 +17,7 @@ from domcore import (
     removal_class,
 )
 from domcore.classify import report_to_dict
-from helpers import complete_bipartite, cycle, path, star
+from helpers import complete_bipartite, cycle, graphs, path, star
 
 K1 = build_graph(1, [])
 
@@ -130,6 +131,24 @@ def test_structural_equals_definitional_random():
     for _ in range(150):
         g = _random_graph(rng)
         assert classify_all(g) == classify_by_enumeration(g)
+
+
+@given(graphs(0, 12))
+def test_structural_equals_definitional_property(g):
+    # random graphs may be empty, disconnected or have isolated vertices,
+    # which the connected corpus never has
+    assert classify_all(g) == classify_by_enumeration(g)
+
+
+@given(graphs(0, 12))
+def test_single_vertex_functions_match_classify_all(g):
+    rep = classify_all(g)
+    for row in rep.vertices:
+        v = row.vertex
+        assert removal_class(g, v) is row.removal
+        assert membership_class(g, v, rep.gamma) is row.membership
+        assert in_core(g, v) == (row.membership is MembershipClass.CORE)
+        assert in_anticore(g, v, rep.gamma) == (row.membership is MembershipClass.ANTICORE)
 
 
 def test_definitional_capacity_guard():

@@ -15,6 +15,7 @@ from domcore.canonical import canonical_form, rooted_canonical_bits
 from domcore.enumeration import (
     ENUMERATION_MAX,
     TREE_ENUMERATION_MAX,
+    _batched,
     _is_canonical_child,
     labeled_connected_bitmap,
     relabeling_closure_bitmap,
@@ -74,6 +75,12 @@ def test_relabeling_closure_reaches_every_labeled_graph():
         closure, count = relabeling_closure_bitmap(enumerate_connected(n), n)
         assert closure == oracle
         assert count == oracle_count
+
+
+def test_batched_keeps_order_and_the_short_tail():
+    assert list(_batched(range(5), 2)) == [[0, 1], [2, 3], [4]]
+    assert list(_batched(range(4), 2)) == [[0, 1], [2, 3]]
+    assert list(_batched([], 3)) == []
 
 
 def test_enumeration_bounds():

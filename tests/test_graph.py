@@ -147,6 +147,22 @@ def test_connected_components_ordering():
     assert not is_connected(g)
     assert is_connected(path(4))
     assert is_connected(build_graph(0, []))
+    # within: components of the induced subgraph, still by smallest vertex
+    assert connected_components(path(5), within=0b11011) == [0b00011, 0b11000]
+    assert connected_components(cycle(6), within=0b110110) == [0b000110, 0b110000]
+    assert connected_components(g, within=0) == []
+    with pytest.raises(GraphError):
+        connected_components(g, within=1 << 5)
+
+
+@given(graphs(0, 16), st.data())
+def test_components_within_match_induced_subgraph(g, data):
+    within = data.draw(st.integers(0, g.full_mask))
+    kept = list(bits(within))
+    edges = [(kept.index(u), kept.index(v)) for u, v in g.edges() if u in kept and v in kept]
+    induced = build_graph(len(kept), edges)
+    want = [mask_of(kept[i] for i in bits(c)) for c in connected_components(induced)]
+    assert connected_components(g, within) == want
 
 
 def test_cut_vertices():

@@ -1,4 +1,7 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given
 
 from domcore import (
     GraphError,
@@ -10,15 +13,16 @@ from domcore import (
     independence_number,
     independent_domination_number,
 )
-from domcore.graph import bits, is_dominating
+from domcore.graph import bits, closed_masks, is_dominating, mask_of
 from domcore.solve import (
     ALL_SETS_MAX,
+    _minimum_sets,
     exists_dominating_within,
     gamma_bruteforce,
     gamma_tree,
 )
 from domcore.enumeration import enumerate_trees
-from helpers import complete, complete_bipartite, cycle, path, petersen, star
+from helpers import complete, complete_bipartite, cycle, graphs, path, petersen, star
 
 
 def test_gamma_paths_and_cycles():
@@ -135,3 +139,16 @@ def test_exists_dominating_within():
     assert exists_dominating_within(g, 6)
     assert exists_dominating_within(build_graph(0, []), 0)
     assert not exists_dominating_within(path(1), 0)
+
+
+@given(graphs(0, 12))
+def test_minimum_sets_match_bruteforce(g):
+    # every size, not just gamma: the generator lists all dominating sets
+    # of the size it is given, in the order combinations produces them
+    closed = closed_masks(g)
+    for size in range(g.n + 1):
+        want = [mask_of(c) for c in combinations(range(g.n), size)]
+        want = [s for s in want if is_dominating(g, s)]
+        assert list(_minimum_sets(closed, g.full_mask, size)) == want
+        independent = [s for s in want if all(not g.adj[v] & s for v in bits(s))]
+        assert list(_minimum_sets(closed, g.full_mask, size, g.adj)) == independent
