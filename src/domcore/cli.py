@@ -264,7 +264,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_recognize)
 
     p = subs.add_parser("enumerate", help="stream connected graphs of one order")
-    p.add_argument("--n", type=int, required=True, help="vertex count")
+    p.add_argument(
+        "--n",
+        type=int,
+        required=True,
+        help=f"vertex count, at most {ENUMERATION_MAX} "
+        f"(at most {TREE_ENUMERATION_MAX} with --trees)",
+    )
     p.add_argument("--trees", action="store_true", help="trees only")
     p.add_argument("--count-only", action="store_true", help="print the count")
     p.add_argument("--tsv", action="store_true", help="tab-separated output")
@@ -272,7 +278,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("search", help="hunt for vertex-partition signatures")
     p.add_argument("--signature", required=True, help="registered signature name")
-    p.add_argument("--nmax", type=int, required=True, help="largest order scanned")
+    p.add_argument(
+        "--nmax",
+        type=int,
+        required=True,
+        help=f"largest order scanned, at most {SEARCH_MAX}",
+    )
     p.add_argument(
         "--full",
         action="store_true",
@@ -285,7 +296,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_search)
 
     p = subs.add_parser("verify", help="run the invariant suite over all graphs")
-    p.add_argument("--nmax", type=int, required=True, help="largest order verified")
+    p.add_argument(
+        "--nmax",
+        type=int,
+        required=True,
+        help=f"largest order verified, at most {VERIFY_MAX}",
+    )
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--tsv", action="store_true", help="tab-separated output")
     p.set_defaults(func=_cmd_verify)

@@ -18,9 +18,17 @@ isomorphic results), so each parent deduplicates its accepted children
 by canonical form; acceptance plus per-parent deduplication yields each
 isomorphism class exactly once globally.
 
-Two independent counting oracles back the stream: an exhaustive
-relabeling closure for small n and an analytic count via permutation
-cycle index plus an inverse Euler transform for connected graphs.
+Two independent oracles back the stream.  An analytic count via the
+permutation cycle index plus an inverse Euler transform gives the number
+of connected graphs.  For n <= 7 an exhaustive labeled check compares
+two bitmaps over all 2**C(n,2) edge masks (bit mask & 7 of byte
+mask >> 3 marks edge mask `mask`, pairs in lexicographic order): the
+connected labeled graphs, and the closure of the stream under vertex
+relabeling.  Both are bit-sliced, with one Python int per block of
+2**15 consecutive masks: connectivity propagates reachability from
+vertex 0 across whole blocks at once, and the closure applies the
+adjacent transpositions (k k+1), which generate all relabelings, as
+exchanges of index bits until the set stops growing.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from .canonical import canonical_form, rooted_canonical_bits
 
 ENUMERATION_MAX = 10
 TREE_ENUMERATION_MAX = 16
+LABELED_MAX = 7
 
 
 def _is_canonical_child(g: Graph, new: int) -> bool:
@@ -206,87 +215,150 @@ def count_connected_graphs(n: int) -> int:
     return c[n]
 
 
+# the labeled oracles hold a bitmap over edge masks as chunks of
+# 2**_CHUNK_BITS bits, one Python int each; index bits below _CHUNK_BITS
+# address a bit inside a chunk, the bits above address the chunk
+_CHUNK_BITS = 15
+
+
+def _index_bit_masks(pair_count: int) -> tuple[int, int, list[int]]:
+    """(low, ones, present) for bitmap chunks over pair_count index bits.
+
+    A chunk covers the 2**low consecutive edge masks that share their
+    index bits from low up, with low = min(pair_count, _CHUNK_BITS);
+    ones has all 2**low bits set, and present[i] (i < low) marks the
+    masks in a chunk that contain pair index i, a periodic pattern.
+    """
+    low = min(pair_count, _CHUNK_BITS)
+    ones = (1 << (1 << low)) - 1
+    # ones // (2**(2**i) + 1) repeats 2**i ones, 2**i zeros, from bit 0
+    present = [ones ^ (ones // ((1 << (1 << i)) + 1)) for i in range(low)]
+    return low, ones, present
+
+
+def _chunks_to_bitmap(chunks: list[int], low: int) -> tuple[bytearray, int]:
+    """Concatenate the chunks little-endian; bit mask & 7 of byte mask >> 3 is mask."""
+    size = ((1 << low) + 7) // 8
+    bitmap = bytearray(b"".join(c.to_bytes(size, "little") for c in chunks))
+    return bitmap, sum(c.bit_count() for c in chunks)
+
+
 def labeled_connected_bitmap(n: int) -> tuple[bytearray, int]:
     """Bitmap over edge masks marking every connected labeled graph.
 
     The edge mask's bit for pair (i, j), i < j, sits at that pair's
-    position in lexicographic order; the bitmap has 2**C(n,2) slots.
-    Exhaustive, so only sensible for n <= 7; this is the enumeration
+    position in lexicographic order; the bitmap has 2**C(n,2) slots, and
+    bit mask & 7 of byte mask >> 3 marks edge mask `mask`.  Exhaustive,
+    so it covers n <= LABELED_MAX = 7 only; this is the enumeration
     completeness oracle.  Returns (bitmap, count of marked masks).
+
+    Bit-sliced: one int holds a block of 2**15 consecutive masks, one
+    bit per mask, so "pair idx is an edge" is a fixed periodic int for
+    the 15 low pair indices and all ones or zero for the others.
+    reach[v] marks the masks in which v is reachable from vertex 0; it
+    grows by reach[u] |= reach[v] & edge over every pair until nothing
+    changes, and the connected masks are those where every vertex is
+    reached.
     """
-    if n < 1 or n > 7:
-        raise GraphError("labeled closure oracle covers 1..7 vertices")
+    if not 1 <= n <= LABELED_MAX:
+        raise GraphError(f"labeled closure oracle covers 1..{LABELED_MAX} vertices")
     pairs = list(combinations(range(n), 2))
-    total = 1 << len(pairs)
-    bitmap = bytearray((total + 7) // 8)
-    count = 0
-    full = (1 << n) - 1
-    for mask in range(total):
-        adj = [0] * n
-        m = mask
-        while m:
-            low = m & -m
-            idx = low.bit_length() - 1
-            m ^= low
-            u, v = pairs[idx]
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        comp = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            fm = frontier
-            while fm:
-                low = fm & -fm
-                v = low.bit_length() - 1
-                fm ^= low
-                nxt |= adj[v]
-            frontier = nxt & ~comp
-            comp |= frontier
-        if comp == full:
-            bitmap[mask >> 3] |= 1 << (mask & 7)
-            count += 1
-    return bitmap, count
+    low, ones, present = _index_bit_masks(len(pairs))
+    chunks = []
+    for block in range(1 << (len(pairs) - low)):
+        edges = present + [ones if block >> (i - low) & 1 else 0 for i in range(low, len(pairs))]
+        reach = [ones] + [0] * (n - 1)
+        changed = True
+        while changed:
+            changed = False
+            for (u, v), edge in zip(pairs, edges):
+                ru, rv = reach[u], reach[v]
+                nu, nv = ru | (rv & edge), rv | (ru & edge)
+                if nu != ru or nv != rv:
+                    reach[u], reach[v] = nu, nv
+                    changed = True
+        connected = ones
+        for r in reach:
+            connected &= r
+        chunks.append(connected)
+    return _chunks_to_bitmap(chunks, low)
+
+
+def _exchange_index_bits(chunks: list[int], i: int, j: int, low: int, present: list[int]) -> list[int]:
+    """The bitmap with index bits i < j of every mask exchanged."""
+    if j < low:
+        # delta swap inside each chunk: masks with bit i set and bit j
+        # clear trade places with the masks d positions above them
+        d = (1 << j) - (1 << i)
+        move = present[i] & ~present[j]
+        out = []
+        for c in chunks:
+            t = ((c >> d) ^ c) & move
+            out.append(c ^ t ^ (t << d))
+        return out
+    hi_j = 1 << (j - low)
+    if i >= low:
+        hi_i = 1 << (i - low)
+        out = []
+        for q in range(len(chunks)):
+            src = q
+            if bool(q & hi_i) != bool(q & hi_j):
+                src ^= hi_i | hi_j
+            out.append(chunks[src])
+        return out
+    # bit j picks the chunk, bit i a position in it: a mask with bit i
+    # set in chunk q (bit j clear) trades with the mask s positions
+    # below it in chunk q | hi_j (bit j set, bit i clear)
+    s = 1 << i
+    keep = present[i]
+    out = list(chunks)
+    for q in range(len(chunks)):
+        if q & hi_j:
+            continue
+        a, b = chunks[q], chunks[q | hi_j]
+        out[q] = (a & ~keep) | ((b & ~keep) << s)
+        out[q | hi_j] = (b & keep) | ((a & keep) >> s)
+    return out
 
 
 def relabeling_closure_bitmap(graphs, n: int) -> tuple[bytearray, int]:
-    """Bitmap of every labeled copy of every given n-vertex graph."""
-    total = 1 << (n * (n - 1) // 2)
-    bitmap = bytearray((total + 7) // 8)
-    count = 0
+    """Bitmap of every labeled copy of every given n-vertex graph.
+
+    Same layout as labeled_connected_bitmap.  Each graph seeds the bit
+    of its own edge mask; the set is then closed under the adjacent
+    vertex transpositions (k k+1), which generate the symmetric group,
+    until its size stops growing.  A transposition permutes the pair
+    indices, so on the bitmap it is a product of exchanges of two index
+    bits, done on the same 2**15-bit chunks.  Returns (bitmap, count).
+    """
+    pairs = list(combinations(range(n), 2))
+    index = {pair: i for i, pair in enumerate(pairs)}
+    low, _, present = _index_bit_masks(len(pairs))
+    chunks = [0] * (1 << (len(pairs) - low))
     for g in graphs:
         if g.n != n:
             raise GraphError("closure bitmap requires uniform vertex count")
-        for mask in relabelings(g):
-            byte, bit = mask >> 3, 1 << (mask & 7)
-            if not bitmap[byte] & bit:
-                bitmap[byte] |= bit
-                count += 1
-    return bitmap, count
-
-
-def edge_mask(g: Graph) -> int:
-    """Edge bitmask of a graph in the labeled_connected_masks convention."""
-    pairs = list(combinations(range(g.n), 2))
-    m = 0
-    for idx, (u, v) in enumerate(pairs):
-        if (g.adj[u] >> v) & 1:
-            m |= 1 << idx
-    return m
-
-
-def relabelings(g: Graph):
-    """Yield the edge bitmask of every labeled copy of g."""
-    from itertools import permutations
-
-    pairs = list(combinations(range(g.n), 2))
-    index = {pair: i for i, pair in enumerate(pairs)}
-    edges = list(g.edges())
-    for perm in permutations(range(g.n)):
-        m = 0
-        for u, v in edges:
-            a, b = perm[u], perm[v]
-            if a > b:
-                a, b = b, a
-            m |= 1 << index[(a, b)]
-        yield m
+        mask = 0
+        for e in g.edges():
+            mask |= 1 << index[e]
+        chunks[mask >> low] |= 1 << (mask & ((1 << low) - 1))
+    # transposition (k k+1) exchanges pair indices {k, x} < {k+1, x}
+    generators = [
+        [
+            (index[min(k, x), max(k, x)], index[min(k + 1, x), max(k + 1, x)])
+            for x in range(n)
+            if x not in (k, k + 1)
+        ]
+        for k in range(n - 1)
+    ]
+    count = -1
+    while True:
+        for exchanges in generators:
+            image = chunks
+            for i, j in exchanges:
+                image = _exchange_index_bits(image, i, j, low, present)
+            chunks = [c | d for c, d in zip(chunks, image)]
+        grown = sum(c.bit_count() for c in chunks)
+        if grown == count:
+            return _chunks_to_bitmap(chunks, low)
+        count = grown

@@ -19,6 +19,7 @@ Graph that exists is always well formed.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -313,11 +314,15 @@ def cut_vertices(g: Graph) -> int:
     return result
 
 
+_INTEGER_TOKEN = re.compile(r"-?[0-9]+")
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain text format: first "n m", then m lines "u v".
 
     Tokens may be split across lines arbitrarily; '#' starts a comment
-    that runs to end of line.
+    that runs to end of line.  Every token is ASCII decimal digits with
+    an optional leading '-'.
     """
     tokens = []
     for line in text.splitlines():
@@ -325,10 +330,14 @@ def parse_edge_list(text: str) -> Graph:
         tokens.extend(body.split())
     if len(tokens) < 2:
         raise GraphError("edge list needs at least the 'n m' header")
+    for t in tokens:
+        # int() alone would also take '1_0', '+2' and non-ASCII digits
+        if not _INTEGER_TOKEN.fullmatch(t):
+            raise GraphError(f"non-integer token in edge list: {t!r}")
     try:
         numbers = [int(t) for t in tokens]
-    except ValueError as exc:
-        raise GraphError(f"non-integer token in edge list: {exc}") from exc
+    except ValueError as exc:  # more digits than int() converts
+        raise GraphError(f"edge list token too long: {exc}") from exc
     n, m = numbers[0], numbers[1]
     if n < 0 or m < 0:
         raise GraphError("vertex and edge counts must be nonnegative")

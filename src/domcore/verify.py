@@ -32,6 +32,7 @@ from .classify import (
     classify_by_enumeration,
 )
 from .enumeration import (
+    LABELED_MAX,
     _batched,
     count_connected_graphs,
     enumerate_connected,
@@ -602,6 +603,9 @@ def verify_corpus(n_max: int, jobs: int = 1, progress=None) -> VerifyReport:
     }
     totals: dict[str, int] = {name: 0 for name, _, _ in PER_GRAPH_CHECKS}
     graphs_total = 0
+    # the labeled oracles need the graphs themselves, which the workers
+    # never send back; they are held only for the orders the oracles cover
+    labeled: dict[int, list[Graph]] = {}
 
     def absorb(result):
         nonlocal graphs_total
@@ -616,7 +620,10 @@ def verify_corpus(n_max: int, jobs: int = 1, progress=None) -> VerifyReport:
 
     for n in range(1, n_max + 1):
         counts[n] = 0
-        stream = (write_graph6(g) for g in enumerate_connected(n))
+        graphs = enumerate_connected(n)
+        if n <= LABELED_MAX:
+            graphs = labeled[n] = list(graphs)
+        stream = (write_graph6(g) for g in graphs)
         if jobs > 1:
             batches = _batched(stream, 64)
             with Pool(jobs, _verify_worker_init, (n_max,)) as pool:
@@ -635,11 +642,13 @@ def verify_corpus(n_max: int, jobs: int = 1, progress=None) -> VerifyReport:
         CheckResult(name, checked[idx], totals[name], tuple(violations[name]))
         for idx, (name, _, _) in enumerate(PER_GRAPH_CHECKS)
     ]
-    checks.extend(_corpus_level_checks(counts, n_max))
+    checks.extend(_corpus_level_checks(counts, labeled))
     return VerifyReport(n_max, graphs_total, tuple(checks))
 
 
-def _corpus_level_checks(counts: dict[int, int], n_max: int) -> list[CheckResult]:
+def _corpus_level_checks(
+    counts: dict[int, int], labeled: dict[int, list[Graph]]
+) -> list[CheckResult]:
     results = []
     bad = []
     for n, got in counts.items():
@@ -656,9 +665,9 @@ def _corpus_level_checks(counts: dict[int, int], n_max: int) -> list[CheckResult
     )
     bad = []
     checked = 0
-    for n in range(1, min(n_max, 7) + 1):
+    for n, graphs in labeled.items():
         oracle_bitmap, oracle_count = labeled_connected_bitmap(n)
-        closure, closure_count = relabeling_closure_bitmap(enumerate_connected(n), n)
+        closure, closure_count = relabeling_closure_bitmap(graphs, n)
         checked += closure_count
         if oracle_bitmap != closure or oracle_count != closure_count:
             bad.append(("", f"n={n}: relabeling closure misses labeled graphs"))

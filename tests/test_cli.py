@@ -4,6 +4,9 @@ import json
 import pytest
 
 from domcore.cli import run
+from domcore.enumeration import ENUMERATION_MAX, TREE_ENUMERATION_MAX
+from domcore.search import SEARCH_MAX
+from domcore.verify import VERIFY_MAX
 
 
 def run_cli(capsys, *argv):
@@ -146,4 +149,14 @@ def test_input_errors(capsys, tmp_path):
 
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
-    assert run_cli(capsys, "search", "--help")[0] == 0
+    # each order option names its limit; argparse wraps help lines
+    for argv, limits in (
+        (("verify", "--help"), [f"at most {VERIFY_MAX}"]),
+        (("search", "--help"), [f"at most {SEARCH_MAX}"]),
+        (("enumerate", "--help"), [f"at most {ENUMERATION_MAX}", f"at most {TREE_ENUMERATION_MAX} with --trees"]),
+    ):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        text = " ".join(out.split())
+        for limit in limits:
+            assert limit in text

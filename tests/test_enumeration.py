@@ -1,7 +1,9 @@
-from itertools import combinations
+from hashlib import sha256
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given
+from hypothesis import strategies as st
 
 from domcore import (
     GraphError,
@@ -14,6 +16,7 @@ from domcore import (
 from domcore.canonical import canonical_form, rooted_canonical_bits
 from domcore.enumeration import (
     ENUMERATION_MAX,
+    LABELED_MAX,
     TREE_ENUMERATION_MAX,
     _batched,
     _is_canonical_child,
@@ -22,12 +25,18 @@ from domcore.enumeration import (
 )
 from domcore.graph import add_vertex, bits, is_connected
 from domcore.recognize import is_tree
-from helpers import connected_graphs, cut_vertices_bruteforce
+from helpers import connected_graphs, cut_vertices_bruteforce, graphs
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
-LABELED_CONNECTED = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
+LABELED_CONNECTED = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704, 7: 1866256}  # OEIS A001187
+# SHA-256 of the bitmap bytes, pinning the layout: bit mask & 7 of byte
+# mask >> 3 marks edge mask `mask`, pairs in lexicographic order
+LABELED_BITMAP_SHA256 = {
+    6: "250e7e349b897872e8ab1b4b38f2154713da9507972ee3b5f13be367adbb6501",
+    7: "6980dd66999b7c9aeacc9eab3d1b4c04333900458cca00bc17288321d46936ca",
+}
 
 
 def test_stream_counts_match_known_sequence():
@@ -65,16 +74,104 @@ def test_tree_counts():
 
 def test_labeled_bitmap_counts():
     for n, want in LABELED_CONNECTED.items():
-        _, count = labeled_connected_bitmap(n)
+        bitmap, count = labeled_connected_bitmap(n)
         assert count == want
+        if n in LABELED_BITMAP_SHA256:
+            assert sha256(bytes(bitmap)).hexdigest() == LABELED_BITMAP_SHA256[n]
 
 
 def test_relabeling_closure_reaches_every_labeled_graph():
-    for n in range(1, 7):
+    for n in range(1, 8):
         oracle, oracle_count = labeled_connected_bitmap(n)
         closure, count = relabeling_closure_bitmap(enumerate_connected(n), n)
         assert closure == oracle
         assert count == oracle_count
+
+
+def _labeled_connected_bitmap_reference(n):
+    """One BFS per edge mask, marking the connected ones."""
+    pairs = list(combinations(range(n), 2))
+    total = 1 << len(pairs)
+    bitmap = bytearray((total + 7) // 8)
+    count = 0
+    for mask in range(total):
+        adj = [0] * n
+        for idx in bits(mask):
+            u, v = pairs[idx]
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        comp = frontier = 1
+        while frontier:
+            nxt = 0
+            for v in bits(frontier):
+                nxt |= adj[v]
+            frontier = nxt & ~comp
+            comp |= frontier
+        if comp == (1 << n) - 1:
+            bitmap[mask >> 3] |= 1 << (mask & 7)
+            count += 1
+    return bitmap, count
+
+
+def _relabelings(g):
+    """Yield the edge mask of every labeled copy of g, one per permutation."""
+    index = {pair: i for i, pair in enumerate(combinations(range(g.n), 2))}
+    edges = list(g.edges())
+    for perm in permutations(range(g.n)):
+        m = 0
+        for u, v in edges:
+            a, b = sorted((perm[u], perm[v]))
+            m |= 1 << index[(a, b)]
+        yield m
+
+
+def _relabeling_closure_bitmap_reference(gs, n):
+    """Every relabeling of every graph, one permutation at a time."""
+    bitmap = bytearray(((1 << (n * (n - 1) // 2)) + 7) // 8)
+    count = 0
+    for g in gs:
+        assert g.n == n
+        for mask in _relabelings(g):
+            byte, bit = mask >> 3, 1 << (mask & 7)
+            if not bitmap[byte] & bit:
+                bitmap[byte] |= bit
+                count += 1
+    return bitmap, count
+
+
+def test_labeled_oracles_match_references():
+    for n in range(1, 7):
+        assert labeled_connected_bitmap(n) == _labeled_connected_bitmap_reference(n)
+        stream = list(enumerate_connected(n))
+        closure = relabeling_closure_bitmap(stream, n)
+        assert closure == _relabeling_closure_bitmap_reference(stream, n)
+
+
+@st.composite
+def _same_order_graph_lists(draw):
+    n = draw(st.integers(1, 6))
+    return n, draw(st.lists(graphs(n, n), max_size=4))
+
+
+@given(_same_order_graph_lists())
+@example((5, []))
+@example((4, [build_graph(4, [])] * 2))
+@example((6, [build_graph(6, [(0, 1), (2, 3)]), build_graph(6, [(0, 1), (2, 3)]), build_graph(6, [(4, 5)])]))
+@example((3, [build_graph(3, [(0, 2)])]))
+def test_relabeling_closure_matches_reference_on_random_lists(case):
+    # any graphs of one order, disconnected, edgeless, repeated or none
+    n, gs = case
+    assert relabeling_closure_bitmap(gs, n) == _relabeling_closure_bitmap_reference(gs, n)
+
+
+def test_labeled_oracle_errors():
+    for n in (0, LABELED_MAX + 1):
+        with pytest.raises(GraphError):
+            labeled_connected_bitmap(n)
+    with pytest.raises(GraphError):
+        relabeling_closure_bitmap([build_graph(3, []), build_graph(4, [])], 3)
+    with pytest.raises(GraphError):
+        relabeling_closure_bitmap(iter([build_graph(4, [(0, 1)])]), 3)
 
 
 def test_batched_keeps_order_and_the_short_tail():

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from domcore import Graph, GraphError, add_pendant, add_vertex, build_graph, delete_vertex, parse_edge_list
 from domcore.graph import (
@@ -208,6 +208,34 @@ def test_parse_edge_list_rejects_garbage():
         parse_edge_list("3 1\n0 3\n")  # endpoint out of range
     with pytest.raises(GraphError):
         parse_edge_list("two 1\n0 1\n")
+    # int() takes these; the format does not
+    for bad in ("1_0 0", "\u0663 1\n0 1", "3 +1\n0 1", "3 1\n0 \uff12", "3 1\n0 2.0"):
+        with pytest.raises(GraphError):
+            parse_edge_list(bad)
+    with pytest.raises(GraphError, match="nonnegative"):
+        parse_edge_list("-3 0")
+    with pytest.raises(GraphError):
+        parse_edge_list("3 1\n0 " + "1" * 5000)  # beyond int()'s digit limit
+
+
+# tokens close to valid input, so that parses succeed as well as fail
+_EDGE_LIST_TOKENS = st.one_of(
+    st.integers(-2, 8).map(str),
+    st.sampled_from(["#", "1_0", "+2", "\u0663", "-", "--1", "0x1", "1e3", "\ufeff", "99999999999999999999"]),
+    st.text(max_size=4),
+)
+
+
+@given(st.lists(st.tuples(_EDGE_LIST_TOKENS, st.sampled_from([" ", "\n", "\t", "\r\n", "  # note\n"])), max_size=12))
+@example([("3", " "), ("1", "\n"), ("0", " "), ("2", "  # note\n")])
+def test_parse_edge_list_returns_a_graph_or_raises_graph_error(tokens):
+    text = "".join(token + sep for token, sep in tokens)
+    try:
+        g = parse_edge_list(text)
+    except GraphError:
+        return
+    assert isinstance(g, Graph)
+    assert parse_edge_list(format_edge_list(g)) == g
 
 
 def test_edge_list_roundtrip():

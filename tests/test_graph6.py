@@ -1,8 +1,9 @@
 import pytest
+from hypothesis import given
 
 from domcore import Graph6Error, build_graph, parse_graph6, write_graph6
 from domcore.graph6 import MAX_GRAPH6_VERTICES
-from helpers import complete, cycle, path
+from helpers import complete, cycle, graphs, path
 
 
 def test_known_encodings():
@@ -22,6 +23,11 @@ def test_parse_known():
 def test_roundtrip_various():
     for g in (path(1), path(5), cycle(7), complete(5), build_graph(10, [])):
         assert parse_graph6(write_graph6(g)) == g
+
+
+@given(graphs(0, MAX_GRAPH6_VERTICES))
+def test_roundtrip_random_graphs(g):
+    assert parse_graph6(write_graph6(g)) == g
 
 
 def test_roundtrip_max_size():

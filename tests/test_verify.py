@@ -34,6 +34,8 @@ def test_caps_respected():
     # per-graph checks saw every graph at this size
     assert by_name["solver-oracle-equivalence"].graphs_checked == 31
     assert by_name["removal-raises-characterization"].graphs_checked == 31
+    # the labeled oracle saw every connected labeled graph with n <= 5
+    assert by_name["enumeration-completeness-labeled"].graphs_checked == 1 + 1 + 4 + 38 + 728
 
 
 def test_bounds():
