@@ -57,17 +57,6 @@ def _print_json_line(obj) -> None:
     print(json.dumps(obj))
 
 
-def _add_input_flags(sub: argparse.ArgumentParser) -> None:
-    grp = sub.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--g6", metavar="STRING", help="graph6 string")
-    grp.add_argument("--edges", metavar="FILE", help="edge-list file")
-    grp.add_argument(
-        "--stdin-g6",
-        action="store_true",
-        help="read graph6 lines from stdin, one report per line",
-    )
-
-
 def _read_single(args) -> Graph:
     if args.g6 is not None:
         return parse_graph6(args.g6)
@@ -88,79 +77,53 @@ def _gamma_payload(g: Graph) -> dict:
     return {"n": g.n, "gamma": report.gamma, "witness": witness}
 
 
-def _gamma_tsv(payload: dict, prefix: str) -> str:
+def _gamma_rows(payload: dict, prefix: str):
     witness = ",".join(str(v) for v in payload["witness"])
-    return f"{prefix}\t{payload['gamma']}\t{witness}"
+    yield f"{prefix}\t{payload['gamma']}\t{witness}"
 
 
-def _cmd_gamma(args) -> int:
-    if args.stdin_g6:
-        for text, g in _stdin_graphs():
-            payload = _gamma_payload(g)
-            if args.tsv:
-                print(_gamma_tsv(payload, text))
-            else:
-                _print_json_line({"graph6": text, **payload})
-        return EXIT_OK
-    g = _read_single(args)
-    payload = _gamma_payload(g)
-    if args.tsv:
-        print(_gamma_tsv(payload, str(g.n)))
-    else:
-        _print_json(payload)
-    return EXIT_OK
+def _classify_payload(g: Graph) -> dict:
+    return {"n": g.n, **report_to_dict(classify_all(g))}
 
 
-def _classify_tsv_rows(payload: dict, prefix: str):
+def _classify_rows(payload: dict, prefix: str):
     for vc in payload["vertices"]:
         yield f"{prefix}\t{vc['id']}\t{vc['removal']}\t{vc['membership']}"
 
 
-def _cmd_classify(args) -> int:
-    if args.stdin_g6:
-        for text, g in _stdin_graphs():
-            payload = report_to_dict(classify_all(g))
-            if args.tsv:
-                for row in _classify_tsv_rows(payload, text):
-                    print(row)
-            else:
-                _print_json_line({"graph6": text, "n": g.n, **payload})
-        return EXIT_OK
-    g = _read_single(args)
-    payload = report_to_dict(classify_all(g))
-    if args.tsv:
-        for row in _classify_tsv_rows(payload, str(g.n)):
-            print(row)
-    else:
-        _print_json({"n": g.n, **payload})
-    return EXIT_OK
+def _recognize_payload(g: Graph) -> dict:
+    return {"n": g.n, "classes": flags_to_dict(class_flags(g))}
 
 
-def _recognize_tsv(flags_dict: dict, prefix: str) -> str:
+def _recognize_rows(payload: dict, prefix: str):
     cells = [prefix]
-    for key, value in flags_dict.items():
+    for key, value in payload["classes"].items():
         if key == "contains":
             cells.extend(f"{name}={int(hit)}" for name, hit in value.items())
         else:
             cells.append(f"{key}={int(value)}")
-    return "\t".join(cells)
+    yield "\t".join(cells)
 
 
-def _cmd_recognize(args) -> int:
+def _cmd_graph(args) -> int:
+    """gamma, classify and recognize: args.payload(g) per input graph,
+    printed as JSON or as the TSV rows of args.rows(payload, prefix)."""
     if args.stdin_g6:
         for text, g in _stdin_graphs():
-            payload = flags_to_dict(class_flags(g))
+            payload = args.payload(g)
             if args.tsv:
-                print(_recognize_tsv(payload, text))
+                for row in args.rows(payload, text):
+                    print(row)
             else:
-                _print_json_line({"graph6": text, "n": g.n, "classes": payload})
+                _print_json_line({"graph6": text, **payload})
         return EXIT_OK
     g = _read_single(args)
-    payload = flags_to_dict(class_flags(g))
+    payload = args.payload(g)
     if args.tsv:
-        print(_recognize_tsv(payload, str(g.n)))
+        for row in args.rows(payload, str(g.n)):
+            print(row)
     else:
-        _print_json({"n": g.n, "classes": payload})
+        _print_json(payload)
     return EXIT_OK
 
 
@@ -248,20 +211,32 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("gamma", help="domination number and one witness set")
-    _add_input_flags(p)
-    p.add_argument("--tsv", action="store_true", help="tab-separated output")
-    p.set_defaults(func=_cmd_gamma)
-
-    p = subs.add_parser("classify", help="per-vertex removal and membership classes")
-    _add_input_flags(p)
-    p.add_argument("--tsv", action="store_true", help="tab-separated output")
-    p.set_defaults(func=_cmd_classify)
-
-    p = subs.add_parser("recognize", help="graph class flags and pattern hits")
-    _add_input_flags(p)
-    p.add_argument("--tsv", action="store_true", help="tab-separated output")
-    p.set_defaults(func=_cmd_recognize)
+    for name, help_text, payload, rows in (
+        ("gamma", "domination number and one witness set", _gamma_payload, _gamma_rows),
+        (
+            "classify",
+            "per-vertex removal and membership classes",
+            _classify_payload,
+            _classify_rows,
+        ),
+        (
+            "recognize",
+            "graph class flags and pattern hits",
+            _recognize_payload,
+            _recognize_rows,
+        ),
+    ):
+        p = subs.add_parser(name, help=help_text)
+        grp = p.add_mutually_exclusive_group(required=True)
+        grp.add_argument("--g6", metavar="STRING", help="graph6 string")
+        grp.add_argument("--edges", metavar="FILE", help="edge-list file")
+        grp.add_argument(
+            "--stdin-g6",
+            action="store_true",
+            help="read graph6 lines from stdin, one report per line",
+        )
+        p.add_argument("--tsv", action="store_true", help="tab-separated output")
+        p.set_defaults(func=_cmd_graph, payload=payload, rows=rows)
 
     p = subs.add_parser("enumerate", help="stream connected graphs of one order")
     p.add_argument(
@@ -332,3 +307,6 @@ def main() -> None:
 
 
 __all__ = ["main", "run"]
+
+if __name__ == "__main__":
+    main()

@@ -33,8 +33,11 @@ exchanges of index bits until the set stops growing.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from functools import partial
 from itertools import combinations
 from math import factorial, gcd
+from multiprocessing import Pool
 
 from .graph import Graph, GraphError, add_vertex, bits, cut_vertices
 from .canonical import canonical_form, rooted_canonical_bits
@@ -109,16 +112,19 @@ def enumerate_connected(n: int):
     return level(n)
 
 
-def _batched(stream, size: int):
-    """Lists of `size` consecutive items (the last may be shorter), for pool workers."""
-    batch = []
-    for item in stream:
-        batch.append(item)
-        if len(batch) == size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
+@contextmanager
+def _ordered_map(jobs: int, chunksize: int):
+    """Yield an order-preserving map: the builtin when jobs <= 1, else the
+    imap of one Pool(jobs) that stays open for the whole block.
+
+    Items, results and the function are pickled for the workers, so the
+    function must be a module-level name or a partial of one.
+    """
+    if jobs <= 1:
+        yield map
+        return
+    with Pool(jobs) as pool:
+        yield partial(pool.imap, chunksize=chunksize)
 
 
 def enumerate_trees(n: int):

@@ -19,18 +19,28 @@ all removal classes, passes every graph (all 11117 at n = 8).  Budgets
 (graph-count caps) are reported in the result, and a scan that reaches
 its ceiling without a witness is an explicit "exhausted" outcome rather
 than a silent pass.
+
+With jobs > 1 one process pool serves the whole call, every order
+included.  Graphs go to the workers as pickled Graph objects, in chunks
+of 256, and come back in stream order, so the result does not depend on
+jobs.  A class filter that is not registered in SIGNATURE_FILTERS (a
+lambda, say) may not pickle, so such a search runs sequentially.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from multiprocessing import Pool
+from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 
 from .classify import classification_masks
-from .enumeration import _batched, enumerate_connected
+from .enumeration import _ordered_map, enumerate_connected
 from .graph import Graph, GraphError, bits, cut_vertices
-from .graph6 import parse_graph6, write_graph6
+from .graph6 import (
+    parse_graph6,  # noqa: F401 -- not called here; bench/tracing.py binds this name
+    write_graph6,
+)
 from .recognize import contains_induced, is_bipartite
 from .solve import core_and_corona, gamma_value
 
@@ -278,25 +288,11 @@ def evaluate_signature(sig: PartitionSignature, g: Graph) -> bool:
     return sig.evaluate(g, masks)
 
 
-_WORKER_STATE: dict = {}
-
-
-def _search_worker_init(sig: PartitionSignature, filter_name: str | None) -> None:
-    _WORKER_STATE["sig"] = sig
-    _WORKER_STATE["filter"] = SIGNATURE_FILTERS.get(filter_name) if filter_name else None
-
-
-def _search_worker(batch: list[str]) -> list[str]:
-    sig = _WORKER_STATE["sig"]
-    class_filter = _WORKER_STATE["filter"]
-    hits = []
-    for text in batch:
-        g = parse_graph6(text)
-        if class_filter is not None and not class_filter(g):
-            continue
-        if evaluate_signature(sig, g):
-            hits.append(text)
-    return hits
+def _witness(sig: PartitionSignature, class_filter, g: Graph) -> Graph | None:
+    """g if it passes class_filter (when given) and satisfies sig, else None."""
+    if class_filter is not None and not class_filter(g):
+        return None
+    return g if evaluate_signature(sig, g) else None
 
 
 def search_signature(
@@ -312,59 +308,41 @@ def search_signature(
     Orders run 1..n_max; with stop_at_first_order the scan finishes the
     first order containing a witness and stops (smallest-order witnesses
     are always complete).  max_graphs caps the total number of graphs
-    examined; hitting the cap marks the result budget_exceeded.  jobs
-    parallelizes evaluation within each order without changing results.
+    examined; hitting the cap marks the result budget_exceeded.  jobs > 1
+    opens one pool of that many workers for the call and sends it the
+    graphs as pickled Graphs; results do not change.  A class_filter not
+    in SIGNATURE_FILTERS runs sequentially whatever jobs is.
     """
     if not 1 <= n_max <= SEARCH_MAX:
         raise GraphError(f"search covers n_max 1..{SEARCH_MAX}")
     if class_filter is not None and not callable(class_filter):
         raise GraphError("class_filter must be callable")
+    # workers get the filter pickled by name; an ad-hoc one (a lambda) may not pickle
+    if class_filter not in (None, *SIGNATURE_FILTERS.values()):
+        jobs = 1
+    witness = partial(_witness, sig, class_filter)
     scans: list[OrderScan] = []
     witnesses: list[tuple[int, Graph]] = []
     examined = 0
     budget_exceeded = False
-    filter_name = None
-    if class_filter is not None:
-        for name, fn in SIGNATURE_FILTERS.items():
-            if fn is class_filter:
-                filter_name = name
-                break
-    # workers receive filters by registry name; an ad-hoc callable
-    # cannot cross the process boundary, so it forces sequential mode
-    use_pool = jobs > 1 and (class_filter is None or filter_name is not None)
-    for n in range(1, n_max + 1):
-        scanned = 0
-        found: list[Graph] = []
-        complete = True
-
-        def capped_stream():
-            nonlocal examined, budget_exceeded, complete, scanned
-            for g in enumerate_connected(n):
-                if max_graphs is not None and examined >= max_graphs:
-                    budget_exceeded = True
-                    complete = False
-                    return
-                examined += 1
+    with _ordered_map(jobs, 256) as ordered_map:
+        for n in range(1, n_max + 1):
+            graphs = enumerate_connected(n)
+            budget = None if max_graphs is None else max(max_graphs - examined, 0)
+            scanned = 0
+            found: list[Graph] = []
+            for hit in ordered_map(witness, islice(graphs, budget)):
                 scanned += 1
-                yield g
-
-        if use_pool:
-            batches = _batched((write_graph6(g) for g in capped_stream()), 256)
-            with Pool(jobs, _search_worker_init, (sig, filter_name)) as pool:
-                for hits in pool.imap(_search_worker, batches):
-                    found.extend(parse_graph6(text) for text in hits)
-        else:
-            for g in capped_stream():
-                if class_filter is not None and not class_filter(g):
-                    continue
-                if evaluate_signature(sig, g):
-                    found.append(g)
-        scans.append(OrderScan(n, scanned, len(found), complete))
-        witnesses.extend((n, g) for g in found)
-        if budget_exceeded:
-            break
-        if found and stop_at_first_order:
-            break
+                if hit is not None:
+                    found.append(hit)
+            examined += scanned
+            # an order that used up the budget is cut short only if a graph is left
+            complete = scanned != budget or next(graphs, None) is None
+            budget_exceeded = not complete
+            scans.append(OrderScan(n, scanned, len(found), complete))
+            witnesses.extend((n, g) for g in found)
+            if budget_exceeded or (found and stop_at_first_order):
+                break
     return SearchResult(sig.name, n_max, tuple(scans), tuple(witnesses), budget_exceeded)
 
 

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations, permutations
-from multiprocessing import Pool
 
 from .canonical import canonical_form
 from .classify import (
@@ -33,7 +32,7 @@ from .classify import (
 )
 from .enumeration import (
     LABELED_MAX,
-    _batched,
+    _ordered_map,
     count_connected_graphs,
     enumerate_connected,
     labeled_connected_bitmap,
@@ -565,9 +564,8 @@ class VerifyReport:
         }
 
 
-def _run_checks_on_graph(g6: str, n_max: int) -> tuple[int, list[tuple[str, str, str]]]:
+def _run_checks_on_graph(n_max: int, g: Graph) -> tuple[int, list[tuple[str, str, str]]]:
     """Returns (checks-run bitmask, violations as (check, graph6, message))."""
-    g = parse_graph6(g6)
     ctx = _Ctx(g)
     ran = 0
     violations = []
@@ -576,24 +574,17 @@ def _run_checks_on_graph(g6: str, n_max: int) -> tuple[int, list[tuple[str, str,
             continue
         ran |= 1 << idx
         for message in fn(ctx):
-            violations.append((name, g6, message))
+            violations.append((name, ctx.g6, message))
     return ran, violations
 
 
-_POOL_NMAX = 0
-
-
-def _verify_worker_init(n_max: int) -> None:
-    global _POOL_NMAX
-    _POOL_NMAX = n_max
-
-
-def _verify_worker(batch: list[str]):
-    return [_run_checks_on_graph(g6, _POOL_NMAX) for g6 in batch]
-
-
 def verify_corpus(n_max: int, jobs: int = 1, progress=None) -> VerifyReport:
-    """Run every invariant over all connected graphs with n <= n_max."""
+    """Run every invariant over all connected graphs with n <= n_max.
+
+    jobs > 1 runs the per-graph checks on one pool of that many workers
+    for the whole call, sending graphs as pickled Graphs, without
+    changing the report.  progress(n, count) is called after each order.
+    """
     if not 1 <= n_max <= VERIFY_MAX:
         raise GraphError(f"verification covers n_max 1..{VERIFY_MAX}")
     checked = [0] * len(PER_GRAPH_CHECKS)
@@ -602,48 +593,33 @@ def verify_corpus(n_max: int, jobs: int = 1, progress=None) -> VerifyReport:
         name: [] for name, _, _ in PER_GRAPH_CHECKS
     }
     totals: dict[str, int] = {name: 0 for name, _, _ in PER_GRAPH_CHECKS}
-    graphs_total = 0
-    # the labeled oracles need the graphs themselves, which the workers
-    # never send back; they are held only for the orders the oracles cover
+    # the labeled oracles need the graphs themselves; they are held only
+    # for the orders the oracles cover
     labeled: dict[int, list[Graph]] = {}
-
-    def absorb(result):
-        nonlocal graphs_total
-        graphs_total += 1
-        ran, viols = result
-        for idx in bits(ran):
-            checked[idx] += 1
-        for name, g6, message in viols:
-            totals[name] += 1
-            if len(violations[name]) < _VIOLATIONS_KEPT:
-                violations[name].append((g6, message))
-
-    for n in range(1, n_max + 1):
-        counts[n] = 0
-        graphs = enumerate_connected(n)
-        if n <= LABELED_MAX:
-            graphs = labeled[n] = list(graphs)
-        stream = (write_graph6(g) for g in graphs)
-        if jobs > 1:
-            batches = _batched(stream, 64)
-            with Pool(jobs, _verify_worker_init, (n_max,)) as pool:
-                for results in pool.imap(_verify_worker, batches):
-                    for result in results:
-                        counts[n] += 1
-                        absorb(result)
-        else:
-            for g6 in stream:
+    check = partial(_run_checks_on_graph, n_max)
+    with _ordered_map(jobs, 64) as ordered_map:
+        for n in range(1, n_max + 1):
+            counts[n] = 0
+            graphs = enumerate_connected(n)
+            if n <= LABELED_MAX:
+                graphs = labeled[n] = list(graphs)
+            for ran, viols in ordered_map(check, graphs):
                 counts[n] += 1
-                absorb(_run_checks_on_graph(g6, n_max))
-        if progress is not None:
-            progress(n, counts[n])
+                for idx in bits(ran):
+                    checked[idx] += 1
+                for name, g6, message in viols:
+                    totals[name] += 1
+                    if len(violations[name]) < _VIOLATIONS_KEPT:
+                        violations[name].append((g6, message))
+            if progress is not None:
+                progress(n, counts[n])
 
     checks = [
         CheckResult(name, checked[idx], totals[name], tuple(violations[name]))
         for idx, (name, _, _) in enumerate(PER_GRAPH_CHECKS)
     ]
     checks.extend(_corpus_level_checks(counts, labeled))
-    return VerifyReport(n_max, graphs_total, tuple(checks))
+    return VerifyReport(n_max, sum(counts.values()), tuple(checks))
 
 
 def _corpus_level_checks(

@@ -1,5 +1,10 @@
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +12,12 @@ from domcore.cli import run
 from domcore.enumeration import ENUMERATION_MAX, TREE_ENUMERATION_MAX
 from domcore.search import SEARCH_MAX
 from domcore.verify import VERIFY_MAX
+
+
+# SHA-256 of the concatenated stdout of gamma, classify and recognize, as
+# JSON and as TSV, on --g6 Cl, an --edges file for P3 and a --stdin-g6 stream
+GRAPH_INPUT_STDOUT_SHA256 = "b2ebfcb5ded1b7b8cab047232de9c418d24eaaf68210d0b2d439667c1d3096d6"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -41,6 +52,20 @@ def test_gamma_tsv(capsys):
     code, out, _ = run_cli(capsys, "gamma", "--g6", "Cl", "--tsv")
     assert code == 0
     assert out == "4\t2\t0,1\n"
+
+
+def test_graph_input_stdout_pinned(tmp_path, capsys, monkeypatch):
+    edges = tmp_path / "p3.txt"
+    edges.write_text("3 2\n0 1\n1 2\n")
+    digest = hashlib.sha256()
+    for command in ("gamma", "classify", "recognize"):
+        for tsv in ((), ("--tsv",)):
+            for source in (("--g6", "Cl"), ("--edges", str(edges)), ("--stdin-g6",)):
+                monkeypatch.setattr("sys.stdin", io.StringIO("A_\n\nBw\nCl\n"))
+                code, out, _ = run_cli(capsys, command, *source, *tsv)
+                assert code == 0
+                digest.update(out.encode())
+    assert digest.hexdigest() == GRAPH_INPUT_STDOUT_SHA256
 
 
 def test_recognize_reports_classes(capsys):
@@ -81,10 +106,22 @@ def test_stdin_stream(capsys, monkeypatch):
 
 
 def test_stdin_malformed_exits_two(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("A_\n~~~bogus\n"))
-    code, out, err = run_cli(capsys, "classify", "--stdin-g6")
-    assert code == 2
-    assert "input error" in err
+    # a malformed line at position k: exit 2, and stdout holds exactly the
+    # reports of the k lines before it
+    good = ["@", "A_", "", "Bw", "Cl", "DQw"]
+    bad = ["~~~bogus", "A", "Bx", "A_x", "A _", "C~~", "A"]
+    for command in ("gamma", "classify", "recognize"):
+        for tsv in ((), ("--tsv",)):
+            for k in range(len(good) + 1):
+                monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(good[:k]) + "\n"))
+                _, before, _ = run_cli(capsys, command, "--stdin-g6", *tsv)
+                lines = good[:k] + [bad[k]] + good[k:]
+                monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+                code, out, err = run_cli(capsys, command, "--stdin-g6", *tsv)
+                assert code == 2
+                assert "input error" in err
+                assert out == before
+                assert len(out.splitlines()) >= k - good[:k].count("")
 
 
 def test_search_command(tmp_path, capsys):
@@ -160,3 +197,21 @@ def test_help_exits_zero(capsys):
         text = " ".join(out.split())
         for limit in limits:
             assert limit in text
+
+
+def test_module_entry_points_match_run(capsys):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    for argv, want in (
+        (["gamma", "--g6", "Cl", "--tsv"], (0, "4\t2\t0,1\n")),
+        (["gamma"], (1, "")),  # no input source: usage error
+    ):
+        assert run_cli(capsys, *argv)[:2] == want
+        for module in ("domcore", "domcore.cli"):
+            proc = subprocess.run(
+                [sys.executable, "-m", module, *argv],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=60,
+            )
+            assert (proc.returncode, proc.stdout) == want, module

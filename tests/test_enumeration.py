@@ -1,3 +1,4 @@
+import time
 from hashlib import sha256
 from itertools import combinations, permutations
 
@@ -18,8 +19,8 @@ from domcore.enumeration import (
     ENUMERATION_MAX,
     LABELED_MAX,
     TREE_ENUMERATION_MAX,
-    _batched,
     _is_canonical_child,
+    _ordered_map,
     labeled_connected_bitmap,
     relabeling_closure_bitmap,
 )
@@ -174,10 +175,19 @@ def test_labeled_oracle_errors():
         relabeling_closure_bitmap(iter([build_graph(4, [(0, 1)])]), 3)
 
 
-def test_batched_keeps_order_and_the_short_tail():
-    assert list(_batched(range(5), 2)) == [[0, 1], [2, 3], [4]]
-    assert list(_batched(range(4), 2)) == [[0, 1], [2, 3]]
-    assert list(_batched([], 3)) == []
+def _after(seconds: float) -> float:
+    time.sleep(seconds)
+    return seconds
+
+
+def test_ordered_map_keeps_order():
+    # in chunks of 2 the first chunk finishes last, and the last is short
+    delays = [0.3, 0.0, 0.0, 0.0, 0.0]
+    for jobs in (1, 2):
+        with _ordered_map(jobs, 2) as ordered_map:
+            assert list(ordered_map(_after, delays)) == delays
+            assert list(ordered_map(abs, range(-5, 0))) == [5, 4, 3, 2, 1]
+            assert list(ordered_map(abs, [])) == []
 
 
 def test_enumeration_bounds():

@@ -140,9 +140,26 @@ def test_budget_cap():
 
 
 def test_jobs_do_not_change_results():
-    seq = search_signature(6, SIGNATURES["cover-core-zero-anticore"], jobs=1)
-    par = search_signature(6, SIGNATURES["cover-core-zero-anticore"], jobs=2)
-    assert seq.to_dict() == par.to_dict()
+    cover = "cover-core-zero-anticore"
+    cases = (  # signature, keyword arguments, last scan (n, scanned, witnesses, complete)
+        (cover, {}, (7, 853, 2, True)),
+        (cover, {"max_graphs": 40}, (6, 9, 0, False)),
+        # 1 + 1 + 2 + 6 + 21 = 31: the budget runs out where n = 5 ends
+        (cover, {"max_graphs": 31}, (6, 0, 0, False)),
+        (
+            "claw-k4-net-diamond-free-core-zero",
+            {"class_filter": line_graph_family_filter},
+            (7, 853, 0, True),
+        ),
+        # an ad-hoc filter cannot be pickled, so it runs sequentially
+        (cover, {"class_filter": lambda g: True}, (7, 853, 2, True)),
+    )
+    for name, kwargs, last_scan in cases:
+        seq = search_signature(7, SIGNATURES[name], jobs=1, **kwargs)
+        par = search_signature(7, SIGNATURES[name], jobs=2, **kwargs)
+        assert seq.to_dict() == par.to_dict(), (name, kwargs)
+        s = par.scans[-1]
+        assert (s.n, s.graphs_scanned, s.witness_count, s.complete) == last_scan
 
 
 def test_has_k4_and_filters():

@@ -46,4 +46,8 @@ def test_bounds():
 
 
 def test_jobs_identical():
-    assert verify_corpus(5, jobs=2).to_dict() == verify_corpus(5).to_dict()
+    reports, calls = {}, {1: [], 2: []}
+    for jobs in (1, 2):
+        reports[jobs] = verify_corpus(5, jobs=jobs, progress=lambda *call: calls[jobs].append(call))
+    assert reports[2].to_dict() == reports[1].to_dict()
+    assert calls[2] == calls[1] == [(1, 1), (2, 1), (3, 2), (4, 6), (5, 21)]
