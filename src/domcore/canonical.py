@@ -15,6 +15,13 @@ stable and every non-singleton cell is internally complete or empty and
 uniform toward every other cell, any within-cell order yields the same
 byte string, so cells are serialized in index order without branching.
 
+The same search also yields generators of the automorphism group
+(automorphism_generators): two leaves with equal labeling value differ
+by an automorphism (McKay & Piperno, "Practical graph isomorphism, II",
+2014), and every adjacent transposition inside a non-singleton cell of
+an unbranched leaf is one.  Taking the first leaf as the base, one
+equal-valued leaf per branch off the first path is enough.
+
 Intended for the enumeration sizes (n <= 16); beyond that the search
 may be slow, so larger inputs are rejected.
 """
@@ -108,22 +115,91 @@ def _cells_to_order(cells: list[int]) -> list[int]:
     return order
 
 
-def _search(adj: tuple[int, ...], cells: list[int], best: list[int | None]) -> None:
+class _Leaves:
+    """What the search keeps of the leaves it visits, first to last.
+
+    best is the least labeling value.  When generators is a list, the
+    first leaf's order is the base: its non-singleton cells add their
+    adjacent transpositions, and a later leaf whose value equals the
+    base value adds the map base order -> that leaf's order if open is
+    set.  The search sets open on entering a branch off the first path,
+    and the first such leaf clears it, so each branch adds one map.
+    """
+
+    __slots__ = ("best", "base_value", "base_order", "generators", "open")
+
+    def __init__(self, generators: bool) -> None:
+        self.best: int | None = None
+        self.base_value: int | None = None
+        self.base_order: list[int] = []
+        self.generators: list[tuple[int, ...]] | None = [] if generators else None
+        self.open = False
+
+    def visit(self, cells: list[int], order: list[int], value: int) -> None:
+        if self.best is None:
+            self.best = self.base_value = value
+            self.base_order = order
+            if self.generators is not None:
+                self.generators.extend(_cell_transpositions(cells, len(order)))
+            return
+        if value < self.best:
+            self.best = value
+        if self.open and self.generators is not None and value == self.base_value:
+            self.open = False
+            perm = [0] * len(order)
+            for v, w in zip(self.base_order, order):
+                perm[v] = w
+            self.generators.append(tuple(perm))
+
+
+def _cell_transpositions(cells: list[int], n: int):
+    """Adjacent transpositions inside each non-singleton cell.
+
+    A leaf's non-singleton cells passed _uniform_cells, so each of these
+    transpositions is an automorphism.
+    """
+    for cell in cells:
+        members = list(bits(cell))
+        for v, w in zip(members, members[1:]):
+            perm = list(range(n))
+            perm[v], perm[w] = w, v
+            yield tuple(perm)
+
+
+def _search(adj: tuple[int, ...], cells: list[int], leaves: _Leaves, first_path: bool) -> None:
+    """Visit every leaf below cells; first_path marks the leftmost path.
+
+    Each child of a first-path node after the first opens a branch, in
+    which the first leaf of base value yields one automorphism.
+    """
     cells = _refine(adj, cells)
     non_singleton = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
     if non_singleton is None or _uniform_cells(adj, cells):
-        value = _labeling_bits(adj, _cells_to_order(cells))
-        if best[0] is None or value < best[0]:
-            best[0] = value
+        order = _cells_to_order(cells)
+        leaves.visit(cells, order, _labeling_bits(adj, order))
         return
     target = cells[non_singleton]
-    for v in bits(target):
+    for i, v in enumerate(bits(target)):
         child = (
             cells[:non_singleton]
             + [1 << v, target ^ (1 << v)]
             + cells[non_singleton + 1 :]
         )
-        _search(adj, child, best)
+        if first_path and i:
+            leaves.open = True
+        _search(adj, child, leaves, first_path and not i)
+
+
+def _run(g: Graph, initial_cells: list[int] | None, generators: bool) -> _Leaves:
+    if g.n > CANONICAL_MAX:
+        raise GraphError(f"canonical forms are limited to {CANONICAL_MAX} vertices")
+    leaves = _Leaves(generators)
+    if g.n == 0:
+        leaves.best = 0
+        return leaves
+    cells = [g.full_mask] if initial_cells is None else list(initial_cells)
+    _search(g.adj, cells, leaves, True)
+    return leaves
 
 
 def canonical_bits(g: Graph, initial_cells: list[int] | None = None) -> int:
@@ -133,15 +209,24 @@ def canonical_bits(g: Graph, initial_cells: list[int] | None = None) -> int:
     ordered partition (used for vertex-rooted forms); None means the
     single full cell.
     """
-    if g.n > CANONICAL_MAX:
-        raise GraphError(f"canonical forms are limited to {CANONICAL_MAX} vertices")
-    if g.n == 0:
-        return 0
-    cells = [g.full_mask] if initial_cells is None else list(initial_cells)
-    best: list[int | None] = [None]
-    _search(g.adj, cells, best)
-    assert best[0] is not None
-    return best[0]
+    return _run(g, initial_cells, generators=False).best
+
+
+def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
+    """Permutations p (v -> p[v]) that generate the automorphism group.
+
+    Read off the same search that computes the canonical form.  Let
+    b_0, b_1, ... be the vertices individualized on the first path and
+    G_d the automorphisms fixing b_0..b_{d-1}.  Every sigma in G_d maps
+    the first leaf to a leaf of equal value below the child sigma(b_d)
+    of the depth-d first-path node, so the one map recorded in that
+    child's branch carries b_d where sigma does; the maps recorded below
+    b_d generate G_{d+1}, and at the first leaf G_{d+1} only permutes
+    vertices inside cells, which the cell transpositions generate.  So
+    the list generates the whole group, and it is empty exactly when the
+    group is trivial.
+    """
+    return _run(g, None, generators=True).generators
 
 
 def canonical_form(g: Graph) -> bytes:

@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 
+from .canonical import CANONICAL_MAX
 from .classify import classify_all, report_to_dict
 from .enumeration import (
     ENUMERATION_MAX,
@@ -244,7 +245,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         required=True,
         help=f"vertex count, at most {ENUMERATION_MAX} "
-        f"(at most {TREE_ENUMERATION_MAX} with --trees)",
+        f"(at most {TREE_ENUMERATION_MAX} with --trees, the "
+        f"{CANONICAL_MAX}-vertex limit of canonical forms)",
     )
     p.add_argument("--trees", action="store_true", help="trees only")
     p.add_argument("--count-only", action="store_true", help="print the count")

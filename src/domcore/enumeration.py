@@ -12,11 +12,21 @@ minimizing the vertex-rooted canonical form.  The new vertex itself is
 never a cut vertex, because the parent it joins is connected, so
 deletability is tested only for its rivals (vertices whose invariant is
 below the new vertex's) and ties (equal invariant), with one cut-vertex
-pass, and not at all when there are none.  Candidates surviving the
-deletion test within one parent can still collide (different subsets,
-isomorphic results), so each parent deduplicates its accepted children
-by canonical form; acceptance plus per-parent deduplication yields each
-isomorphism class exactly once globally.
+pass, and not at all when there are none.
+
+Two accepted children P+S and P+S' of one parent are isomorphic exactly
+when S' = sigma(S) for an automorphism sigma of P (McKay, "Isomorph-free
+exhaustive generation", 1998), and the deletion test gives the same
+answer on every subset of one Aut(P)-orbit.  So each parent tries only
+the subsets that are the least mask in their orbit, which selects the
+same children, in the same order, as keeping the first child of each
+isomorphism class would.  The generators of Aut(P) come from the
+canonical-form search (canonical.automorphism_generators), once per
+parent; the orbits of subsets are one union-find over the 2**k masks,
+and a parent with a trivial group skips it and tries every subset.
+Children of different parents are never isomorphic, since deleting the
+canonical vertex gives back the parent, so each isomorphism class
+appears exactly once globally.
 
 Two independent oracles back the stream.  An analytic count via the
 permutation cycle index plus an inverse Euler transform gives the number
@@ -33,6 +43,7 @@ exchanges of index bits until the set stops growing.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from contextlib import contextmanager
 from functools import partial
 from itertools import combinations
@@ -40,10 +51,16 @@ from math import factorial, gcd
 from multiprocessing import Pool
 
 from .graph import Graph, GraphError, add_vertex, bits, cut_vertices
-from .canonical import canonical_form, rooted_canonical_bits
+from .canonical import (
+    CANONICAL_MAX,
+    automorphism_generators,
+    canonical_form,
+    rooted_canonical_bits,
+)
 
 ENUMERATION_MAX = 10
-TREE_ENUMERATION_MAX = 16
+# trees are told apart by canonical form, so they stop where canonical forms do
+TREE_ENUMERATION_MAX = CANONICAL_MAX
 LABELED_MAX = 7
 
 
@@ -83,12 +100,59 @@ def _is_canonical_child(g: Graph, new: int) -> bool:
     return True
 
 
+def _subset_orbit_minima(k: int, generators) -> list[int]:
+    """The nonempty subsets of range(k), as masks, that are the least
+    mask in their orbit under the group the permutations generate.
+
+    Union-find over all 2**k masks: each generator joins every mask with
+    its image, and a union hangs the larger root under the smaller, so
+    every root is the minimum of its orbit.
+    """
+    size = 1 << k
+    root = list(range(size))
+
+    def find(s: int) -> int:
+        while root[s] != s:
+            root[s] = root[root[s]]
+            s = root[s]
+        return s
+
+    image = [0] * size
+    for perm in generators:
+        moved = [1 << w for w in perm]
+        for s in range(1, size):
+            low = s & -s
+            image[s] = image[s ^ low] | moved[low.bit_length() - 1]
+            a, b = find(s), find(image[s])
+            if a < b:
+                root[b] = a
+            elif b < a:
+                root[a] = b
+    return [s for s in range(1, size) if root[s] == s]
+
+
+def _children(parent: Graph, generators) -> Iterator[Graph]:
+    """The accepted one-vertex extensions of parent, in subset order.
+
+    Two subsets in one Aut(parent)-orbit give isomorphic children with
+    the same deletion-test outcome, and accepted children from different
+    orbits are never isomorphic, so only each orbit's least subset is
+    tried.  With a trivial group every subset is its own orbit.
+    """
+    k = parent.n
+    subsets = _subset_orbit_minima(k, generators) if generators else range(1, 1 << k)
+    for subset in subsets:
+        child = add_vertex(parent, subset)
+        if _is_canonical_child(child, k):
+            yield child
+
+
 def enumerate_connected(n: int):
     """Yield one representative per isomorphism class of connected graphs.
 
     Deterministic: same n, same graphs, same order.  Memory stays
-    proportional to the recursion depth times the children of one
-    parent, so the stream can be consumed lazily.
+    proportional to the recursion depth times the size of one parent's
+    orbit table, so the stream can be consumed lazily.
     """
     if not 1 <= n <= ENUMERATION_MAX:
         raise GraphError(f"enumeration covers 1..{ENUMERATION_MAX} vertices")
@@ -98,16 +162,7 @@ def enumerate_connected(n: int):
             yield Graph(1, (0,))
             return
         for parent in level(k - 1):
-            seen: set[bytes] = set()
-            for subset in range(1, 1 << (k - 1)):
-                child = add_vertex(parent, subset)
-                if not _is_canonical_child(child, k - 1):
-                    continue
-                form = canonical_form(child)
-                if form in seen:
-                    continue
-                seen.add(form)
-                yield child
+            yield from _children(parent, automorphism_generators(parent))
 
     return level(n)
 

@@ -34,6 +34,11 @@ def petersen() -> Graph:
     return build_graph(10, outer + spokes + inner)
 
 
+def relabel(g: Graph, perm) -> Graph:
+    """The copy of g in which vertex v is called perm[v]."""
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 def cut_vertices_bruteforce(g: Graph) -> int:
     """Vertices whose deletion leaves more components than g has."""
     count = len(connected_components(g))
@@ -58,3 +63,10 @@ def connected_graphs(draw, min_n=1, max_n=MAX_VERTICES):
     extra = draw(graphs(min_n, max_n))
     tree = [(v, draw(st.integers(0, v - 1))) for v in range(1, extra.n)]
     return build_graph(extra.n, tree + list(extra.edges()))
+
+
+@st.composite
+def relabeled_graphs(draw, min_n=0, max_n=MAX_VERTICES):
+    """(g, perm): a random graph and a random relabeling of its vertices."""
+    g = draw(graphs(min_n, max_n))
+    return g, tuple(draw(st.permutations(range(g.n))))

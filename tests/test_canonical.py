@@ -7,14 +7,11 @@ from domcore import Graph, GraphError, build_graph, enumerate_connected
 from domcore.canonical import (
     CANONICAL_MAX,
     are_isomorphic,
+    automorphism_generators,
     canonical_form,
     rooted_canonical_bits,
 )
-from helpers import complete, cycle, path, petersen, star
-
-
-def _relabel(g: Graph, perm) -> Graph:
-    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+from helpers import complete, cycle, path, petersen, relabel, star
 
 
 def _brute_min_form(g: Graph) -> tuple:
@@ -40,7 +37,7 @@ def test_invariance_under_relabeling():
         for _ in range(20):
             perm = list(range(g.n))
             rng.shuffle(perm)
-            assert canonical_form(_relabel(g, perm)) == base
+            assert canonical_form(relabel(g, perm)) == base
 
 
 def test_distinguishes_nonisomorphic():
@@ -64,7 +61,7 @@ def test_matches_bruteforce_partition(corpus6):
 
 
 def test_are_isomorphic():
-    assert are_isomorphic(cycle(5), _relabel(cycle(5), [3, 1, 4, 0, 2]))
+    assert are_isomorphic(cycle(5), relabel(cycle(5), [3, 1, 4, 0, 2]))
     assert not are_isomorphic(path(5), cycle(5))
     assert not are_isomorphic(path(4), path(5))
 
@@ -78,7 +75,56 @@ def test_rooted_form_separates_orbits():
     assert rooted_canonical_bits(g, 2) == mid
 
 
+def _generated_group(n: int, generators) -> set[tuple[int, ...]]:
+    """Every product of the generators, as permutation tuples."""
+    identity = tuple(range(n))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for q in generators:
+                r = tuple(q[p[v]] for v in range(n))
+                if r not in group:
+                    group.add(r)
+                    nxt.append(r)
+        frontier = nxt
+    return group
+
+
+def _automorphisms_bruteforce(g: Graph) -> set[tuple[int, ...]]:
+    edges = set(g.edges())
+    return {
+        perm
+        for perm in permutations(range(g.n))
+        if all(tuple(sorted((perm[u], perm[v]))) in edges for u, v in edges)
+    }
+
+
+def test_generators_generate_the_automorphism_group(corpus6):
+    # every connected graph on at most six vertices; the edgeless and
+    # complete graphs exercise the cell transpositions of unbranched leaves
+    extra = [(n, build_graph(n, [])) for n in range(7)] + [(5, complete(5)), (8, star(7))]
+    for n, g in corpus6 + extra:
+        generators = automorphism_generators(g)
+        group = _automorphisms_bruteforce(g)
+        assert all(sorted(p) == list(range(n)) for p in generators)
+        assert _generated_group(n, generators) == group
+        # no generators exactly when the group is trivial
+        assert bool(generators) == (len(group) > 1)
+
+
+def test_generators_are_automorphisms(corpus7):
+    # cheaper than the whole group, so it reaches one order further
+    for n, g in corpus7:
+        edges = set(g.edges())
+        for p in automorphism_generators(g):
+            assert {tuple(sorted((p[u], p[v]))) for u, v in edges} == edges
+
+
 def test_capacity_guard():
     big = build_graph(CANONICAL_MAX + 1, [(0, 1)])
     with pytest.raises(GraphError):
         canonical_form(big)
+    with pytest.raises(GraphError):
+        automorphism_generators(big)

@@ -17,7 +17,7 @@ from domcore import (
     removal_class,
 )
 from domcore.classify import report_to_dict
-from helpers import complete_bipartite, cycle, graphs, path, star
+from helpers import complete_bipartite, cycle, graphs, path, relabel, relabeled_graphs, star
 
 K1 = build_graph(1, [])
 
@@ -154,3 +154,15 @@ def test_single_vertex_functions_match_classify_all(g):
 def test_definitional_capacity_guard():
     with pytest.raises(GraphError):
         classify_by_enumeration(build_graph(25, [(0, 1)]))
+
+
+@given(relabeled_graphs(0, 12))
+def test_classify_all_commutes_with_relabeling(case):
+    # vertex v of g and vertex perm[v] of the copy get the same classes
+    g, perm = case
+    rep = classify_all(g)
+    moved = classify_all(relabel(g, perm))
+    assert moved.gamma == rep.gamma
+    assert {perm[r.vertex]: (r.removal, r.membership) for r in rep.vertices} == {
+        r.vertex: (r.removal, r.membership) for r in moved.vertices
+    }

@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from domcore.canonical import CANONICAL_MAX
 from domcore.cli import run
 from domcore.enumeration import ENUMERATION_MAX, TREE_ENUMERATION_MAX
 from domcore.search import SEARCH_MAX
+from domcore.solve import ALL_SETS_MAX
 from domcore.verify import VERIFY_MAX
 
 
@@ -190,13 +192,25 @@ def test_help_exits_zero(capsys):
     for argv, limits in (
         (("verify", "--help"), [f"at most {VERIFY_MAX}"]),
         (("search", "--help"), [f"at most {SEARCH_MAX}"]),
-        (("enumerate", "--help"), [f"at most {ENUMERATION_MAX}", f"at most {TREE_ENUMERATION_MAX} with --trees"]),
+        (
+            ("enumerate", "--help"),
+            [
+                f"at most {ENUMERATION_MAX}",
+                f"at most {TREE_ENUMERATION_MAX} with --trees",
+                f"{CANONICAL_MAX}-vertex limit of canonical forms",
+            ],
+        ),
     ):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         text = " ".join(out.split())
         for limit in limits:
             assert limit in text
+    # enumerate --trees is the one command that reaches either library
+    # limit: connected enumeration and search stop at their order limit,
+    # verify adds at most one vertex to a graph, and gamma, classify and
+    # recognize take neither canonical forms nor all minimum sets
+    assert max(ENUMERATION_MAX, SEARCH_MAX, VERIFY_MAX + 1) < min(CANONICAL_MAX, ALL_SETS_MAX)
 
 
 def test_module_entry_points_match_run(capsys):

@@ -14,19 +14,29 @@ from domcore import (
     enumerate_connected,
     enumerate_trees,
 )
-from domcore.canonical import canonical_form, rooted_canonical_bits
+from domcore.canonical import automorphism_generators, canonical_form, rooted_canonical_bits
 from domcore.enumeration import (
     ENUMERATION_MAX,
     LABELED_MAX,
     TREE_ENUMERATION_MAX,
+    _children,
     _is_canonical_child,
     _ordered_map,
+    _subset_orbit_minima,
     labeled_connected_bitmap,
     relabeling_closure_bitmap,
 )
-from domcore.graph import add_vertex, bits, is_connected
+from domcore.graph import add_vertex, bits, is_connected, mask_of
 from domcore.recognize import is_tree
-from helpers import connected_graphs, cut_vertices_bruteforce, graphs
+from helpers import (
+    connected_graphs,
+    cut_vertices_bruteforce,
+    cycle,
+    graphs,
+    relabel,
+    relabeled_graphs,
+    star,
+)
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
@@ -252,3 +262,105 @@ def test_deletion_test_matches_reference_on_random_graphs(g):
     # any non-cut vertex can play the new vertex
     for new in bits(g.full_mask & ~cut_vertices_bruteforce(g)):
         assert _is_canonical_child(g, new) == _is_canonical_child_reference(g, new)
+
+
+def _children_reference(parent):
+    """Every subset in order, deletion test, then per-parent deduplication
+    by canonical form: the first child of each isomorphism class stays."""
+    seen = set()
+    for subset in range(1, 1 << parent.n):
+        child = add_vertex(parent, subset)
+        if _is_canonical_child(child, parent.n):
+            form = canonical_form(child)
+            if form not in seen:
+                seen.add(form)
+                yield child
+
+
+def _enumerate_connected_reference(n):
+    if n == 1:
+        yield build_graph(1, [])
+        return
+    for parent in _enumerate_connected_reference(n - 1):
+        yield from _children_reference(parent)
+
+
+def test_stream_matches_per_parent_deduplication():
+    for n in range(1, 9):
+        assert list(enumerate_connected(n)) == list(_enumerate_connected_reference(n)), n
+
+
+@given(connected_graphs(min_n=1, max_n=7))
+@example(cycle(7))  # the group comes from leaves of equal value
+@example(star(6))  # the group comes from cell transpositions
+def test_orbit_reduced_children_match_reference(parent):
+    # any parent, not only the canonical representatives of the stream
+    got = list(_children(parent, automorphism_generators(parent)))
+    assert got == list(_children_reference(parent))
+
+
+def _fits(g, image, w):
+    """Whether the partial map image (vertex i -> image[i]) extends by
+    sending the next vertex to w without breaking an adjacency."""
+    v = len(image)
+    return (
+        w not in image
+        and g.adj[w].bit_count() == g.adj[v].bit_count()
+        and all(g.has_edge(u, v) == g.has_edge(image[u], w) for u in range(v))
+    )
+
+
+def _extend_automorphism(g, image):
+    """One automorphism of g that starts with the partial map image, or
+    None: plain backtracking, no refinement, no canonical forms."""
+    if len(image) == g.n:
+        return tuple(image)
+    for w in range(g.n):
+        if _fits(g, image, w):
+            found = _extend_automorphism(g, image + [w])
+            if found is not None:
+                return found
+    return None
+
+
+def _subset_orbit_minima_bruteforce(g):
+    """Orbit minima under a transversal generating set found by backtracking.
+
+    For each i and each w, one automorphism fixing 0..i-1 and sending i
+    to w, if any; these generate the group.  Subsets are scanned in
+    increasing order, and each one not yet reached starts a new orbit,
+    which is closed by applying the generators until nothing new appears.
+    """
+    generators = [
+        p
+        for i in range(g.n)
+        for w in range(g.n)
+        if _fits(g, list(range(i)), w)
+        and (p := _extend_automorphism(g, list(range(i)) + [w])) is not None
+    ]
+    done = set()
+    minima = []
+    for s in range(1, 1 << g.n):
+        if s in done:
+            continue
+        minima.append(s)
+        done.add(s)
+        frontier = [s]
+        while frontier:
+            t = frontier.pop()
+            for p in generators:
+                u = mask_of(p[v] for v in bits(t))
+                if u not in done:
+                    done.add(u)
+                    frontier.append(u)
+    return minima
+
+
+@given(relabeled_graphs(1, 9))
+@example((build_graph(9, []), tuple(range(9))))  # the full symmetric group
+@example((build_graph(8, [(0, 1), (2, 3), (4, 5), (6, 7)]), tuple(range(7, -1, -1))))
+def test_subset_orbit_minima_match_bruteforce(case):
+    g, perm = case
+    for h in (g, relabel(g, perm)):
+        want = _subset_orbit_minima_bruteforce(h)
+        assert _subset_orbit_minima(h.n, automorphism_generators(h)) == want

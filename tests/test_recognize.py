@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given
 
 from domcore import (
     GraphError,
@@ -14,7 +15,7 @@ from domcore import (
 )
 from domcore.recognize import PATTERNS, flags_to_dict, max_cardinality_search
 from domcore.solve import gamma_value
-from helpers import complete, complete_bipartite, cycle, path, petersen, star
+from helpers import complete, complete_bipartite, cycle, path, petersen, relabel, relabeled_graphs, star
 
 PAW = build_graph(4, [(1, 2), (2, 3), (1, 3), (0, 1)])
 BULL = build_graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4)])
@@ -148,3 +149,9 @@ def test_twin_clique_partition_preserves_gamma(corpus6):
             tcp = twin_clique_partition(g, root)
             assert sum(tcp.cliques) == g.full_mask
             assert gamma_value(tcp.reduced) == gamma
+
+
+@given(relabeled_graphs(0, 10))
+def test_class_flags_commute_with_relabeling(case):
+    g, perm = case
+    assert class_flags(relabel(g, perm)) == class_flags(g)

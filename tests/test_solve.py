@@ -22,7 +22,17 @@ from domcore.solve import (
     gamma_tree,
 )
 from domcore.enumeration import enumerate_trees
-from helpers import complete, complete_bipartite, cycle, graphs, path, petersen, star
+from helpers import (
+    complete,
+    complete_bipartite,
+    cycle,
+    graphs,
+    path,
+    petersen,
+    relabel,
+    relabeled_graphs,
+    star,
+)
 
 
 def test_gamma_paths_and_cycles():
@@ -152,3 +162,9 @@ def test_minimum_sets_match_bruteforce(g):
         assert list(_minimum_sets(closed, g.full_mask, size)) == want
         independent = [s for s in want if all(not g.adj[v] & s for v in bits(s))]
         assert list(_minimum_sets(closed, g.full_mask, size, g.adj)) == independent
+
+
+@given(relabeled_graphs(0, 16))
+def test_gamma_commutes_with_relabeling(case):
+    g, perm = case
+    assert gamma_value(relabel(g, perm)) == gamma_value(g)
