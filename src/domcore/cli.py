@@ -44,6 +44,8 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_VIOLATIONS = 4
 
+JOBS_HELP = "worker processes, at most the CPU count; the output does not depend on it"
+
 
 def _fail_usage(message: str) -> int:
     print(f"usage error: {message}", file=sys.stderr)
@@ -267,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="scan every order up to --nmax instead of stopping at the first hit",
     )
     p.add_argument("--limit", type=int, default=None, help="cap on graphs examined")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.add_argument("--witness-dir", default=None, help="directory for witness files")
     p.add_argument("--tsv", action="store_true", help="tab-separated output")
     p.set_defaults(func=_cmd_search)
@@ -279,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help=f"largest order verified, at most {VERIFY_MAX}",
     )
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.add_argument("--tsv", action="store_true", help="tab-separated output")
     p.set_defaults(func=_cmd_verify)
 

@@ -43,6 +43,7 @@ exchanges of index bits until the set stops growing.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterator
 from contextlib import contextmanager
 from functools import partial
@@ -169,16 +170,18 @@ def enumerate_connected(n: int):
 
 @contextmanager
 def _ordered_map(jobs: int, chunksize: int):
-    """Yield an order-preserving map: the builtin when jobs <= 1, else the
-    imap of one Pool(jobs) that stays open for the whole block.
+    """Yield an order-preserving map: the imap of one pool of
+    min(jobs, os.cpu_count()) workers that stays open for the whole
+    block, or the builtin map when that is one worker or none.
 
     Items, results and the function are pickled for the workers, so the
     function must be a module-level name or a partial of one.
     """
-    if jobs <= 1:
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers <= 1:
         yield map
         return
-    with Pool(jobs) as pool:
+    with Pool(workers) as pool:
         yield partial(pool.imap, chunksize=chunksize)
 
 

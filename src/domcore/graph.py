@@ -6,15 +6,20 @@ set).  Adjacency is stored as one open-neighborhood mask per vertex,
 which makes neighborhood unions, domination tests and subset filtering
 single AND/OR operations regardless of degree.
 
+Every breadth-first traversal is bfs_layers, the distance layers of a
+root's component as masks; distance_shell, connected_components,
+recognize.is_bipartite and solve.gamma_tree all read them.
+
 Graphs are frozen dataclasses and every operation returns a new graph;
-nothing here mutates.  Validity (symmetric adjacency, no self-loops, no
-bits outside the vertex range) is enforced by the public constructors
-that take data from outside the program: ``Graph(...)``, build_graph,
-parse_edge_list and graph6's parse_graph6.  Graphs derived from a valid
-graph by add_vertex, delete_vertex and add_pendant inherit its validity:
-those functions check their own arguments (vertex, neighbor mask,
-capacity) and then build the result without validating it again.  So a
-Graph that exists is always well formed.
+nothing here mutates.  Validity (an int vertex count, a tuple of int
+masks, symmetric adjacency, no self-loops, no bits outside the vertex
+range) is enforced by the public constructors that take data from
+outside the program: ``Graph(...)``, build_graph, parse_edge_list and
+graph6's parse_graph6.  Graphs derived from a valid graph by add_vertex,
+delete_vertex and add_pendant inherit its validity: those functions
+check their own arguments (vertex, neighbor mask, capacity) and then
+build the result without validating it again.  So a Graph that exists
+is always well formed.
 """
 
 from __future__ import annotations
@@ -54,6 +59,10 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int:
+            raise GraphError(f"vertex count {self.n!r} is not an int")
+        if type(self.adj) is not tuple or not all(type(a) is int for a in self.adj):
+            raise GraphError("adjacency must be a tuple of int masks")
         if not 0 <= self.n <= MAX_VERTICES:
             raise GraphError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
         if len(self.adj) != self.n:
@@ -139,6 +148,31 @@ def closed_masks(g: Graph) -> list[int]:
     return [a | (1 << v) for v, a in enumerate(g.adj)]
 
 
+def bfs_layers(g: Graph, root: int, within: int | None = None) -> list[int]:
+    """Breadth-first layers of the component of `root` in the subgraph
+    induced by `within` (default: every vertex).
+
+    Layer k is the mask of vertices at distance exactly k from root;
+    layer 0 is {root}, and the last layer is the last nonempty one.
+    root must lie in `within`.
+    """
+    g._check_vertex(root)
+    if within is None:
+        within = g.full_mask
+    adj = g.adj
+    layer = 1 << root
+    seen = layer
+    layers = []
+    while layer:
+        layers.append(layer)
+        nxt = 0
+        for v in bits(layer):
+            nxt |= adj[v]
+        layer = nxt & within & ~seen
+        seen |= layer
+    return layers
+
+
 def distance_shell(g: Graph, v: int, k: int) -> int:
     """Mask of vertices at graph distance exactly k from v.
 
@@ -147,17 +181,8 @@ def distance_shell(g: Graph, v: int, k: int) -> int:
     g._check_vertex(v)
     if k < 0:
         raise GraphError(f"negative distance {k}")
-    current = 1 << v
-    seen = current
-    for _ in range(k):
-        nxt = 0
-        for u in bits(current):
-            nxt |= g.adj[u]
-        current = nxt & ~seen
-        if not current:
-            return 0
-        seen |= current
-    return current
+    layers = bfs_layers(g, v)
+    return layers[k] if k < len(layers) else 0
 
 
 def delete_vertex(g: Graph, v: int) -> Graph:
@@ -238,19 +263,13 @@ def connected_components(g: Graph, within: int | None = None) -> list[int]:
         within = g.full_mask
     elif within & ~g.full_mask:
         raise GraphError("vertex mask has bits outside the vertex range")
-    remaining = within
     comps = []
-    while remaining:
-        comp = remaining & -remaining
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= g.adj[v]
-            frontier = nxt & within & ~comp
-            comp |= frontier
+    while within:
+        comp = 0
+        for layer in bfs_layers(g, (within & -within).bit_length() - 1, within):
+            comp |= layer
         comps.append(comp)
-        remaining &= ~comp
+        within &= ~comp
     return comps
 
 

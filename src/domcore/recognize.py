@@ -12,6 +12,9 @@ check that each vertex's earlier neighbors minus the latest one are all
 adjacent to that latest one.  The order is a perfect elimination order
 iff the graph is chordal, and the check is what certifies it.
 
+A graph is bipartite iff no edge lies inside one of the breadth-first
+layers (graph.bfs_layers) of a component.
+
 The twin clique partition groups, for a chosen root, the remaining
 vertices by exact closed-neighborhood equality; each group induces a
 clique, the root stays a singleton, and contracting every part to a
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError, bits, build_graph, is_connected, mask_of
+from .graph import Graph, GraphError, bfs_layers, bits, build_graph, is_connected, mask_of
 
 _PATTERN_EDGES: dict[str, tuple[int, list[tuple[int, int]]]] = {
     "claw": (4, [(0, 1), (0, 2), (0, 3)]),
@@ -106,21 +109,19 @@ def is_cograph(g: Graph) -> bool:
 
 
 def is_bipartite(g: Graph) -> bool:
-    """Two-colorable by BFS over every component."""
-    color = {}
-    for start in range(g.n):
-        if start in color:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for u in bits(g.adj[v]):
-                if u not in color:
-                    color[u] = color[v] ^ 1
-                    queue.append(u)
-                elif color[u] == color[v]:
+    """No edge inside any breadth-first layer of any component.
+
+    Adjacent layers alternate colors; an edge inside a layer closes an
+    odd cycle.
+    """
+    adj = g.adj
+    remaining = g.full_mask
+    while remaining:
+        for layer in bfs_layers(g, (remaining & -remaining).bit_length() - 1):
+            for v in bits(layer):
+                if adj[v] & layer:
                     return False
+            remaining &= ~layer
     return True
 
 

@@ -309,8 +309,8 @@ def search_signature(
     first order containing a witness and stops (smallest-order witnesses
     are always complete).  max_graphs caps the total number of graphs
     examined; hitting the cap marks the result budget_exceeded.  jobs > 1
-    opens one pool of that many workers for the call and sends it the
-    graphs as pickled Graphs; results do not change.  A class_filter not
+    opens one pool of that many workers, at most the CPU count, for the
+    call and sends it the graphs as pickled Graphs; results do not change.  A class_filter not
     in SIGNATURE_FILTERS runs sequentially whatever jobs is.
     """
     if not 1 <= n_max <= SEARCH_MAX:

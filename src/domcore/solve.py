@@ -1,12 +1,15 @@
 """Exact solvers for domination and independence numbers.
 
-Two searches do the work.  The feasibility test asks whether a
-dominating set of at most k vertices exists: it branches on the
-candidate dominators of the undominated vertex with the fewest of them,
-and cuts a node when the packing bound (undominated vertices with
-pairwise-disjoint closed neighborhoods, each needing its own dominator)
-exceeds the budget.  The domination number is the first budget between
-that bound and a greedy cover that the test accepts.
+Two searches do the work.  The feasibility search asks whether at most
+k picks dominate every vertex.  It branches on the candidate dominators
+of the undominated vertex with the fewest of them, and cuts a node when
+the packing bound (undominated vertices with pairwise-disjoint closed
+neighborhoods, each needing its own dominator) exceeds the budget.
+Given an allowed mask, it picks only from that mask and each pick w
+takes N[w] out of it, so the picks stay independent.  Both the
+domination number and the independent domination number are the first
+budget between the packing bound and a greedy set (a greedy cover, or
+a greedy maximal independent set) that the search accepts.
 
 The second search, _minimum_sets, yields every dominating set of a
 given size in lexicographic order, cut by the same packing bound taken
@@ -31,8 +34,8 @@ from .graph import (
     Graph,
     GraphError,
     bits,
+    bfs_layers,
     closed_masks,
-    connected_components,
     is_dominating,
 )
 
@@ -96,16 +99,23 @@ def _packing_bound(closed: list[int], undominated: int, avail: int) -> int:
     return count
 
 
-def _exists_dominating(closed: list[int], full: int, budget: int, dominated: int = 0) -> bool:
-    """True if some set of at most `budget` vertices dominates everything."""
+def _exists_dominating(
+    closed: list[int], full: int, budget: int, dominated: int = 0, allowed: int | None = None
+) -> bool:
+    """True if at most `budget` picks dominate everything.
+
+    With `allowed` given, picks come only from it and each pick w takes
+    N[w] out of it, so the picks form an independent set.
+    """
     undominated = full & ~dominated
     if not undominated:
         return True
     if budget <= 0:
         return False
-    if _packing_bound(closed, undominated, full) > budget:
+    avail = full if allowed is None else allowed
+    if _packing_bound(closed, undominated, avail) > budget:
         return False
-    # pivot: undominated vertex with the fewest candidate dominators
+    # pivot: undominated vertex with the fewest allowed candidate dominators
     pivot_candidates = 0
     pivot_count = 65
     m = undominated
@@ -113,7 +123,7 @@ def _exists_dominating(closed: list[int], full: int, budget: int, dominated: int
         low = m & -m
         v = low.bit_length() - 1
         m ^= low
-        cand = closed[v]
+        cand = closed[v] & avail
         c = cand.bit_count()
         if c < pivot_count:
             pivot_count = c
@@ -125,7 +135,8 @@ def _exists_dominating(closed: list[int], full: int, budget: int, dominated: int
         key=lambda w: -(closed[w] & undominated).bit_count(),
     )
     for w in order:
-        if _exists_dominating(closed, full, budget - 1, dominated | closed[w]):
+        rest = None if allowed is None else allowed & ~closed[w]
+        if _exists_dominating(closed, full, budget - 1, dominated | closed[w], rest):
             return True
     return False
 
@@ -137,16 +148,19 @@ def exists_dominating_within(g: Graph, budget: int) -> bool:
     return _exists_dominating(closed_masks(g), g.full_mask, budget)
 
 
-def gamma_value(g: Graph) -> int:
-    """Domination number, computed by budget probes between two bounds."""
-    closed = closed_masks(g)
-    full = g.full_mask
-    upper = len(_greedy_cover(closed, full))
-    lower = _packing_bound(closed, full, full)
-    for k in range(lower, upper):
-        if _exists_dominating(closed, full, k):
+def _least_budget(closed: list[int], full: int, upper: int, allowed: int | None = None) -> int:
+    """Least budget the feasibility search accepts below `upper`, a greedy set's size."""
+    for k in range(_packing_bound(closed, full, full), upper):
+        if _exists_dominating(closed, full, k, 0, allowed):
             return k
     return upper
+
+
+def gamma_value(g: Graph) -> int:
+    """Domination number, the least budget between the packing bound and a greedy cover."""
+    closed = closed_masks(g)
+    full = g.full_mask
+    return _least_budget(closed, full, len(_greedy_cover(closed, full)))
 
 
 def _minimum_sets(
@@ -270,114 +284,65 @@ def independence_number(g: Graph) -> int:
     return rec(g.full_mask)
 
 
-def _exists_independent_dominating(
-    g: Graph, closed: list[int], budget: int, dominated: int, allowed: int
-) -> bool:
-    full = g.full_mask
-    undominated = full & ~dominated
-    if not undominated:
-        return True
-    if budget <= 0:
-        return False
-    if _packing_bound(closed, undominated, allowed) > budget:
-        return False
-    low = undominated & -undominated
-    v = low.bit_length() - 1
-    candidates = closed[v] & allowed
-    for w in bits(candidates):
-        if _exists_independent_dominating(
-            g, closed, budget - 1, dominated | closed[w], allowed & ~closed[w]
-        ):
-            return True
-    return False
-
-
 def independent_domination_number(g: Graph) -> DominationReport:
     """Minimum size of an independent dominating set, with witness.
 
-    Always well defined: every maximal independent set dominates.  The
-    pivot rule (dominate the lowest undominated vertex next) is complete
-    because that vertex's dominator must be one of its closed neighbors
-    and must stay independent from earlier picks.
+    Always well defined: every maximal independent set dominates, so a
+    greedy one is the upper end of the budget scan.  The feasibility
+    search runs with picks restricted to the vertices still independent
+    of earlier picks; its pivot, the undominated vertex with the fewest
+    such candidates, keeps it complete, because that vertex's dominator
+    must be one of them.
     """
     closed = closed_masks(g)
     full = g.full_mask
-    # greedy maximal independent set gives an upper bound
     greedy = 0
     free = full
     while free:
         low = free & -free
-        v = low.bit_length() - 1
         greedy |= low
-        free &= ~closed[v]
-    upper = greedy.bit_count()
-    lower = _packing_bound(closed, full, full)
-    value = upper
-    for k in range(lower, upper):
-        if _exists_independent_dominating(g, closed, k, 0, full):
-            value = k
-            break
+        free &= ~closed[low.bit_length() - 1]
+    value = _least_budget(closed, full, greedy.bit_count(), full)
     return DominationReport(value, next(_minimum_sets(closed, full, value, g.adj)))
-
-
-def _forest_components(g: Graph) -> list[list[int]] | None:
-    """Rooted BFS orders per component, or None if g has a cycle."""
-    if g.edge_count() != g.n - len(connected_components(g)):
-        return None
-    orders = []
-    seen = 0
-    for root in range(g.n):
-        if (seen >> root) & 1:
-            continue
-        order = [root]
-        seen |= 1 << root
-        i = 0
-        while i < len(order):
-            v = order[i]
-            i += 1
-            for u in bits(g.adj[v] & ~seen):
-                seen |= 1 << u
-                order.append(u)
-        orders.append(order)
-    return orders
 
 
 def gamma_tree(g: Graph) -> DominationReport:
     """Linear-time domination number for forests via dynamic programming.
 
     Three states per vertex: in the set, out but covered from below, or
-    out and waiting for its parent.  Rejects graphs with cycles.
+    out and waiting for its parent.  Each component is layered from its
+    smallest vertex and solved from the deepest layer up: in a tree a
+    vertex's children are its neighbors in the next layer.  Rejects
+    graphs with cycles.
     """
-    orders = _forest_components(g)
-    if orders is None:
-        raise GraphError("gamma_tree requires a forest")
-    if g.n == 0:
-        return DominationReport(0, None)
     INF = g.n + 1
-    total = 0
     in_cost = [0] * g.n
     covered = [0] * g.n
     needs = [0] * g.n
-    for order in orders:
-        parent = {order[0]: -1}
-        for v in order:
-            for u in bits(g.adj[v]):
-                if u not in parent:
-                    parent[u] = v
-        for v in reversed(order):
-            children = [u for u in bits(g.adj[v]) if parent.get(u) == v]
-            best_in = 1
-            sum_covered = 0
-            extra = INF
-            has_child = bool(children)
-            for c in children:
-                best_in += min(in_cost[c], covered[c], needs[c])
-                base = min(in_cost[c], covered[c])
-                sum_covered += base
-                extra = min(extra, in_cost[c] - base)
-            in_cost[v] = best_in
-            needs[v] = sum_covered if has_child else 0
-            covered[v] = sum_covered + extra if has_child else INF
-        root = order[0]
+    total = 0
+    components = 0
+    remaining = g.full_mask
+    while remaining:
+        root = (remaining & -remaining).bit_length() - 1
+        below = 0
+        for layer in reversed(bfs_layers(g, root)):
+            for v in bits(layer):
+                best_in = 1
+                sum_covered = 0
+                extra = INF
+                for c in bits(g.adj[v] & below):
+                    best_in += min(in_cost[c], covered[c], needs[c])
+                    base = min(in_cost[c], covered[c])
+                    sum_covered += base
+                    extra = min(extra, in_cost[c] - base)
+                in_cost[v] = best_in
+                needs[v] = sum_covered
+                covered[v] = sum_covered + extra
+            below = layer
+            remaining &= ~layer
         total += min(in_cost[root], covered[root])
+        components += 1
+    # a graph is a forest iff it has n minus its component count edges
+    if g.edge_count() != g.n - components:
+        raise GraphError("gamma_tree requires a forest")
     return DominationReport(total, None)

@@ -581,8 +581,8 @@ def _run_checks_on_graph(n_max: int, g: Graph) -> tuple[int, list[tuple[str, str
 def verify_corpus(n_max: int, jobs: int = 1, progress=None) -> VerifyReport:
     """Run every invariant over all connected graphs with n <= n_max.
 
-    jobs > 1 runs the per-graph checks on one pool of that many workers
-    for the whole call, sending graphs as pickled Graphs, without
+    jobs > 1 runs the per-graph checks on one pool of that many workers,
+    at most the CPU count, for the whole call, sending graphs as pickled Graphs, without
     changing the report.  progress(n, count) is called after each order.
     """
     if not 1 <= n_max <= VERIFY_MAX:

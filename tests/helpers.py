@@ -70,3 +70,17 @@ def relabeled_graphs(draw, min_n=0, max_n=MAX_VERTICES):
     """(g, perm): a random graph and a random relabeling of its vertices."""
     g = draw(graphs(min_n, max_n))
     return g, tuple(draw(st.permutations(range(g.n))))
+
+
+@st.composite
+def forests(draw, min_n=0, max_n=MAX_VERTICES):
+    """Random forests: the edges of a random graph that close no cycle."""
+    g = draw(graphs(min_n, max_n))
+    comp = list(range(g.n))  # component label per vertex
+    kept = []
+    for u, v in draw(st.permutations(list(g.edges()))):
+        if comp[u] != comp[v]:
+            old = comp[v]
+            comp = [comp[u] if c == old else c for c in comp]
+            kept.append((u, v))
+    return build_graph(g.n, kept)

@@ -1,3 +1,4 @@
+import os
 import time
 from hashlib import sha256
 from itertools import combinations, permutations
@@ -198,6 +199,25 @@ def test_ordered_map_keeps_order():
             assert list(ordered_map(_after, delays)) == delays
             assert list(ordered_map(abs, range(-5, 0))) == [5, 4, 3, 2, 1]
             assert list(ordered_map(abs, [])) == []
+
+
+def test_ordered_map_never_exceeds_cpu_count(monkeypatch):
+    started = []
+
+    def no_pool(workers):
+        started.append(workers)
+        raise RuntimeError("no process may start in this test")
+
+    monkeypatch.setattr("domcore.enumeration.Pool", no_pool)
+    for cpus in (1, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        with _ordered_map(100000, 2) as ordered_map:
+            assert ordered_map is map
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    with pytest.raises(RuntimeError):
+        with _ordered_map(100000, 2):
+            pass
+    assert started == [4]
 
 
 def test_enumeration_bounds():

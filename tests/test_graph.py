@@ -4,6 +4,7 @@ from hypothesis import example, given, strategies as st
 from domcore import Graph, GraphError, add_pendant, add_vertex, build_graph, delete_vertex, parse_edge_list
 from domcore.graph import (
     MAX_VERTICES,
+    bfs_layers,
     bits,
     closed_neighborhood,
     connected_components,
@@ -58,6 +59,14 @@ def test_graph_validation_rejects_asymmetry():
         Graph(2, (0b01, 0b00))  # self loop
     with pytest.raises(GraphError):
         Graph(1, (0b10,))  # bit out of range
+    with pytest.raises(GraphError):
+        Graph(2, [2, 1])  # a list, not a tuple
+    with pytest.raises(GraphError):
+        Graph(1, ("a",))
+    with pytest.raises(GraphError):
+        Graph(1, (1.0,))
+    with pytest.raises(GraphError):
+        Graph(2.0, (0b10, 0b01))
 
 
 def test_capacity_boundary():
@@ -88,6 +97,31 @@ def test_distance_shell():
     assert distance_shell(g, 0, 2) == 0b0100
     assert distance_shell(g, 0, 3) == 0b1000
     assert distance_shell(g, 0, 4) == 0
+
+
+def _distances(g: Graph, within: int) -> list[list[float]]:
+    """All-pairs distances in the subgraph induced by `within` (Floyd-Warshall)."""
+    inf = float("inf")
+    d = [[0 if u == v else 1 if g.adj[u] >> v & 1 else inf for v in range(g.n)] for u in range(g.n)]
+    for w in bits(within):
+        for u in bits(within):
+            for v in bits(within):
+                d[u][v] = min(d[u][v], d[u][w] + d[w][v])
+    return d
+
+
+@given(graphs(0, 12), st.data())
+def test_layers_match_bruteforce_distances(g, data):
+    within = data.draw(st.integers(0, g.full_mask))
+    full = _distances(g, g.full_mask)
+    part = _distances(g, within)
+    for root in range(g.n):
+        shells = [mask_of(v for v in range(g.n) if full[root][v] == k) for k in range(g.n + 1)]
+        assert [distance_shell(g, root, k) for k in range(g.n + 1)] == shells
+        assert bfs_layers(g, root) == [s for s in shells if s]
+        if (within >> root) & 1:
+            want = [mask_of(v for v in bits(within) if part[root][v] == k) for k in range(g.n)]
+            assert bfs_layers(g, root, within) == [s for s in want if s]
 
 
 def test_delete_vertex_compacts():

@@ -15,7 +15,17 @@ from domcore import (
 )
 from domcore.recognize import PATTERNS, flags_to_dict, max_cardinality_search
 from domcore.solve import gamma_value
-from helpers import complete, complete_bipartite, cycle, path, petersen, relabel, relabeled_graphs, star
+from helpers import (
+    complete,
+    complete_bipartite,
+    cycle,
+    graphs,
+    path,
+    petersen,
+    relabel,
+    relabeled_graphs,
+    star,
+)
 
 PAW = build_graph(4, [(1, 2), (2, 3), (1, 3), (0, 1)])
 BULL = build_graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4)])
@@ -109,6 +119,16 @@ def test_is_bipartite_and_tree():
     assert is_tree(star(6))
     assert not is_tree(cycle(3))
     assert not is_tree(build_graph(2, []))
+
+
+@given(graphs(0, 12))
+def test_is_bipartite_matches_bruteforce_coloring(g):
+    # side is the vertex set of one color; no edge may stay inside a side
+    def proper(side: int) -> bool:
+        other = g.full_mask & ~side
+        return all(not g.adj[v] & (side if (side >> v) & 1 else other) for v in range(g.n))
+
+    assert is_bipartite(g) == any(proper(side) for side in range(1 << g.n))
 
 
 def test_class_flags_bundle():

@@ -26,6 +26,7 @@ from helpers import (
     complete,
     complete_bipartite,
     cycle,
+    forests,
     graphs,
     path,
     petersen,
@@ -124,6 +125,19 @@ def test_independent_domination():
     assert independent_domination_number(star(9)).gamma == 1
 
 
+@given(graphs(0, 12))
+def test_independent_domination_matches_bruteforce(g):
+    # the first independent dominating set in combinations order
+    want = next(
+        s
+        for size in range(g.n + 1)
+        for s in map(mask_of, combinations(range(g.n), size))
+        if is_dominating(g, s) and all(not g.adj[v] & s for v in bits(s))
+    )
+    rep = independent_domination_number(g)
+    assert (rep.gamma, rep.witness) == (want.bit_count(), want)
+
+
 def test_gamma_chain_on_corpus(corpus6):
     for _, g in corpus6:
         gamma = gamma_value(g)
@@ -135,6 +149,11 @@ def test_gamma_tree_agrees():
     for n in range(1, 11):
         for t in enumerate_trees(n):
             assert gamma_tree(t).gamma == gamma_value(t)
+
+
+@given(forests(0, 12))
+def test_gamma_tree_agrees_on_forests(g):
+    assert gamma_tree(g).gamma == gamma_value(g)
 
 
 def test_gamma_tree_rejects_cycles():
