@@ -26,7 +26,10 @@ parent; the orbits of subsets are one union-find over the 2**k masks,
 and a parent with a trivial group skips it and tries every subset.
 Children of different parents are never isomorphic, since deleting the
 canonical vertex gives back the parent, so each isomorphism class
-appears exactly once globally.
+appears exactly once globally.  The tree is rooted at the null graph,
+whose one child is K1.  Since a parent's children depend on nothing
+else, map_children evaluates a function on the children of a parent
+stream with each parent as the work unit of a process pool.
 
 Two independent oracles back the stream.  An analytic count via the
 permutation cycle index plus an inverse Euler transform gives the number
@@ -63,6 +66,11 @@ ENUMERATION_MAX = 10
 # trees are told apart by canonical form, so they stop where canonical forms do
 TREE_ENUMERATION_MAX = CANONICAL_MAX
 LABELED_MAX = 7
+# parents per task of the pool in map_children: on search_signature(8,
+# jobs=2), 8 ran as fast as 32 and faster than 1
+_PARENT_CHUNK = 8
+# the root of the augmentation tree: its one child is the one-vertex graph
+NULL_GRAPH = Graph(0, ())
 
 
 def _is_canonical_child(g: Graph, new: int) -> bool:
@@ -141,7 +149,9 @@ def _children(parent: Graph, generators) -> Iterator[Graph]:
     tried.  With a trivial group every subset is its own orbit.
     """
     k = parent.n
-    subsets = _subset_orbit_minima(k, generators) if generators else range(1, 1 << k)
+    # the new vertex needs a neighbor to keep the child connected, unless
+    # it is the first vertex: the null graph's one child is K1
+    subsets = _subset_orbit_minima(k, generators) if generators else range(1 if k else 0, 1 << k)
     for subset in subsets:
         child = add_vertex(parent, subset)
         if _is_canonical_child(child, k):
@@ -159,8 +169,8 @@ def enumerate_connected(n: int):
         raise GraphError(f"enumeration covers 1..{ENUMERATION_MAX} vertices")
 
     def level(k: int):
-        if k == 1:
-            yield Graph(1, (0,))
+        if k == 0:
+            yield NULL_GRAPH
             return
         for parent in level(k - 1):
             yield from _children(parent, automorphism_generators(parent))
@@ -169,20 +179,47 @@ def enumerate_connected(n: int):
 
 
 @contextmanager
-def _ordered_map(jobs: int, chunksize: int):
+def _ordered_map(jobs: int):
     """Yield an order-preserving map: the imap of one pool of
     min(jobs, os.cpu_count()) workers that stays open for the whole
     block, or the builtin map when that is one worker or none.
 
-    Items, results and the function are pickled for the workers, so the
-    function must be a module-level name or a partial of one.
+    The pool takes items in chunks of _PARENT_CHUNK, since its work
+    units are parents (see map_children).  Items, results and the
+    function are pickled for the workers, so the function must be a
+    module-level name or a partial of one.
     """
     workers = min(jobs, os.cpu_count() or 1)
     if workers <= 1:
         yield map
         return
     with Pool(workers) as pool:
-        yield partial(pool.imap, chunksize=chunksize)
+        yield partial(pool.imap, chunksize=_PARENT_CHUNK)
+
+
+def _map_children(fn, parent: Graph) -> list:
+    """fn of every accepted child of parent, in child order."""
+    return [fn(child) for child in _children(parent, automorphism_generators(parent))]
+
+
+def map_children(ordered_map, fn, parents):
+    """Yield fn(child) for every accepted child of every graph in parents.
+
+    A parent's accepted children depend only on the parent and its
+    automorphism group, so parents, not graphs, are the work unit: each
+    worker of ordered_map (from _ordered_map) builds the children of the
+    parents it is sent and applies fn to them there, and only parents
+    and fn's results cross between processes.  Results come in parent
+    order, each parent's in child order, so with parents the stream of
+    enumerate_connected(n - 1), or NULL_GRAPH alone for n = 1, they
+    follow the stream of enumerate_connected(n) whatever the map.
+
+    A parent's children are evaluated together: a consumer that stops
+    early may leave up to one parent's results evaluated and unread with
+    the builtin map, or every chunk already sent to the pool.
+    """
+    for results in ordered_map(partial(_map_children, fn), parents):
+        yield from results
 
 
 def enumerate_trees(n: int):

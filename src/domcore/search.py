@@ -21,10 +21,13 @@ its ceiling without a witness is an explicit "exhausted" outcome rather
 than a silent pass.
 
 With jobs > 1 one process pool serves the whole call, every order
-included.  Graphs go to the workers as pickled Graph objects, in chunks
-of 256, and come back in stream order, so the result does not depend on
-jobs.  A class filter that is not registered in SIGNATURE_FILTERS (a
-lambda, say) may not pickle, so such a search runs sequentially.
+included.  The parent process enumerates only the graphs one vertex
+smaller and sends them to the workers as pickled Graphs; each worker
+builds their children, evaluates them, and sends back one result per
+child (enumeration.map_children).  Results come back in stream order,
+so the result does not depend on jobs.  A class filter that is not
+registered in SIGNATURE_FILTERS (a lambda, say) may not pickle, so
+such a search runs sequentially.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from functools import partial
 from itertools import islice
 
 from .classify import classification_masks
-from .enumeration import _ordered_map, enumerate_connected
+from .enumeration import NULL_GRAPH, _ordered_map, enumerate_connected, map_children
 from .graph import Graph, GraphError, bits, cut_vertices
 from .graph6 import (
     parse_graph6,  # noqa: F401 -- not called here; bench/tracing.py binds this name
@@ -222,6 +225,8 @@ DEFAULT_SIGNATURE_NAMES = (
 )
 
 SEARCH_MAX = 10
+# marks the end of a result stream, since None is a result (no witness)
+_END = object()
 
 
 @dataclass(frozen=True)
@@ -310,8 +315,13 @@ def search_signature(
     are always complete).  max_graphs caps the total number of graphs
     examined; hitting the cap marks the result budget_exceeded.  jobs > 1
     opens one pool of that many workers, at most the CPU count, for the
-    call and sends it the graphs as pickled Graphs; results do not change.  A class_filter not
-    in SIGNATURE_FILTERS runs sequentially whatever jobs is.
+    call; the workers get the graphs one vertex smaller as parents and
+    evaluate their children, and results do not change.  A class_filter
+    not in SIGNATURE_FILTERS runs sequentially whatever jobs is.
+
+    The count of examined graphs is exact, but the work is not: past the
+    cap, up to one parent's children (jobs = 1) or the chunks already
+    sent to the pool (jobs > 1) may be evaluated and discarded.
     """
     if not 1 <= n_max <= SEARCH_MAX:
         raise GraphError(f"search covers n_max 1..{SEARCH_MAX}")
@@ -325,19 +335,20 @@ def search_signature(
     witnesses: list[tuple[int, Graph]] = []
     examined = 0
     budget_exceeded = False
-    with _ordered_map(jobs, 256) as ordered_map:
+    with _ordered_map(jobs) as ordered_map:
         for n in range(1, n_max + 1):
-            graphs = enumerate_connected(n)
+            parents = enumerate_connected(n - 1) if n > 1 else (NULL_GRAPH,)
+            hits = map_children(ordered_map, witness, parents)
             budget = None if max_graphs is None else max(max_graphs - examined, 0)
             scanned = 0
             found: list[Graph] = []
-            for hit in ordered_map(witness, islice(graphs, budget)):
+            for hit in islice(hits, budget):
                 scanned += 1
                 if hit is not None:
                     found.append(hit)
             examined += scanned
             # an order that used up the budget is cut short only if a graph is left
-            complete = scanned != budget or next(graphs, None) is None
+            complete = scanned != budget or next(hits, _END) is _END
             budget_exceeded = not complete
             scans.append(OrderScan(n, scanned, len(found), complete))
             witnesses.extend((n, g) for g in found)

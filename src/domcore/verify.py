@@ -32,10 +32,12 @@ from .classify import (
 )
 from .enumeration import (
     LABELED_MAX,
+    NULL_GRAPH,
     _ordered_map,
     count_connected_graphs,
     enumerate_connected,
     labeled_connected_bitmap,
+    map_children,
     relabeling_closure_bitmap,
 )
 from .graph import (
@@ -564,8 +566,8 @@ class VerifyReport:
         }
 
 
-def _run_checks_on_graph(n_max: int, g: Graph) -> tuple[int, list[tuple[str, str, str]]]:
-    """Returns (checks-run bitmask, violations as (check, graph6, message))."""
+def _run_checks_on_graph(n_max: int, g: Graph) -> tuple[Graph, int, list[tuple[str, str, str]]]:
+    """Returns (g, checks-run bitmask, violations as (check, graph6, message))."""
     ctx = _Ctx(g)
     ran = 0
     violations = []
@@ -575,15 +577,17 @@ def _run_checks_on_graph(n_max: int, g: Graph) -> tuple[int, list[tuple[str, str
         ran |= 1 << idx
         for message in fn(ctx):
             violations.append((name, ctx.g6, message))
-    return ran, violations
+    return g, ran, violations
 
 
 def verify_corpus(n_max: int, jobs: int = 1, progress=None) -> VerifyReport:
     """Run every invariant over all connected graphs with n <= n_max.
 
     jobs > 1 runs the per-graph checks on one pool of that many workers,
-    at most the CPU count, for the whole call, sending graphs as pickled Graphs, without
-    changing the report.  progress(n, count) is called after each order.
+    at most the CPU count, for the whole call, without changing the
+    report: the workers get the graphs one vertex smaller as parents,
+    build their children and check them (enumeration.map_children).
+    progress(n, count) is called after each order.
     """
     if not 1 <= n_max <= VERIFY_MAX:
         raise GraphError(f"verification covers n_max 1..{VERIFY_MAX}")
@@ -593,18 +597,18 @@ def verify_corpus(n_max: int, jobs: int = 1, progress=None) -> VerifyReport:
         name: [] for name, _, _ in PER_GRAPH_CHECKS
     }
     totals: dict[str, int] = {name: 0 for name, _, _ in PER_GRAPH_CHECKS}
-    # the labeled oracles need the graphs themselves; they are held only
-    # for the orders the oracles cover
+    # the labeled oracles need the graphs themselves; they come back with
+    # their check results and are held only for the orders the oracles cover
     labeled: dict[int, list[Graph]] = {}
     check = partial(_run_checks_on_graph, n_max)
-    with _ordered_map(jobs, 64) as ordered_map:
+    with _ordered_map(jobs) as ordered_map:
         for n in range(1, n_max + 1):
             counts[n] = 0
-            graphs = enumerate_connected(n)
-            if n <= LABELED_MAX:
-                graphs = labeled[n] = list(graphs)
-            for ran, viols in ordered_map(check, graphs):
+            parents = enumerate_connected(n - 1) if n > 1 else (NULL_GRAPH,)
+            for g, ran, viols in map_children(ordered_map, check, parents):
                 counts[n] += 1
+                if n <= LABELED_MAX:
+                    labeled.setdefault(n, []).append(g)
                 for idx in bits(ran):
                     checked[idx] += 1
                 for name, g6, message in viols:

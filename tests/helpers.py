@@ -2,8 +2,20 @@
 
 from hypothesis import strategies as st
 
-from domcore import Graph, build_graph
+from domcore import Graph, build_graph, parse_graph6, write_graph6
+from domcore.classify import classification_masks
 from domcore.graph import MAX_VERTICES, connected_components, delete_vertex, mask_of
+from domcore.search import SIGNATURES
+from domcore.solve import core_and_corona, gamma_value
+
+# SHA-256 of the newline-terminated graph6 stream of enumerate_connected(n);
+# any change to which graphs the enumerator yields, or in what order,
+# changes these digests
+STREAM_DIGESTS = {
+    7: "6871917ed31b2469a9efc4807444af8d654a8af5b5af571b6c7c8e46f98235f8",
+    8: "4275e461cf113a1d545d21d268aebbc4859f64c13f6e7abb4e951b312b5462b1",
+    9: "8aee77ac3f6d44e9a74a14987ac33289e19b990f1017f5d83afe08be27250cca",
+}
 
 
 def path(n: int) -> Graph:
@@ -84,3 +96,38 @@ def forests(draw, min_n=0, max_n=MAX_VERTICES):
             comp = [comp[u] if c == old else c for c in comp]
             kept.append((u, v))
     return build_graph(g.n, kept)
+
+
+_EVERY_CLASS_SIG = SIGNATURES["min-plus-zero-minus-empty-anticore"]
+_CUT_VERTEX_SIG = SIGNATURES["cut-vertex-in-core-zero"]
+
+
+def nine_sweep_step(g: Graph):
+    """The nine-vertex sweep's work on one graph: (graph6, whether the
+    graph6 round trip gives g back, the (plus, zero, minus) class sizes
+    if g witnesses min-plus-zero-minus-empty-anticore else None, whether
+    g witnesses cut-vertex-in-core-zero).
+
+    A module-level function, so a process pool can run it.
+    """
+    text = write_graph6(g)
+    gamma = gamma_value(g)
+    core, corona = core_and_corona(g)
+    membership = {
+        "core": core,
+        "corona_only": corona & ~core,
+        "anticore": g.full_mask & ~corona,
+    }
+    fig_possible = _EVERY_CLASS_SIG.feasible_by_membership(g, membership)
+    cut_possible = _CUT_VERTEX_SIG.feasible_by_membership(g, membership)
+    sizes, cut_witness = None, False
+    if fig_possible or cut_possible:
+        masks = classification_masks(g, gamma, (core, corona))
+        if fig_possible and _EVERY_CLASS_SIG.evaluate(g, masks):
+            sizes = (
+                masks["plus"].bit_count(),
+                masks["zero"].bit_count(),
+                masks["minus"].bit_count(),
+            )
+        cut_witness = cut_possible and _CUT_VERTEX_SIG.evaluate(g, masks)
+    return text, parse_graph6(text) == g, sizes, cut_witness

@@ -8,6 +8,7 @@ and round-trip criteria.
 """
 
 import hashlib
+import os
 import random
 
 import pytest
@@ -22,12 +23,17 @@ from domcore import (
     parse_graph6,
     write_graph6,
 )
-from domcore.classify import classification_masks
 from domcore.cli import run
-from domcore.enumeration import labeled_connected_bitmap, relabeling_closure_bitmap
+from domcore.enumeration import (
+    _ordered_map,
+    labeled_connected_bitmap,
+    map_children,
+    relabeling_closure_bitmap,
+)
 from domcore.search import SIGNATURES, search_signature
-from domcore.solve import core_and_corona, gamma_bruteforce, gamma_exact, gamma_value
+from domcore.solve import gamma_bruteforce, gamma_exact
 from domcore.verify import verify_corpus
+from helpers import STREAM_DIGESTS, nine_sweep_step
 
 CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853, 11117]
 
@@ -61,48 +67,25 @@ class NineSweep:
 
 @pytest.fixture(scope="module")
 def nine_sweep():
-    """Single pass over all connected graphs with nine vertices."""
-    fig_sig = SIGNATURES["min-plus-zero-minus-empty-anticore"]
-    cut_sig = SIGNATURES["cut-vertex-in-core-zero"]
+    """Single pass over all connected graphs with nine vertices.
+
+    The workers, one per CPU, build the children of the eight-vertex
+    graphs and run nine_sweep_step on them; the results come back in
+    stream order.
+    """
     sweep = NineSweep()
-    for g in enumerate_connected(9):
-        sweep.count += 1
-        text = write_graph6(g)
-        sweep.stream_sha256.update((text + "\n").encode())
-        if parse_graph6(text) != g:
-            sweep.roundtrip_failures.append(text)
-        gamma = gamma_value(g)
-        core, corona = core_and_corona(g)
-        membership = {
-            "core": core,
-            "corona_only": corona & ~core,
-            "anticore": g.full_mask & ~corona,
-        }
-        fig_possible = fig_sig.feasible_by_membership(g, membership)
-        cut_possible = cut_sig.feasible_by_membership(g, membership)
-        if not (fig_possible or cut_possible):
-            continue
-        masks = classification_masks(g, gamma, (core, corona))
-        if fig_possible and fig_sig.evaluate(g, masks):
-            sizes = (
-                masks["plus"].bit_count(),
-                masks["zero"].bit_count(),
-                masks["minus"].bit_count(),
-            )
-            sweep.every_class_witnesses.append((text, sizes))
-        if cut_possible and cut_sig.evaluate(g, masks):
-            sweep.cut_vertex_witnesses.append(text)
+    with _ordered_map(os.cpu_count() or 1) as ordered_map:
+        steps = map_children(ordered_map, nine_sweep_step, enumerate_connected(8))
+        for text, roundtrip_ok, sizes, cut_witness in steps:
+            sweep.count += 1
+            sweep.stream_sha256.update((text + "\n").encode())
+            if not roundtrip_ok:
+                sweep.roundtrip_failures.append(text)
+            if sizes is not None:
+                sweep.every_class_witnesses.append((text, sizes))
+            if cut_witness:
+                sweep.cut_vertex_witnesses.append(text)
     return sweep
-
-
-# SHA-256 of the newline-terminated graph6 stream of enumerate_connected(n);
-# any change to which graphs the enumerator yields, or in what order,
-# changes these digests
-STREAM_DIGESTS = {
-    7: "6871917ed31b2469a9efc4807444af8d654a8af5b5af571b6c7c8e46f98235f8",
-    8: "4275e461cf113a1d545d21d268aebbc4859f64c13f6e7abb4e951b312b5462b1",
-    9: "8aee77ac3f6d44e9a74a14987ac33289e19b990f1017f5d83afe08be27250cca",
-}
 
 
 def test_enumeration_stream_digest(corpus8, nine_sweep):

@@ -160,6 +160,21 @@ def test_search_budget_exit(capsys, tmp_path, monkeypatch):
     assert json.loads(out)["budget_exceeded"] is True
 
 
+def test_jobs_do_not_change_stdout(capsys, tmp_path):
+    cases = (  # arguments, exit code
+        (("search", "--signature", "cover-core-zero-anticore", "--nmax", "7", "--full"), 0),
+        (("search", "--signature", "all-zero-nonempty-core", "--nmax", "7", "--limit", "40"), 3),
+        (("verify", "--nmax", "6"), 0),
+    )
+    for argv, code in cases:
+        if argv[0] == "search":
+            argv += ("--witness-dir", str(tmp_path))
+        seq = run_cli(capsys, *argv, "--jobs", "1")[:2]
+        par = run_cli(capsys, *argv, "--jobs", "2")[:2]
+        assert par == seq, argv
+        assert seq[0] == code, argv
+
+
 def test_verify_command(capsys):
     code, out, _ = run_cli(capsys, "verify", "--nmax", "4")
     assert code == 0

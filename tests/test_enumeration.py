@@ -14,22 +14,26 @@ from domcore import (
     count_graphs,
     enumerate_connected,
     enumerate_trees,
+    write_graph6,
 )
 from domcore.canonical import automorphism_generators, canonical_form, rooted_canonical_bits
 from domcore.enumeration import (
     ENUMERATION_MAX,
     LABELED_MAX,
+    NULL_GRAPH,
     TREE_ENUMERATION_MAX,
     _children,
     _is_canonical_child,
     _ordered_map,
     _subset_orbit_minima,
     labeled_connected_bitmap,
+    map_children,
     relabeling_closure_bitmap,
 )
 from domcore.graph import add_vertex, bits, is_connected, mask_of
 from domcore.recognize import is_tree
 from helpers import (
+    STREAM_DIGESTS,
     connected_graphs,
     cut_vertices_bruteforce,
     cycle,
@@ -192,10 +196,10 @@ def _after(seconds: float) -> float:
 
 
 def test_ordered_map_keeps_order():
-    # in chunks of 2 the first chunk finishes last, and the last is short
-    delays = [0.3, 0.0, 0.0, 0.0, 0.0]
+    # in chunks of 8 the first chunk finishes last, and the last is short
+    delays = [0.3] + [0.0] * 16
     for jobs in (1, 2):
-        with _ordered_map(jobs, 2) as ordered_map:
+        with _ordered_map(jobs) as ordered_map:
             assert list(ordered_map(_after, delays)) == delays
             assert list(ordered_map(abs, range(-5, 0))) == [5, 4, 3, 2, 1]
             assert list(ordered_map(abs, [])) == []
@@ -211,13 +215,28 @@ def test_ordered_map_never_exceeds_cpu_count(monkeypatch):
     monkeypatch.setattr("domcore.enumeration.Pool", no_pool)
     for cpus in (1, None):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        with _ordered_map(100000, 2) as ordered_map:
+        with _ordered_map(100000) as ordered_map:
             assert ordered_map is map
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     with pytest.raises(RuntimeError):
-        with _ordered_map(100000, 2):
+        with _ordered_map(100000):
             pass
     assert started == [4]
+
+
+def test_map_children_follows_the_stream():
+    # the digests pin the streams of n = 7 and 8, so those are not rebuilt
+    streams = {n: [write_graph6(g) for g in enumerate_connected(n)] for n in range(1, 7)}
+    for jobs in (1, 2):
+        with _ordered_map(jobs) as ordered_map:
+            for n in range(1, 9):
+                parents = enumerate_connected(n - 1) if n > 1 else (NULL_GRAPH,)
+                got = list(map_children(ordered_map, write_graph6, parents))
+                if n in STREAM_DIGESTS:
+                    text = "".join(line + "\n" for line in got)
+                    assert sha256(text.encode()).hexdigest() == STREAM_DIGESTS[n], (jobs, n)
+                else:
+                    assert got == streams[n], (jobs, n)
 
 
 def test_enumeration_bounds():

@@ -146,6 +146,10 @@ def test_jobs_do_not_change_results():
         (cover, {"max_graphs": 40}, (6, 9, 0, False)),
         # 1 + 1 + 2 + 6 + 21 = 31: the budget runs out where n = 5 ends
         (cover, {"max_graphs": 31}, (6, 0, 0, False)),
+        # the first two parents of the n = 6 graphs have 2 and 3 children:
+        # 34 runs out inside the second parent's children, 36 where they end
+        (cover, {"max_graphs": 34}, (6, 3, 0, False)),
+        (cover, {"max_graphs": 36}, (6, 5, 0, False)),
         (
             "claw-k4-net-diamond-free-core-zero",
             {"class_filter": line_graph_family_filter},

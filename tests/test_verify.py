@@ -48,6 +48,6 @@ def test_bounds():
 def test_jobs_identical():
     reports, calls = {}, {1: [], 2: []}
     for jobs in (1, 2):
-        reports[jobs] = verify_corpus(5, jobs=jobs, progress=lambda *call: calls[jobs].append(call))
+        reports[jobs] = verify_corpus(6, jobs=jobs, progress=lambda *call: calls[jobs].append(call))
     assert reports[2].to_dict() == reports[1].to_dict()
-    assert calls[2] == calls[1] == [(1, 1), (2, 1), (3, 2), (4, 6), (5, 21)]
+    assert calls[2] == calls[1] == [(1, 1), (2, 1), (3, 2), (4, 6), (5, 21), (6, 112)]
