@@ -17,6 +17,22 @@ set exactly when no set of gamma - 1 vertices dominates what N[u]
 leaves undominated (the pendant argument: a pendant at u raises gamma
 iff u is in no minimum set).  Core membership reduces to the removal
 class plus that anticore probe on each neighbor in the deleted masks.
+
+The structural route probes in this order: an isolated vertex is
+(MINUS, CORE) with no probe; otherwise the anticore probe runs first,
+and only a vertex it does not settle gets the two removal probes.  Two
+facts make that order sound (Bauer, Harary, Nieminen and Suffel,
+"Domination alteration sets in graphs", 1983):
+
+- A vertex v in no minimum set is ZERO.  A minimum set avoids v, so it
+  dominates G - v; and a dominating set of G - v of size gamma - 1 plus
+  v would be a minimum set containing v.
+- A non-isolated MINUS vertex v is in some but not every minimum set.
+  A dominating set D of G - v of size gamma - 1 gives the minimum sets
+  D + v and D + u, for any neighbor u of v.
+
+The definitional route, classification_masks included, uses neither
+fact, so verify's membership-remarks check tests both against it.
 """
 
 from __future__ import annotations
@@ -130,21 +146,30 @@ def _in_no_minimum_set(closed: list[int], full: int, u: int, gamma: int) -> bool
 def _classify_vertex(closed: list[int], full: int, v: int, gamma: int) -> VertexClassification:
     """Removal and membership class of v by the structural route.
 
-    v is in the core exactly when it is isolated, or deleting it raises
-    gamma, or deleting it keeps gamma while every neighbor is in the
-    anticore of the deleted graph (no surviving minimum set dominates v).
+    An isolated v is in every dominating set, and deleting it takes
+    exactly v out of each, so it is (MINUS, CORE) without a probe.
+    Otherwise the anticore probe runs first: a vertex in no minimum set
+    is ZERO (a minimum set avoiding v dominates G - v, and a smaller
+    set for G - v plus v would be a minimum set with v).  Then the two
+    removal probes: PLUS means CORE (a minimum set avoiding v would
+    dominate G - v), and MINUS means CORONA_ONLY (a dominating set of
+    G - v of size gamma - 1 plus a neighbor of v is a minimum set
+    avoiding v).  A ZERO vertex is in the core exactly when every
+    neighbor is in the anticore of the deleted graph, so that no
+    minimum set of G - v dominates v.
     """
+    neighbors = closed[v] & ~(1 << v)
+    if not neighbors:
+        return VertexClassification(v, RemovalClass.MINUS, MembershipClass.CORE)
+    if _in_no_minimum_set(closed, full, v, gamma):
+        return VertexClassification(v, RemovalClass.ZERO, MembershipClass.ANTICORE)
     h, h_full = _delete(closed, full, v)
     removal = _removal(h, h_full, gamma)
-    neighbors = closed[v] & h_full
-    if removal is RemovalClass.PLUS or not neighbors:
-        membership = MembershipClass.CORE
-    elif removal is RemovalClass.ZERO and all(
-        _in_no_minimum_set(h, h_full, u, gamma) for u in bits(neighbors)
+    if removal is RemovalClass.PLUS or (
+        removal is RemovalClass.ZERO
+        and all(_in_no_minimum_set(h, h_full, u, gamma) for u in bits(neighbors))
     ):
         membership = MembershipClass.CORE
-    elif _in_no_minimum_set(closed, full, v, gamma):
-        membership = MembershipClass.ANTICORE
     else:
         membership = MembershipClass.CORONA_ONLY
     return VertexClassification(v, removal, membership)

@@ -13,8 +13,19 @@ a greedy maximal independent set) that the search accepts.
 
 The second search, _minimum_sets, yields every dominating set of a
 given size in lexicographic order, cut by the same packing bound taken
-over the vertices still available.  The witness of gamma_exact is its
-first set, all_minimum_dominating_sets is all of them, core_and_corona
+over the vertices still available.
+
+Neither search recurses for its last pick.  A vertex w dominates u iff
+w is in N[u], so the vertices that dominate all of an undominated set
+U are the AND of N[u] over U (_common_dominators).  With one pick left
+the feasibility search asks whether that set, taken within the allowed
+picks, is nonempty; with two left it tries each candidate w for the
+pivot and asks the same of what N[w] leaves (within the allowed picks
+minus N[w]).  _minimum_sets yields the chosen set plus each vertex of
+that set, in increasing order, which keeps its lexicographic order.
+
+The witness of gamma_exact is the first set of _minimum_sets,
+all_minimum_dominating_sets is all of them, core_and_corona
 folds them, and independent_domination_number takes the first
 independent one; so every witness matches brute-force enumeration
 exactly.
@@ -99,6 +110,21 @@ def _packing_bound(closed: list[int], undominated: int, avail: int) -> int:
     return count
 
 
+def _common_dominators(closed: list[int], undominated: int, avail: int) -> int:
+    """Vertices of `avail` that dominate every vertex of `undominated`.
+
+    w dominates u iff w is in N[u], since closed masks are symmetric,
+    so this is `avail` ANDed with N[u] over the undominated vertices.
+    With nothing undominated it is all of `avail`.
+    """
+    m = undominated
+    while m and avail:
+        low = m & -m
+        m ^= low
+        avail &= closed[low.bit_length() - 1]
+    return avail
+
+
 def _exists_dominating(
     closed: list[int], full: int, budget: int, dominated: int = 0, allowed: int | None = None
 ) -> bool:
@@ -113,6 +139,8 @@ def _exists_dominating(
     if budget <= 0:
         return False
     avail = full if allowed is None else allowed
+    if budget == 1:
+        return bool(_common_dominators(closed, undominated, avail))
     if _packing_bound(closed, undominated, avail) > budget:
         return False
     # pivot: undominated vertex with the fewest allowed candidate dominators
@@ -130,6 +158,14 @@ def _exists_dominating(
             pivot_candidates = cand
             if c == 1:
                 break
+    if budget == 2:
+        # the second pick must dominate whatever the first leaves
+        for w in bits(pivot_candidates):
+            left = undominated & ~closed[w]
+            rest = avail if allowed is None else avail & ~closed[w]
+            if not left or _common_dominators(closed, left, rest):
+                return True
+        return False
     order = sorted(
         bits(pivot_candidates),
         key=lambda w: -(closed[w] & undominated).bit_count(),
@@ -180,6 +216,13 @@ def _minimum_sets(
         if remaining == 0:
             if dominated == full:
                 yield chosen
+            return
+        if remaining == 1:
+            last = _common_dominators(closed, full & ~dominated, avail)
+            while last:
+                low = last & -last
+                last ^= low
+                yield chosen | low
             return
         if avail.bit_count() < remaining:
             return

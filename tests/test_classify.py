@@ -84,6 +84,42 @@ def test_classify_c6_all_zero_corona_only():
         assert vc.membership is MembershipClass.CORONA_ONLY
 
 
+# one named graph per (removal, membership) pair; PLUS implies CORE, so
+# these six are every pair that occurs.  Each pins one return of the
+# structural route: the isolated vertex and the anticore vertex answer
+# before any removal probe runs.
+CLASS_PAIR_CASES = {
+    "plus-core": (path(3), 1, RemovalClass.PLUS, MembershipClass.CORE),
+    "minus-core-isolated": (
+        build_graph(3, [(0, 1)]),
+        2,
+        RemovalClass.MINUS,
+        MembershipClass.CORE,
+    ),
+    "minus-corona-only": (cycle(4), 0, RemovalClass.MINUS, MembershipClass.CORONA_ONLY),
+    # C4 0-1-3-2 with the tail 0-4-5: {3, 4} is the only minimum set
+    "zero-core": (
+        build_graph(6, [(0, 1), (0, 2), (0, 4), (1, 3), (2, 3), (4, 5)]),
+        3,
+        RemovalClass.ZERO,
+        MembershipClass.CORE,
+    ),
+    "zero-corona-only": (cycle(6), 0, RemovalClass.ZERO, MembershipClass.CORONA_ONLY),
+    "zero-anticore": (star(3), 1, RemovalClass.ZERO, MembershipClass.ANTICORE),
+}
+
+
+@pytest.mark.parametrize("case", CLASS_PAIR_CASES.values(), ids=CLASS_PAIR_CASES.keys())
+def test_each_class_pair_has_a_named_case(case):
+    g, v, removal, membership = case
+    want = classify_by_enumeration(g)
+    assert (want.vertices[v].removal, want.vertices[v].membership) == (removal, membership)
+    assert classify_all(g) == want
+    for row in want.vertices:
+        assert removal_class(g, row.vertex) is row.removal
+        assert membership_class(g, row.vertex) is row.membership
+
+
 def test_report_masks_and_summary():
     rep = classify_all(star(3))
     assert rep.core_mask == 0b0001

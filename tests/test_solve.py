@@ -1,7 +1,8 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domcore import (
     GraphError,
@@ -13,9 +14,11 @@ from domcore import (
     independence_number,
     independent_domination_number,
 )
+from domcore.classify import _delete
 from domcore.graph import bits, closed_masks, is_dominating, mask_of
 from domcore.solve import (
     ALL_SETS_MAX,
+    _exists_dominating,
     _minimum_sets,
     exists_dominating_within,
     gamma_bruteforce,
@@ -168,6 +171,45 @@ def test_exists_dominating_within():
     assert exists_dominating_within(g, 6)
     assert exists_dominating_within(build_graph(0, []), 0)
     assert not exists_dominating_within(path(1), 0)
+
+
+def _fewest_picks(closed, full, dominated, allowed, cap):
+    """Size of a smallest set that dominates what `dominated` leaves, or cap + 1.
+
+    With `allowed`, the set lies inside it and is independent.
+    """
+    pool = list(bits(full if allowed is None else allowed))
+    for size in range(cap + 1):
+        for combo in combinations(pool, size):
+            picks = mask_of(combo)
+            if allowed is not None and any(closed[v] & picks != 1 << v for v in combo):
+                continue
+            covered = dominated
+            for v in combo:
+                covered |= closed[v]
+            if covered & full == full:
+                return size
+    return cap + 1
+
+
+@settings(max_examples=300)
+@given(graphs(0, 10), st.booleans(), st.randoms(use_true_random=False))
+def test_exists_dominating_matches_bruteforce(g, delete, rng):
+    # budgets 0..4 reach the closed-form last picks (budgets 1 and 2) and
+    # the recursive path; the deleted masks are the ones classify probes
+    closed, full = closed_masks(g), g.full_mask
+    if g.n and delete:
+        closed, full = _delete(closed, full, rng.randrange(g.n))
+    # many states per graph: a fault in the independent last picks shows
+    # only where an adjacent pair dominates and no independent one does
+    for _ in range(16):
+        dominated = rng.getrandbits(g.n) & full
+        subset = rng.getrandbits(g.n) & full
+        for allowed in (None, full, subset):
+            least = _fewest_picks(closed, full, dominated, allowed, 4)
+            for budget in range(5):
+                got = _exists_dominating(closed, full, budget, dominated, allowed)
+                assert got == (least <= budget), (dominated, allowed, budget)
 
 
 @given(graphs(0, 12))
