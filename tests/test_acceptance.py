@@ -8,6 +8,7 @@ and round-trip criteria.
 """
 
 import hashlib
+import json
 import os
 import random
 
@@ -36,6 +37,9 @@ from domcore.verify import verify_corpus
 from helpers import STREAM_DIGESTS, nine_sweep_step
 
 CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853, 11117]
+# SHA-256 of the compact JSON of verify_corpus(8).to_dict(); any change to a
+# check's name, order, graph count or violations changes it
+VERIFY8_SHA256 = "f54aafccb45dc8d86b8de76d51edce15b5120d1498bc28d4e2035915dc3a5518"
 
 
 def _announce(criterion: int, ok: bool, detail: str) -> None:
@@ -53,7 +57,11 @@ def corpus8():
 
 @pytest.fixture(scope="module")
 def verify_report():
-    return verify_corpus(8)
+    """verify_corpus(8) on one worker per CPU, pinned by its digest."""
+    report = verify_corpus(8, jobs=os.cpu_count() or 1)
+    text = json.dumps(report.to_dict(), separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY8_SHA256
+    return report
 
 
 class NineSweep:
