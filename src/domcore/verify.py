@@ -14,13 +14,19 @@ Each check caps its own vertex count (brute-force oracles get smaller
 caps), reports how many graphs it examined, and collects the first few
 violations as graph6 strings with messages.  A report passes only if
 every check has zero violations.
+
+No oracle calls the code it checks.  The pattern oracle looks each
+k-subset's induced edge mask up in a table of every labeled copy of
+every order-k pattern, and graph surgery must give back exactly g with
+the re-added vertex relabeled last.  _Ctx computes what several checks
+share once per graph.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import combinations, permutations
 
 from .canonical import canonical_form
@@ -89,6 +95,7 @@ class _Ctx:
 
     def __init__(self, g: Graph):
         self.g = g
+        self._once: dict = {}
 
     @cached_property
     def g6(self) -> str:
@@ -109,6 +116,23 @@ class _Ctx:
     @cached_property
     def closed(self) -> list[int]:
         return closed_masks(self.g)
+
+    @cached_property
+    def tcps(self) -> tuple:
+        """twin_clique_partition at every root, in root order."""
+        return tuple(twin_clique_partition(self.g, root) for root in range(self.g.n))
+
+    def once(self, fn, *args):
+        """fn(*args), computed at most once for this graph (roots often
+        share a reduced graph); the memo dies with the graph."""
+        key = (fn, args)
+        if key not in self._once:
+            self._once[key] = fn(*args)
+        return self._once[key]
+
+    def contains(self, pattern: str) -> bool:
+        """contains_induced(g, pattern), shared by the checks that read it."""
+        return self.once(contains_induced, self.g, pattern)
 
 
 def _check_graph_surgery(ctx: _Ctx):
@@ -133,13 +157,20 @@ def _check_graph_surgery(ctx: _Ctx):
     for v in range(g.n):
         h = delete_vertex(g, v)
         back = mask_of(index_after_delete(u, v) for u in bits(g.adj[v]))
-        if canonical_form(add_vertex(h, back)) != canonical_form(g):
-            yield f"delete/re-add of {v} changes the isomorphism class"
+        if add_vertex(h, back) != _moved_last(g, v):
+            yield f"delete/re-add of {v} is not g with {v} moved last"
         p = add_pendant(g, v)
         if p.n != g.n + 1 or p.adj[g.n] != 1 << v:
             yield f"pendant on {v} malformed"
     if parse_edge_list(format_edge_list(g)) != g:
         yield "edge-list text round-trip changes the graph"
+
+
+def _moved_last(g: Graph, v: int) -> Graph:
+    """g relabeled so that v is last and the vertices above it shift down."""
+    pos = [u - (u > v) for u in range(g.n)]
+    pos[v] = g.n - 1
+    return build_graph(g.n, [(pos[u], pos[w]) for u, w in g.edges()])
 
 
 def _check_solver_oracle(ctx: _Ctx):
@@ -337,7 +368,7 @@ def _check_cograph_core(ctx: _Ctx):
 
 
 def _check_claw_p6_free_core(ctx: _Ctx):
-    if ctx.g.n < 2 or not is_claw_free(ctx.g) or contains_induced(ctx.g, "P6"):
+    if ctx.g.n < 2 or not is_claw_free(ctx.g) or ctx.contains("P6"):
         return
     rep = ctx.enum
     if rep.core_mask != rep.mask_of_removal(RemovalClass.PLUS):
@@ -345,7 +376,7 @@ def _check_claw_p6_free_core(ctx: _Ctx):
 
 
 def _check_claw_bull_free_core(ctx: _Ctx):
-    if ctx.g.n < 2 or not is_claw_free(ctx.g) or contains_induced(ctx.g, "bull"):
+    if ctx.g.n < 2 or not is_claw_free(ctx.g) or ctx.contains("bull"):
         return
     rep = ctx.enum
     if rep.core_mask != rep.mask_of_removal(RemovalClass.PLUS):
@@ -373,8 +404,7 @@ def _check_bipartite_claw_free_shape(ctx: _Ctx):
 def _check_tcp(ctx: _Ctx):
     g = ctx.g
     gamma = ctx.report.gamma
-    for root in range(g.n):
-        tcp = twin_clique_partition(g, root)
+    for root, tcp in enumerate(ctx.tcps):
         if sum(tcp.cliques) != g.full_mask:
             yield f"twin clique partition at {root} does not partition"
             return
@@ -402,7 +432,7 @@ def _check_tcp(ctx: _Ctx):
                 if bool(links) != bool(reduced_edge):
                     yield f"reduced adjacency wrong for parts {i},{j} at root {root}"
                     return
-        if gamma_exact(tcp.reduced).gamma != gamma:
+        if ctx.once(gamma_exact, tcp.reduced).gamma != gamma:
             yield f"reduced graph at root {root} changes gamma"
             return
 
@@ -410,9 +440,8 @@ def _check_tcp(ctx: _Ctx):
 def _check_tcp_core_correspondence(ctx: _Ctx):
     g = ctx.g
     sets = ctx.report.all_sets
-    for root in range(g.n):
-        tcp = twin_clique_partition(g, root)
-        hrep = classify_by_enumeration(tcp.reduced)
+    for root, tcp in enumerate(ctx.tcps):
+        hrep = ctx.once(classify_by_enumeration, tcp.reduced)
         core_h = hrep.core_mask
         anticore_h = hrep.anticore_mask
         for i, clique in enumerate(tcp.cliques):
@@ -426,39 +455,39 @@ def _check_tcp_core_correspondence(ctx: _Ctx):
                 return
 
 
-def _induced_subgraph(g: Graph, vs: tuple[int, ...]) -> Graph:
-    pos = {v: i for i, v in enumerate(vs)}
-    adj = [0] * len(vs)
-    for v in vs:
-        for u in bits(g.adj[v]):
-            if u in pos:
-                adj[pos[v]] |= 1 << pos[u]
-    return Graph(len(vs), tuple(adj))
-
-
-def _bruteforce_contains(g: Graph, h: Graph) -> bool:
-    if h.n > g.n:
-        return False
-    target_degs = sorted(a.bit_count() for a in h.adj)
-    for vs in combinations(range(g.n), h.n):
-        sub = _induced_subgraph(g, vs)
-        if sub.edge_count() != h.edge_count():
+@cache
+def _pattern_table(k: int) -> dict[int, tuple[str, ...]]:
+    """Names by edge mask of every labeled copy of every order-k pattern;
+    bit b of a mask is the b-th pair of combinations(range(k), 2)."""
+    bit = {pair: b for b, pair in enumerate(combinations(range(k), 2))}
+    table: dict[int, tuple[str, ...]] = {}
+    for name, h in PATTERNS.items():
+        if h.n != k:
             continue
-        if sorted(a.bit_count() for a in sub.adj) != target_degs:
-            continue
-        for perm in permutations(range(h.n)):
-            if all(
-                ((sub.adj[i] >> j) & 1) == ((h.adj[perm[i]] >> perm[j]) & 1)
-                for i in range(h.n)
-                for j in range(i + 1, h.n)
-            ):
-                return True
-    return False
+        edges = list(h.edges())
+        copies = {
+            mask_of(bit[min(p[u], p[v]), max(p[u], p[v])] for u, v in edges)
+            for p in permutations(range(k))
+        }
+        for mask in copies:
+            table[mask] = table.get(mask, ()) + (name,)
+    return table
 
 
 def _check_pattern_oracle(ctx: _Ctx):
-    for name, pattern in PATTERNS.items():
-        if contains_induced(ctx.g, name) != _bruteforce_contains(ctx.g, pattern):
+    g = ctx.g
+    found: set[str] = set()
+    for k in {h.n for h in PATTERNS.values() if h.n <= g.n}:
+        table = _pattern_table(k)
+        pairs = list(combinations(range(k), 2))
+        for vs in combinations(range(g.n), k):
+            mask = 0
+            for b, (i, j) in enumerate(pairs):
+                if (g.adj[vs[i]] >> vs[j]) & 1:
+                    mask |= 1 << b
+            found.update(table.get(mask, ()))
+    for name in PATTERNS:
+        if ctx.contains(name) != (name in found):
             yield f"pattern search disagrees with oracle on {name}"
 
 
@@ -466,10 +495,10 @@ def _check_recognizer_consistency(ctx: _Ctx):
     g = ctx.g
     if is_tree(g) and not (is_bipartite(g) and is_chordal(g)):
         yield "tree flagged non-bipartite or non-chordal"
-    if is_cograph(g) != (not contains_induced(g, "P4")):
+    if is_cograph(g) == ctx.contains("P4"):
         yield "cograph flag disagrees with induced P4 search"
     chordal = is_chordal(g)
-    holes = [c for c in ("C4", "C5", "C6", "C7") if contains_induced(g, c)]
+    holes = [c for c in ("C4", "C5", "C6", "C7") if ctx.contains(c)]
     if chordal and holes:
         yield f"chordal graph contains induced {holes[0]}"
     if g.n <= 7 and not chordal and not holes:

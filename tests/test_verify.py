@@ -1,7 +1,23 @@
+import os
+import subprocess
+import sys
+from math import factorial
+from pathlib import Path
+
 import pytest
 
-from domcore import GraphError, verify_corpus
-from domcore.verify import PER_GRAPH_CHECKS, VERIFY_MAX
+import domcore.verify
+from domcore import Graph, GraphError, verify_corpus
+from domcore.recognize import PATTERNS, TwinCliquePartition
+from domcore.verify import PER_GRAPH_CHECKS, VERIFY_MAX, _pattern_table
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# |Aut| of each pattern: a pattern on k vertices has k!/|Aut| labeled copies
+AUTOMORPHISMS = {
+    "claw": 6, "diamond": 4, "paw": 2, "P4": 2, "C4": 8, "bull": 2, "P5": 2,
+    "C5": 10, "net": 6, "P6": 2, "C6": 12, "P7": 2, "C7": 14,
+}
 
 
 def test_small_corpus_passes():
@@ -51,3 +67,64 @@ def test_jobs_identical():
         reports[jobs] = verify_corpus(6, jobs=jobs, progress=lambda *call: calls[jobs].append(call))
     assert reports[2].to_dict() == reports[1].to_dict()
     assert calls[2] == calls[1] == [(1, 1), (2, 1), (3, 2), (4, 6), (5, 21), (6, 112)]
+
+
+def test_pattern_table_holds_every_labeled_copy():
+    copies = dict.fromkeys(PATTERNS, 0)
+    for k in {h.n for h in PATTERNS.values()}:
+        for names in _pattern_table(k).values():
+            for name in names:
+                copies[name] += 1
+    assert copies == {
+        name: factorial(h.n) // AUTOMORPHISMS[name] for name, h in PATTERNS.items()
+    }
+
+
+def test_pattern_table_is_not_built_on_import():
+    # the benchmark times fresh imports as set-up, so import builds nothing
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    code = "import domcore.verify as v; print(v._pattern_table.cache_info().currsize)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "0"
+
+
+def _flagged() -> set[str]:
+    return {c.name for c in verify_corpus(5).checks if c.violation_count}
+
+
+def test_pattern_oracle_flags_a_wrong_pattern_search(monkeypatch):
+    real = domcore.verify.contains_induced
+    monkeypatch.setattr(
+        domcore.verify, "contains_induced", lambda g, name: real(g, name) != (name == "C5")
+    )
+    assert "pattern-search-oracle" in _flagged()
+
+
+def test_graph_surgery_flags_a_dropped_edge(monkeypatch):
+    real = domcore.verify.add_vertex
+    # the new vertex loses its edge to the lowest neighbor
+    monkeypatch.setattr(domcore.verify, "add_vertex", lambda g, nbrs: real(g, nbrs & (nbrs - 1)))
+    assert "graph-surgery" in _flagged()
+
+
+def test_twin_clique_checks_flag_a_wrong_reduced_graph(monkeypatch):
+    real = domcore.verify.twin_clique_partition
+
+    def flipped(g, root):
+        tcp = real(g, root)
+        h = tcp.reduced
+        if h.n < 2:
+            return tcp
+        adj = (h.adj[0] ^ 0b10, h.adj[1] ^ 0b01) + h.adj[2:]
+        return TwinCliquePartition(tcp.root, tcp.cliques, Graph(h.n, adj))
+
+    monkeypatch.setattr(domcore.verify, "twin_clique_partition", flipped)
+    flagged = _flagged()
+    assert "twin-clique-partition" in flagged
+    assert "twin-clique-core-correspondence" in flagged
