@@ -47,11 +47,10 @@ exchanges of index bits until the set stops growing.
 from __future__ import annotations
 
 import os
-from collections import deque
 from collections.abc import Iterator
 from contextlib import contextmanager
 from functools import partial
-from itertools import combinations, islice
+from itertools import combinations
 from math import factorial, gcd
 from multiprocessing import Pool
 
@@ -70,8 +69,6 @@ LABELED_MAX = 7
 # parents per task of the pool in map_children: on search_signature(8,
 # jobs=2), 8 ran as fast as 32 and faster than 1
 _PARENT_CHUNK = 8
-# chunks in flight per pool worker: at 2, workers idled behind slow chunks
-_CHUNKS_PER_WORKER = 4
 # the root of the augmentation tree: its one child is the one-vertex graph
 NULL_GRAPH = Graph(0, ())
 
@@ -181,38 +178,23 @@ def enumerate_connected(n: int):
     return level(n)
 
 
-def _windowed_map(pool, window: int, fn, items):
-    """Yield fn of every item in order, computed by pool in chunks of
-    _PARENT_CHUNK, taking items only while fewer than window chunks are
-    unread (Pool.imap's feeder thread takes them until its pipe fills)."""
-    items = iter(items)
-    pending = deque()
-    while chunk := list(islice(items, _PARENT_CHUNK)):
-        pending.append(pool.map_async(fn, chunk, len(chunk)))
-        if len(pending) == window:
-            yield from pending.popleft().get()
-    while pending:
-        yield from pending.popleft().get()
-
-
 @contextmanager
 def _ordered_map(jobs: int):
-    """Yield an order-preserving map over one pool of
+    """Yield an order-preserving map: the imap of one pool of
     min(jobs, os.cpu_count()) workers that stays open for the whole
     block, or the builtin map when that is one worker or none.
 
     The pool takes items in chunks of _PARENT_CHUNK, since its work
-    units are parents (see map_children), and keeps _CHUNKS_PER_WORKER
-    chunks per worker in flight (_windowed_map).  Items, results and the function are
-    pickled for the workers, so the function must be a module-level
-    name or a partial of one.
+    units are parents (see map_children).  Items, results and the
+    function are pickled for the workers, so the function must be a
+    module-level name or a partial of one.
     """
     workers = min(jobs, os.cpu_count() or 1)
     if workers <= 1:
         yield map
         return
     with Pool(workers) as pool:
-        yield partial(_windowed_map, pool, _CHUNKS_PER_WORKER * workers)
+        yield partial(pool.imap, chunksize=_PARENT_CHUNK)
 
 
 def _map_children(fn, parent: Graph) -> list:
@@ -234,8 +216,7 @@ def map_children(ordered_map, fn, parents):
 
     A parent's children are evaluated together: a consumer that stops
     early may leave up to one parent's results evaluated and unread with
-    the builtin map, or one window of _CHUNKS_PER_WORKER chunks of
-    _PARENT_CHUNK parents per worker with the pool.
+    the builtin map, or every chunk already sent to the pool.
     """
     for results in ordered_map(partial(_map_children, fn), parents):
         yield from results

@@ -320,9 +320,8 @@ def search_signature(
     not in SIGNATURE_FILTERS runs sequentially whatever jobs is.
 
     The count of examined graphs is exact, but the work is not: past the
-    cap, up to one parent's children (jobs = 1) or one window of the
-    pool's chunks (jobs > 1, see map_children) may be evaluated and
-    discarded.
+    cap, up to one parent's children (jobs = 1) or the chunks already
+    sent to the pool (jobs > 1) may be evaluated and discarded.
     """
     if not 1 <= n_max <= SEARCH_MAX:
         raise GraphError(f"search covers n_max 1..{SEARCH_MAX}")

@@ -22,8 +22,6 @@ from domcore.enumeration import (
     LABELED_MAX,
     NULL_GRAPH,
     TREE_ENUMERATION_MAX,
-    _CHUNKS_PER_WORKER,
-    _PARENT_CHUNK,
     _children,
     _is_canonical_child,
     _ordered_map,
@@ -239,23 +237,6 @@ def test_map_children_follows_the_stream():
                     assert sha256(text.encode()).hexdigest() == STREAM_DIGESTS[n], (jobs, n)
                 else:
                     assert got == streams[n], (jobs, n)
-
-
-def test_pool_takes_at_most_one_window_ahead():
-    pulled = 0
-    corpus = list(enumerate_connected(7))
-
-    def parents():
-        nonlocal pulled
-        for parent in corpus:
-            pulled += 1
-            yield parent
-
-    with _ordered_map(2) as ordered_map:
-        workers = 1 if ordered_map is map else 2
-        next(map_children(ordered_map, write_graph6, parents()))
-    # one window of chunks, plus the chunk being taken
-    assert pulled <= (_CHUNKS_PER_WORKER * workers + 1) * _PARENT_CHUNK
 
 
 def test_enumeration_bounds():
