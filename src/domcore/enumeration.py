@@ -14,6 +14,15 @@ deletability is tested only for its rivals (vertices whose invariant is
 below the new vertex's) and ties (equal invariant), with one cut-vertex
 pass, and not at all when there are none.
 
+Most candidates fail on a rival of lower degree that the parent already
+shows, so each parent rejects those subsets before building a child.
+The lemma: if u is not a cut vertex of a connected parent P, it is not
+a cut vertex of P+S for any nonempty S other than {u}, because P - u is
+connected and the new vertex joins it through S minus u.  So, with one
+cut-vertex pass over P, a non-cut vertex of P whose child degree
+deg_P(u) + [u in S] is below |S| >= 2 is a deletable rival of the new
+vertex, and the child would be rejected; _children skips such subsets.
+
 Two accepted children P+S and P+S' of one parent are isomorphic exactly
 when S' = sigma(S) for an automorphism sigma of P (McKay, "Isomorph-free
 exhaustive generation", 1998), and the deletion test gives the same
@@ -67,7 +76,9 @@ ENUMERATION_MAX = 10
 TREE_ENUMERATION_MAX = CANONICAL_MAX
 LABELED_MAX = 7
 # parents per task of the pool in map_children: on search_signature(8,
-# jobs=2), 8 ran as fast as 32 and faster than 1
+# jobs=2), 2-core VM, 10 alternating pairs against 8 each (median wall),
+# 4 lost every pair (0.716 against 0.648 s), and 16 (0.640 against
+# 0.647 s) and 32 (0.647 against 0.673 s) won only 7 of 10
 _PARENT_CHUNK = 8
 # the root of the augmentation tree: its one child is the one-vertex graph
 NULL_GRAPH = Graph(0, ())
@@ -147,12 +158,27 @@ def _children(parent: Graph, generators) -> Iterator[Graph]:
     the same deletion-test outcome, and accepted children from different
     orbits are never isomorphic, so only each orbit's least subset is
     tried.  With a trivial group every subset is its own orbit.
+
+    A subset S with s = |S| >= 2 is skipped without building its child
+    when a non-cut vertex u of the parent has deg(u) <= s - 1 outside S
+    or deg(u) <= s - 2 inside S: u's child degree is below s and, by
+    the lemma in the module docstring, u stays deletable, so
+    _is_canonical_child would reject the child.
     """
     k = parent.n
     # the new vertex needs a neighbor to keep the child connected, unless
     # it is the first vertex: the null graph's one child is K1
     subsets = _subset_orbit_minima(k, generators) if generators else range(1 if k else 0, 1 << k)
+    # at_most[d]: the parent's non-cut vertices of degree <= d
+    at_most = [0] * k
+    for v in bits(parent.full_mask & ~cut_vertices(parent)):
+        at_most[parent.adj[v].bit_count()] |= 1 << v
+    for d in range(1, k):
+        at_most[d] |= at_most[d - 1]
     for subset in subsets:
+        s = subset.bit_count()
+        if s >= 2 and (at_most[s - 1] & ~subset or at_most[s - 2] & subset):
+            continue
         child = add_vertex(parent, subset)
         if _is_canonical_child(child, k):
             yield child

@@ -303,6 +303,50 @@ def test_deletion_test_matches_reference_on_random_graphs(g):
         assert _is_canonical_child(g, new) == _is_canonical_child_reference(g, new)
 
 
+@given(connected_graphs(min_n=2, max_n=10))
+def test_parent_non_cut_vertices_stay_non_cut(parent):
+    # the lemma behind _children's prefilter: joining a new vertex to S
+    # makes no non-cut vertex u of a connected parent a cut vertex,
+    # unless S = {u}
+    non_cut = parent.full_mask & ~cut_vertices_bruteforce(parent)
+    for subset in range(1, 1 << parent.n):
+        kept = non_cut & ~subset if subset.bit_count() == 1 else non_cut
+        assert not kept & cut_vertices_bruteforce(add_vertex(parent, subset)), subset
+
+
+def _record_built_subsets(monkeypatch) -> list:
+    """The subsets enumeration joins a new vertex to, in call order."""
+    built = []
+    monkeypatch.setattr(
+        "domcore.enumeration.add_vertex",
+        lambda g, subset: built.append(subset) or add_vertex(g, subset),
+    )
+    return built
+
+
+def test_prefilter_drops_only_rejected_children(corpus6, monkeypatch):
+    # with no generators _children tries every subset, so the subsets it
+    # never builds a child for are the ones its prefilter dropped
+    built = _record_built_subsets(monkeypatch)
+    candidates = dropped = 0
+    for k, parent in corpus6:
+        built.clear()
+        list(_children(parent, ()))
+        for subset in set(range(1, 1 << k)) - set(built):
+            assert not _is_canonical_child(add_vertex(parent, subset), k), (parent, subset)
+            dropped += 1
+        candidates += (1 << k) - 1
+    assert (candidates, dropped) == (7815, 5019)
+
+
+def test_prefilter_builds_fewer_children(monkeypatch):
+    # a count, not a timing: a change that disables the prefilter builds
+    # all 71301 orbit-minimal children of enumerate_connected(8) again
+    built = _record_built_subsets(monkeypatch)
+    assert sum(1 for _ in enumerate_connected(8)) == 11117
+    assert len(built) == 18312
+
+
 def _children_reference(parent):
     """Every subset in order, deletion test, then per-parent deduplication
     by canonical form: the first child of each isomorphism class stays."""
@@ -329,8 +373,15 @@ def test_stream_matches_per_parent_deduplication():
         assert list(enumerate_connected(n)) == list(_enumerate_connected_reference(n)), n
 
 
+# the cut vertex 4 has degree 2 and stays a cut vertex when the new
+# vertex joins the triangle {5, 6, 7}: a vertex of low degree that is no
+# deletable rival, so the prefilter in _children must keep that child
+K4_PATH_TRIANGLE = build_graph(8, [*combinations(range(4), 2), (0, 4), (4, 5), (5, 6), (5, 7), (6, 7)])
+
+
 @given(connected_graphs(min_n=1, max_n=7))
 @example(cycle(7))  # the group comes from leaves of equal value
+@example(K4_PATH_TRIANGLE)
 @example(star(6))  # the group comes from cell transpositions
 def test_orbit_reduced_children_match_reference(parent):
     # any parent, not only the canonical representatives of the stream
