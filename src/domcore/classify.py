@@ -33,6 +33,9 @@ facts make that order sound (Bauer, Harary, Nieminen and Suffel,
 
 The definitional route, classification_masks included, uses neither
 fact, so verify's membership-remarks check tests both against it.
+classification_masks skips the PLUS probe outside the core by the
+core's own definition (the intersection of all minimum sets): a vertex
+outside it is avoided by some minimum set, which dominates G - v.
 """
 
 from __future__ import annotations
@@ -250,23 +253,31 @@ def classification_masks(
     """Class bitmasks for signature evaluation, by the definitional route.
 
     Keys: plus, zero, minus, core, corona_only, anticore.  Membership
-    masks come from folding the minimum-set stream (or the precomputed
-    core_corona pair); removal masks from budget probes per vertex.
+    masks come from folding the minimum-set stream; core_corona, if
+    given, must be core_and_corona(g).  Removal masks come from budget
+    probes on the deleted masks, and the budget-gamma (PLUS) probe runs
+    on core vertices only: a vertex outside the core is avoided by some
+    minimum set, which dominates G - v, so gamma(G - v) <= gamma.
     """
     if gamma is None:
         gamma = gamma_value(g)
-    core, corona = core_corona if core_corona is not None else core_and_corona(g)
+    core, corona = core_corona if core_corona is not None else core_and_corona(g, gamma)
     closed = closed_masks(g)
-    removal = dict.fromkeys(RemovalClass, 0)
+    full = g.full_mask
+    plus = minus = 0
     for v in range(g.n):
-        removal[_removal(*_delete(closed, g.full_mask, v), gamma)] |= 1 << v
+        h, h_full = _delete(closed, full, v)
+        if (core >> v) & 1 and not _exists_dominating(h, h_full, gamma):
+            plus |= 1 << v
+        elif _exists_dominating(h, h_full, gamma - 1):
+            minus |= 1 << v
     return {
-        "plus": removal[RemovalClass.PLUS],
-        "zero": removal[RemovalClass.ZERO],
-        "minus": removal[RemovalClass.MINUS],
+        "plus": plus,
+        "zero": full & ~(plus | minus),
+        "minus": minus,
         "core": core,
         "corona_only": corona & ~core,
-        "anticore": g.full_mask & ~corona,
+        "anticore": full & ~corona,
     }
 
 

@@ -31,8 +31,9 @@ the subsets that are the least mask in their orbit, which selects the
 same children, in the same order, as keeping the first child of each
 isomorphism class would.  The generators of Aut(P) come from the
 canonical-form search (canonical.automorphism_generators), once per
-parent; the orbits of subsets are one union-find over the 2**k masks,
-and a parent with a trivial group skips it and tries every subset.
+parent.  The prefilter is constant on each orbit, so it runs first, and
+only the orbits of the subsets it keeps are closed under the
+generators; a parent with a trivial group tries every subset it keeps.
 Children of different parents are never isomorphic, since deleting the
 canonical vertex gives back the parent, so each isomorphism class
 appears exactly once globally.  The tree is rooted at the null graph,
@@ -56,6 +57,7 @@ exchanges of index bits until the set stops growing.
 from __future__ import annotations
 
 import os
+import threading
 from collections.abc import Iterator
 from contextlib import contextmanager
 from functools import partial
@@ -120,35 +122,44 @@ def _is_canonical_child(g: Graph, new: int) -> bool:
     return True
 
 
-def _subset_orbit_minima(k: int, generators) -> list[int]:
-    """The nonempty subsets of range(k), as masks, that are the least
-    mask in their orbit under the group the permutations generate.
+def _image_table(moved: list[int]) -> list[int]:
+    """table[s] is the union of moved[i] over the bits i of s."""
+    table = [0]
+    for m in moved:
+        table += [t | m for t in table]
+    return table
 
-    Union-find over all 2**k masks: each generator joins every mask with
-    its image, and a union hangs the larger root under the smaller, so
-    every root is the minimum of its orbit.
+
+def _subset_orbit_minima(k: int, generators, candidates) -> Iterator[int]:
+    """The masks of candidates that are the least mask in their orbit
+    under the group the permutations of range(k) generate.
+
+    candidates must be increasing and a union of orbits, so the first
+    candidate met in an orbit is its least mask.  Each candidate not yet
+    seen closes its orbit by applying the generators until nothing new
+    appears; masks that are not candidates cost nothing.  An image is
+    two table lookups, one per half of the mask's bits.
     """
-    size = 1 << k
-    root = list(range(size))
-
-    def find(s: int) -> int:
-        while root[s] != s:
-            root[s] = root[root[s]]
-            s = root[s]
-        return s
-
-    image = [0] * size
-    for perm in generators:
-        moved = [1 << w for w in perm]
-        for s in range(1, size):
-            low = s & -s
-            image[s] = image[s ^ low] | moved[low.bit_length() - 1]
-            a, b = find(s), find(image[s])
-            if a < b:
-                root[b] = a
-            elif b < a:
-                root[a] = b
-    return [s for s in range(1, size) if root[s] == s]
+    half = k // 2
+    low_bits = (1 << half) - 1
+    tables = [
+        (_image_table(moved[:half]), _image_table(moved[half:]))
+        for moved in ([1 << w for w in perm] for perm in generators)
+    ]
+    seen = set()
+    for s in candidates:
+        if s in seen:
+            continue
+        seen.add(s)
+        frontier = [s]
+        while frontier:
+            t = frontier.pop()
+            for low, high in tables:
+                u = low[t & low_bits] | high[t >> half]
+                if u not in seen:
+                    seen.add(u)
+                    frontier.append(u)
+        yield s
 
 
 def _children(parent: Graph, generators) -> Iterator[Graph]:
@@ -163,22 +174,28 @@ def _children(parent: Graph, generators) -> Iterator[Graph]:
     when a non-cut vertex u of the parent has deg(u) <= s - 1 outside S
     or deg(u) <= s - 2 inside S: u's child degree is below s and, by
     the lemma in the module docstring, u stays deletable, so
-    _is_canonical_child would reject the child.
+    _is_canonical_child would reject the child.  Degrees and cut
+    vertices are Aut(parent)-invariant, so this skips whole orbits and
+    runs before the orbits are formed.
     """
     k = parent.n
-    # the new vertex needs a neighbor to keep the child connected, unless
-    # it is the first vertex: the null graph's one child is K1
-    subsets = _subset_orbit_minima(k, generators) if generators else range(1 if k else 0, 1 << k)
     # at_most[d]: the parent's non-cut vertices of degree <= d
     at_most = [0] * k
     for v in bits(parent.full_mask & ~cut_vertices(parent)):
         at_most[parent.adj[v].bit_count()] |= 1 << v
     for d in range(1, k):
         at_most[d] |= at_most[d - 1]
-    for subset in subsets:
+
+    def kept(subset: int) -> bool:
         s = subset.bit_count()
-        if s >= 2 and (at_most[s - 1] & ~subset or at_most[s - 2] & subset):
-            continue
+        return s < 2 or not (at_most[s - 1] & ~subset or at_most[s - 2] & subset)
+
+    # the new vertex needs a neighbor to keep the child connected, unless
+    # it is the first vertex: the null graph's one child is K1
+    subsets = filter(kept, range(1 if k else 0, 1 << k))
+    if generators:
+        subsets = _subset_orbit_minima(k, generators, subsets)
+    for subset in subsets:
         child = add_vertex(parent, subset)
         if _is_canonical_child(child, k):
             yield child
@@ -214,13 +231,35 @@ def _ordered_map(jobs: int):
     units are parents (see map_children).  Items, results and the
     function are pickled for the workers, so the function must be a
     module-level name or a partial of one.
+
+    A block that ends normally stops every map from taking further
+    items, lets the workers finish the chunks already sent, and closes
+    and joins the pool.  Only an exception terminates it: terminate
+    kills the workers, and a worker killed while it holds the result
+    queue's lock leaves the pool's task thread waiting for that lock
+    forever, so the exit hangs.
     """
     workers = min(jobs, os.cpu_count() or 1)
     if workers <= 1:
         yield map
         return
-    with Pool(workers) as pool:
-        yield partial(pool.imap, chunksize=_PARENT_CHUNK)
+    stopped = threading.Event()
+
+    def feed(items):
+        for item in items:
+            if stopped.is_set():
+                return
+            yield item
+
+    pool = Pool(workers)
+    try:
+        yield lambda fn, items: pool.imap(fn, feed(items), chunksize=_PARENT_CHUNK)
+    except BaseException:
+        pool.terminate()
+        raise
+    stopped.set()
+    pool.close()
+    pool.join()
 
 
 def _map_children(fn, parent: Graph) -> list:

@@ -5,8 +5,9 @@ graph: certain classes (or intersections like "core&zero") must be
 nonempty or empty, have an exact size, cover the vertex set, or contain
 a cut vertex.  Signatures evaluate against the definitional
 classification masks (minimum-set enumeration for membership, budget
-probes for removal), never against the structural theorems, so search
-results stay independent of the theorems the package verifies.
+probes for removal, the PLUS probe on core vertices only), never
+against the structural theorems, so search results stay independent
+of the theorems the package verifies.
 
 search_signature scans the connected-graph stream order by order.  A
 cheap necessary test using membership masks alone runs before any
@@ -281,7 +282,7 @@ class SearchResult:
 def evaluate_signature(sig: PartitionSignature, g: Graph) -> bool:
     """Full evaluation: membership prefilter, then classification masks."""
     gamma = gamma_value(g)
-    core, corona = core_and_corona(g)
+    core, corona = core_and_corona(g, gamma)
     membership = {
         "core": core,
         "corona_only": corona & ~core,

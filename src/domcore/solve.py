@@ -276,15 +276,18 @@ def all_minimum_dominating_sets(g: Graph) -> DominationReport:
     return DominationReport(value, found[0], found)
 
 
-def core_and_corona(g: Graph) -> tuple[int, int]:
+def core_and_corona(g: Graph, gamma: int | None = None) -> tuple[int, int]:
     """Masks (intersection, union) over all minimum dominating sets.
 
     Folds the minimum-set stream, stopping early once the intersection
-    is empty and the union is everything.
+    is empty and the union is everything.  gamma, if given, must be
+    gamma(g).
     """
+    if gamma is None:
+        gamma = gamma_value(g)
     full = g.full_mask
     core, corona = full, 0
-    for s in _minimum_sets(closed_masks(g), full, gamma_value(g)):
+    for s in _minimum_sets(closed_masks(g), full, gamma):
         core &= s
         corona |= s
         if not core and corona == full:

@@ -112,7 +112,7 @@ def nine_sweep_step(g: Graph):
     """
     text = write_graph6(g)
     gamma = gamma_value(g)
-    core, corona = core_and_corona(g)
+    core, corona = core_and_corona(g, gamma)
     membership = {
         "core": core,
         "corona_only": corona & ~core,

@@ -16,7 +16,8 @@ from domcore import (
     membership_class,
     removal_class,
 )
-from domcore.classify import report_to_dict
+from domcore.classify import _exists_dominating, classification_masks, report_to_dict
+from domcore.solve import core_and_corona, gamma_value
 from helpers import complete_bipartite, cycle, graphs, path, relabel, relabeled_graphs, star
 
 K1 = build_graph(1, [])
@@ -174,6 +175,49 @@ def test_structural_equals_definitional_property(g):
     # random graphs may be empty, disconnected or have isolated vertices,
     # which the connected corpus never has
     assert classify_all(g) == classify_by_enumeration(g)
+
+
+def _check_masks_against_reference(g):
+    """classification_masks, with and without core_corona passed, equals
+    the classes classify_by_enumeration reads off the minimum sets."""
+    want = classify_by_enumeration(g)
+    expected = {
+        "plus": want.mask_of_removal(RemovalClass.PLUS),
+        "zero": want.mask_of_removal(RemovalClass.ZERO),
+        "minus": want.mask_of_removal(RemovalClass.MINUS),
+        "core": want.core_mask,
+        "corona_only": want.mask_of_membership(MembershipClass.CORONA_ONLY),
+        "anticore": want.anticore_mask,
+    }
+    assert classification_masks(g) == expected
+    assert classification_masks(g, want.gamma, core_and_corona(g)) == expected
+
+
+def test_classification_masks_match_reference(corpus7):
+    for _, g in corpus7:
+        _check_masks_against_reference(g)
+
+
+@given(graphs(0, 10))
+def test_classification_masks_match_reference_property(g):
+    # isolated vertices and disconnected graphs included
+    _check_masks_against_reference(g)
+
+
+def test_plus_probe_runs_on_core_vertices_only(corpus6, monkeypatch):
+    # a count, not a timing: one budget-gamma probe per core vertex and
+    # one budget gamma - 1 probe per vertex that is not PLUS; a change
+    # that probes every vertex at budget gamma again raises the total
+    calls = []
+    monkeypatch.setattr(
+        "domcore.classify._exists_dominating",
+        lambda *a: calls.append(a) or _exists_dominating(*a),
+    )
+    want = 0
+    for _, g in corpus6:
+        masks = classification_masks(g, gamma_value(g), core_and_corona(g))
+        want += masks["core"].bit_count() + g.n - masks["plus"].bit_count()
+    assert (len(calls), want) == (812, 812)
 
 
 @given(graphs(0, 12))

@@ -205,6 +205,17 @@ def test_ordered_map_keeps_order():
             assert list(ordered_map(abs, [])) == []
 
 
+def test_ordered_map_joins_the_pool_after_a_partial_read(monkeypatch):
+    # terminate kills workers, and one killed while it holds the result
+    # queue's lock hangs the pool's exit; a block that ends normally,
+    # even after reading only part of a map, closes and joins the pool
+    terminated = []
+    monkeypatch.setattr("multiprocessing.pool.Pool.terminate", terminated.append)
+    with _ordered_map(2) as ordered_map:
+        assert next(ordered_map(abs, range(-1000, 0))) == 1000
+    assert terminated == []
+
+
 def test_ordered_map_never_exceeds_cpu_count(monkeypatch):
     started = []
 
@@ -453,4 +464,10 @@ def test_subset_orbit_minima_match_bruteforce(case):
     g, perm = case
     for h in (g, relabel(g, perm)):
         want = _subset_orbit_minima_bruteforce(h)
-        assert _subset_orbit_minima(h.n, automorphism_generators(h)) == want
+        generators = automorphism_generators(h)
+        every = range(1, 1 << h.n)
+        assert list(_subset_orbit_minima(h.n, generators, every)) == want
+        # candidates that are a union of orbits, as the prefilter keeps
+        odd = [s for s in every if s.bit_count() % 2]
+        got = list(_subset_orbit_minima(h.n, generators, iter(odd)))
+        assert got == [s for s in want if s.bit_count() % 2]

@@ -109,6 +109,11 @@ def test_core_and_corona():
     assert corona == 0b111111
 
 
+def test_core_and_corona_takes_gamma(corpus6):
+    for _, g in corpus6:
+        assert core_and_corona(g, gamma_value(g)) == core_and_corona(g)
+
+
 def test_independence_number():
     assert independence_number(cycle(5)) == 2
     assert independence_number(path(4)) == 2
