@@ -29,7 +29,6 @@ from .graph6 import parse_graph6, write_graph6
 from .recognize import class_flags, flags_to_dict
 from .search import (
     SEARCH_MAX,
-    SIGNATURE_FILTERS,
     SIGNATURES,
     search_signature,
     witness_directory,
@@ -161,11 +160,9 @@ def _cmd_search(args) -> int:
         return _fail_usage("--jobs must be at least 1")
     if args.limit is not None and args.limit < 1:
         return _fail_usage("--limit must be at least 1")
-    sig = SIGNATURES[args.signature]
     result = search_signature(
         args.nmax,
-        sig,
-        class_filter=SIGNATURE_FILTERS.get(args.signature),
+        SIGNATURES[args.signature],
         stop_at_first_order=not args.full,
         max_graphs=args.limit,
         jobs=args.jobs,

@@ -3,11 +3,13 @@
 A PartitionSignature states requirements on the class masks of one
 graph: certain classes (or intersections like "core&zero") must be
 nonempty or empty, have an exact size, cover the vertex set, or contain
-a cut vertex.  Signatures evaluate against the definitional
-classification masks (minimum-set enumeration for membership, budget
-probes for removal, the PLUS probe on core vertices only), never
-against the structural theorems, so search results stay independent
-of the theorems the package verifies.
+a cut vertex.  A signature may also name a graph class (graph_class, a
+membership test); it then holds only on graphs of that class.
+Signatures evaluate against the definitional classification masks
+(minimum-set enumeration for membership, budget probes for removal, the
+PLUS probe on core vertices only), never against the structural
+theorems, so search results stay independent of the theorems the
+package verifies.
 
 search_signature scans the connected-graph stream order by order.  A
 cheap necessary test using membership masks alone runs before any
@@ -26,14 +28,14 @@ included.  The parent process enumerates only the graphs one vertex
 smaller and sends them to the workers as pickled Graphs; each worker
 builds their children, evaluates them, and sends back one result per
 child (enumeration.map_children).  Results come back in stream order,
-so the result does not depend on jobs.  A class filter that is not
-registered in SIGNATURE_FILTERS (a lambda, say) may not pickle, so
-such a search runs sequentially.
+so the result does not depend on jobs.  The signature is pickled with
+each chunk, so its graph_class must then be a module-level function.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
@@ -61,6 +63,8 @@ class PartitionSignature:
     exact: expression -> required exact cardinality.
     cover: expressions whose union must be the whole vertex set.
     cut_vertex_in: expression that must contain a cut vertex.
+    graph_class: membership test of the graph class the signature ranges
+    over, or None for every graph.
     """
 
     name: str
@@ -70,6 +74,11 @@ class PartitionSignature:
     exact: tuple[tuple[str, int], ...] = ()
     cover: tuple[str, ...] = ()
     cut_vertex_in: str | None = None
+    graph_class: Callable[[Graph], bool] | None = None
+
+    def __post_init__(self) -> None:
+        if self.graph_class is not None and not callable(self.graph_class):
+            raise GraphError(f"graph_class of signature {self.name} must be callable")
 
     def _mask(self, expr: str, masks: dict[str, int], full: int) -> int:
         value = full
@@ -80,6 +89,8 @@ class PartitionSignature:
         return value
 
     def evaluate(self, g: Graph, masks: dict[str, int]) -> bool:
+        if self.graph_class is not None and not self.graph_class(g):
+            return False
         full = g.full_mask
         for expr in self.nonempty:
             if not self._mask(expr, masks, full):
@@ -199,31 +210,16 @@ SIGNATURES: dict[str, PartitionSignature] = {
             name="claw-k4-net-diamond-free-core-zero",
             description="a graph in the (claw,K4,net,diamond)-free family whose core reaches into the zero class",
             nonempty=("core&zero",),
+            graph_class=line_graph_family_filter,
         ),
         PartitionSignature(
             name="cubic-bipartite-core-zero",
             description="a 3-regular bipartite graph whose core reaches into the zero class",
             nonempty=("core&zero",),
+            graph_class=cubic_bipartite_filter,
         ),
     )
 }
-
-# filters tied to registered signatures (searches pass them explicitly)
-SIGNATURE_FILTERS = {
-    "claw-k4-net-diamond-free-core-zero": line_graph_family_filter,
-    "cubic-bipartite-core-zero": cubic_bipartite_filter,
-}
-
-# registry entries the default search commands expose; the cubic
-# bipartite scan is heavy and stays opt-in
-DEFAULT_SIGNATURE_NAMES = (
-    "min-plus-zero-minus-empty-anticore",
-    "all-zero-nonempty-core",
-    "one-plus-rest-zero-nonempty-core-zero",
-    "cut-vertex-in-core-zero",
-    "cover-core-zero-anticore",
-    "claw-k4-net-diamond-free-core-zero",
-)
 
 SEARCH_MAX = 10
 # marks the end of a result stream, since None is a result (no witness)
@@ -280,7 +276,10 @@ class SearchResult:
 
 
 def evaluate_signature(sig: PartitionSignature, g: Graph) -> bool:
-    """Full evaluation: membership prefilter, then classification masks."""
+    """Full evaluation: graph class, membership prefilter, then
+    classification masks."""
+    if sig.graph_class is not None and not sig.graph_class(g):
+        return False
     gamma = gamma_value(g)
     core, corona = core_and_corona(g, gamma)
     membership = {
@@ -294,17 +293,14 @@ def evaluate_signature(sig: PartitionSignature, g: Graph) -> bool:
     return sig.evaluate(g, masks)
 
 
-def _witness(sig: PartitionSignature, class_filter, g: Graph) -> Graph | None:
-    """g if it passes class_filter (when given) and satisfies sig, else None."""
-    if class_filter is not None and not class_filter(g):
-        return None
+def _witness(sig: PartitionSignature, g: Graph) -> Graph | None:
+    """g if it satisfies sig, else None."""
     return g if evaluate_signature(sig, g) else None
 
 
 def search_signature(
     n_max: int,
     sig: PartitionSignature,
-    class_filter=None,
     stop_at_first_order: bool = True,
     max_graphs: int | None = None,
     jobs: int = 1,
@@ -317,8 +313,9 @@ def search_signature(
     examined; hitting the cap marks the result budget_exceeded.  jobs > 1
     opens one pool of that many workers, at most the CPU count, for the
     call; the workers get the graphs one vertex smaller as parents and
-    evaluate their children, and results do not change.  A class_filter
-    not in SIGNATURE_FILTERS runs sequentially whatever jobs is.
+    evaluate their children, and results do not change.  The signature
+    goes to the workers pickled, so with jobs > 1 its graph_class must be
+    a module-level function; a lambda raises.
 
     The count of examined graphs is exact, but the work is not: past the
     cap, up to one parent's children (jobs = 1) or the chunks already
@@ -326,12 +323,7 @@ def search_signature(
     """
     if not 1 <= n_max <= SEARCH_MAX:
         raise GraphError(f"search covers n_max 1..{SEARCH_MAX}")
-    if class_filter is not None and not callable(class_filter):
-        raise GraphError("class_filter must be callable")
-    # workers get the filter pickled by name; an ad-hoc one (a lambda) may not pickle
-    if class_filter not in (None, *SIGNATURE_FILTERS.values()):
-        jobs = 1
-    witness = partial(_witness, sig, class_filter)
+    witness = partial(_witness, sig)
     scans: list[OrderScan] = []
     witnesses: list[tuple[int, Graph]] = []
     examined = 0

@@ -348,12 +348,22 @@ def _neighbors_of_mask(g: Graph, s: int) -> int:
     return out & ~s
 
 
-def _check_chordal_core(ctx: _Ctx):
-    if ctx.g.n < 2 or not is_chordal(ctx.g):
+def _check_core_is_plus(in_class, message: str, ctx: _Ctx):
+    """Yield message if the graph has two or more vertices, passes
+    in_class(ctx) and has a core other than its gamma-raising set."""
+    if ctx.g.n < 2 or not in_class(ctx):
         return
     rep = ctx.enum
     if rep.core_mask != rep.mask_of_removal(RemovalClass.PLUS):
-        yield "chordal graph with core different from the gamma-raising set"
+        yield message
+
+
+# the class tests look the recognizers up when called, so tests can patch them
+_check_chordal_core = partial(
+    _check_core_is_plus,
+    lambda ctx: is_chordal(ctx.g),
+    "chordal graph with core different from the gamma-raising set",
+)
 
 
 def _check_cograph_core(ctx: _Ctx):
@@ -367,20 +377,17 @@ def _check_cograph_core(ctx: _Ctx):
         yield "cograph core vertex that does not raise gamma"
 
 
-def _check_claw_p6_free_core(ctx: _Ctx):
-    if ctx.g.n < 2 or not is_claw_free(ctx.g) or ctx.contains("P6"):
-        return
-    rep = ctx.enum
-    if rep.core_mask != rep.mask_of_removal(RemovalClass.PLUS):
-        yield "(claw,P6)-free graph whose core is not the gamma-raising set"
+_check_claw_p6_free_core = partial(
+    _check_core_is_plus,
+    lambda ctx: is_claw_free(ctx.g) and not ctx.contains("P6"),
+    "(claw,P6)-free graph whose core is not the gamma-raising set",
+)
 
-
-def _check_claw_bull_free_core(ctx: _Ctx):
-    if ctx.g.n < 2 or not is_claw_free(ctx.g) or ctx.contains("bull"):
-        return
-    rep = ctx.enum
-    if rep.core_mask != rep.mask_of_removal(RemovalClass.PLUS):
-        yield "(claw,bull)-free graph whose core is not the gamma-raising set"
+_check_claw_bull_free_core = partial(
+    _check_core_is_plus,
+    lambda ctx: is_claw_free(ctx.g) and not ctx.contains("bull"),
+    "(claw,bull)-free graph whose core is not the gamma-raising set",
+)
 
 
 def _check_claw_free_gamma_i(ctx: _Ctx):

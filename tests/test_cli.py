@@ -160,6 +160,33 @@ def test_search_budget_exit(capsys, tmp_path, monkeypatch):
     assert json.loads(out)["budget_exceeded"] is True
 
 
+# connected graphs per order, n = 1..8
+CONNECTED_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117)
+
+
+@pytest.mark.parametrize(
+    "signature, witnesses",
+    [
+        ("claw-k4-net-diamond-free-core-zero", ("G{d?_K",)),
+        ("cubic-bipartite-core-zero", ()),
+    ],
+)
+def test_class_signature_search_pinned(capsys, tmp_path, signature, witnesses):
+    """A class signature scans every connected graph but finds witnesses
+    only inside its family."""
+    code, out, _ = run_cli(
+        capsys, "search", "--signature", signature, "--nmax", "8", "--tsv",
+        "--witness-dir", str(tmp_path),
+    )
+    assert code == 0
+    expected = [
+        f"scan\t{n}\t{count}\t{int(n == 8 and bool(witnesses))}\tTrue"
+        for n, count in enumerate(CONNECTED_COUNTS, start=1)
+    ]
+    expected += [f"witness\t8\t{text}" for text in witnesses]
+    assert out.splitlines() == expected
+
+
 def test_jobs_do_not_change_stdout(capsys, tmp_path):
     cases = (  # arguments, exit code
         (("search", "--signature", "cover-core-zero-anticore", "--nmax", "7", "--full"), 0),
@@ -188,7 +215,10 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "bogus")[0] == 1
     assert run_cli(capsys, "search", "--signature", "nope", "--nmax", "5")[0] == 1
     assert run_cli(capsys, "search", "--signature", "all-zero-nonempty-core", "--nmax", "99")[0] == 1
+    assert run_cli(capsys, "search", "--signature", "all-zero-nonempty-core", "--nmax", "5", "--jobs", "0")[0] == 1
+    assert run_cli(capsys, "search", "--signature", "all-zero-nonempty-core", "--nmax", "5", "--limit", "0")[0] == 1
     assert run_cli(capsys, "verify", "--nmax", "0")[0] == 1
+    assert run_cli(capsys, "verify", "--nmax", "3", "--jobs", "0")[0] == 1
     assert run_cli(capsys, "enumerate", "--n", "11")[0] == 1
     assert run_cli(capsys)[0] == 1
 

@@ -1,13 +1,14 @@
 import os
+import pickle
 import random
 
 import pytest
 
+import domcore.search
 from domcore import GraphError, build_graph, parse_graph6, write_graph6
 from domcore.classify import classification_masks
 from domcore.graph import bits, cut_vertices
 from domcore.search import (
-    DEFAULT_SIGNATURE_NAMES,
     SEARCH_MAX,
     SIGNATURES,
     PartitionSignature,
@@ -33,7 +34,6 @@ EVERY_CLASS_WITNESS = "Hr`?XCQ"
 
 
 def test_registry_names():
-    assert set(DEFAULT_SIGNATURE_NAMES) <= set(SIGNATURES)
     assert "min-plus-zero-minus-empty-anticore" in SIGNATURES
     for name, sig in SIGNATURES.items():
         assert sig.name == name
@@ -150,13 +150,7 @@ def test_jobs_do_not_change_results():
         # 34 runs out inside the second parent's children, 36 where they end
         (cover, {"max_graphs": 34}, (6, 3, 0, False)),
         (cover, {"max_graphs": 36}, (6, 5, 0, False)),
-        (
-            "claw-k4-net-diamond-free-core-zero",
-            {"class_filter": line_graph_family_filter},
-            (7, 853, 0, True),
-        ),
-        # an ad-hoc filter cannot be pickled, so it runs sequentially
-        (cover, {"class_filter": lambda g: True}, (7, 853, 2, True)),
+        ("claw-k4-net-diamond-free-core-zero", {}, (7, 853, 0, True)),
     )
     for name, kwargs, last_scan in cases:
         seq = search_signature(7, SIGNATURES[name], jobs=1, **kwargs)
@@ -164,6 +158,45 @@ def test_jobs_do_not_change_results():
         assert seq.to_dict() == par.to_dict(), (name, kwargs)
         s = par.scans[-1]
         assert (s.n, s.graphs_scanned, s.witness_count, s.complete) == last_scan
+
+
+def test_unpicklable_graph_class_runs_only_sequentially():
+    cover = SIGNATURES["cover-core-zero-anticore"]
+    sig = PartitionSignature(
+        name="cover-any-graph",
+        description="",
+        cover=cover.cover,
+        graph_class=lambda g: True,
+    )
+    s = search_signature(7, sig, jobs=1).scans[-1]
+    assert (s.n, s.graphs_scanned, s.witness_count, s.complete) == (7, 853, 2, True)
+    # the pickling error type varies across Python versions
+    with pytest.raises((pickle.PicklingError, AttributeError)):
+        search_signature(7, sig, jobs=2)
+
+
+def test_class_signatures_search_only_their_class(corpus6):
+    claw = search_signature(8, SIGNATURES["claw-k4-net-diamond-free-core-zero"])
+    assert [(n, write_graph6(g)) for n, g in claw.witnesses] == [(8, "G{d?_K")]
+    cubic = search_signature(8, SIGNATURES["cubic-bipartite-core-zero"])
+    assert cubic.witnesses == ()
+    assert cubic.exhausted
+    classed = [sig for sig in SIGNATURES.values() if sig.graph_class is not None]
+    assert len(classed) == 2
+    for _, g in corpus6:
+        for sig in classed:
+            assert not evaluate_signature(sig, g) or sig.graph_class(g)
+
+
+def test_graph_class_is_tested_before_gamma(monkeypatch, corpus6):
+    def no_gamma(g):
+        raise AssertionError("gamma computed for a graph outside the class")
+
+    sig = SIGNATURES["cubic-bipartite-core-zero"]
+    outside = [g for _, g in corpus6 if not sig.graph_class(g)]
+    monkeypatch.setattr(domcore.search, "gamma_value", no_gamma)
+    for g in outside:
+        assert not evaluate_signature(sig, g)
 
 
 def test_has_k4_and_filters():
@@ -183,7 +216,7 @@ def test_search_bounds():
     with pytest.raises(GraphError):
         search_signature(SEARCH_MAX + 1, SIGNATURES["all-zero-nonempty-core"])
     with pytest.raises(GraphError):
-        search_signature(5, SIGNATURES["all-zero-nonempty-core"], class_filter=42)
+        PartitionSignature(name="bad", description="", graph_class=42)
 
 
 def test_witness_file_roundtrip(tmp_path):

@@ -94,8 +94,8 @@ def test_pattern_table_is_not_built_on_import():
     assert out.stdout.strip() == "0"
 
 
-def _flagged() -> set[str]:
-    return {c.name for c in verify_corpus(5).checks if c.violation_count}
+def _flagged(n_max: int = 5) -> set[str]:
+    return {c.name for c in verify_corpus(n_max).checks if c.violation_count}
 
 
 def test_pattern_oracle_flags_a_wrong_pattern_search(monkeypatch):
@@ -111,6 +111,20 @@ def test_graph_surgery_flags_a_dropped_edge(monkeypatch):
     # the new vertex loses its edge to the lowest neighbor
     monkeypatch.setattr(domcore.verify, "add_vertex", lambda g, nbrs: real(g, nbrs & (nbrs - 1)))
     assert "graph-surgery" in _flagged()
+
+
+# a class test that accepts every graph; no connected graph on five or fewer
+# vertices has a core other than its gamma-raising set, so these need n = 6
+@pytest.mark.parametrize(
+    "class_test, flags",
+    [
+        ("is_chordal", {"chordal-core-equals-plus"}),
+        ("is_claw_free", {"claw-p6-free-core-in-plus", "claw-bull-free-core-in-plus"}),
+    ],
+)
+def test_core_is_plus_checks_flag_a_wrong_class_test(monkeypatch, class_test, flags):
+    monkeypatch.setattr(domcore.verify, class_test, lambda g: True)
+    assert flags <= _flagged(6)
 
 
 def test_twin_clique_checks_flag_a_wrong_reduced_graph(monkeypatch):
