@@ -275,10 +275,13 @@ def classification_masks(
         "plus": plus,
         "zero": full & ~(plus | minus),
         "minus": minus,
-        "core": core,
-        "corona_only": corona & ~core,
-        "anticore": full & ~corona,
+        **membership_masks(g, core, corona),
     }
+
+
+def membership_masks(g: Graph, core: int, corona: int) -> dict[str, int]:
+    """Membership class masks (core, corona_only, anticore) from core_and_corona(g)."""
+    return {"core": core, "corona_only": corona & ~core, "anticore": g.full_mask & ~corona}
 
 
 def report_to_dict(report: ClassificationReport) -> dict:

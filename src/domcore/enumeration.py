@@ -38,8 +38,8 @@ Children of different parents are never isomorphic, since deleting the
 canonical vertex gives back the parent, so each isomorphism class
 appears exactly once globally.  The tree is rooted at the null graph,
 whose one child is K1.  Since a parent's children depend on nothing
-else, map_children evaluates a function on the children of a parent
-stream with each parent as the work unit of a process pool.
+else, map_children evaluates a function on the stream of one order
+with each parent as the work unit of a process pool.
 
 Two independent oracles back the stream.  An analytic count via the
 permutation cycle index plus an inverse Euler transform gives the number
@@ -61,7 +61,7 @@ import threading
 from collections.abc import Iterator
 from contextlib import contextmanager
 from functools import partial
-from itertools import combinations
+from itertools import chain, combinations
 from math import factorial, gcd
 from multiprocessing import Pool
 
@@ -267,24 +267,25 @@ def _map_children(fn, parent: Graph) -> list:
     return [fn(child) for child in _children(parent, automorphism_generators(parent))]
 
 
-def map_children(ordered_map, fn, parents):
-    """Yield fn(child) for every accepted child of every graph in parents.
+def map_children(ordered_map, fn, n: int):
+    """Yield fn(g) for every g of enumerate_connected(n), in stream order.
 
-    A parent's accepted children depend only on the parent and its
-    automorphism group, so parents, not graphs, are the work unit: each
-    worker of ordered_map (from _ordered_map) builds the children of the
-    parents it is sent and applies fn to them there, and only parents
-    and fn's results cross between processes.  Results come in parent
-    order, each parent's in child order, so with parents the stream of
-    enumerate_connected(n - 1), or NULL_GRAPH alone for n = 1, they
-    follow the stream of enumerate_connected(n) whatever the map.
+    They are the accepted children of the stream of order n - 1 (of the
+    null graph for n = 1), and a parent's children depend only on the
+    parent and its automorphism group.  So parents, not graphs, are the
+    work unit: each worker of ordered_map (from _ordered_map) builds the
+    children of the parents it is sent and applies fn to them there, and
+    only parents and fn's results cross between processes.  Results come
+    in parent order, each parent's in child order, whatever the map.
 
     A parent's children are evaluated together: a consumer that stops
     early may leave up to one parent's results evaluated and unread with
     the builtin map, or every chunk already sent to the pool.
     """
-    for results in ordered_map(partial(_map_children, fn), parents):
-        yield from results
+    if not 1 <= n <= ENUMERATION_MAX:
+        raise GraphError(f"enumeration covers 1..{ENUMERATION_MAX} vertices")
+    parents = enumerate_connected(n - 1) if n > 1 else (NULL_GRAPH,)
+    return chain.from_iterable(ordered_map(partial(_map_children, fn), parents))
 
 
 def enumerate_trees(n: int):

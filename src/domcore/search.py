@@ -13,10 +13,13 @@ package verifies.
 
 search_signature scans the connected-graph stream order by order.  A
 cheap necessary test using membership masks alone runs before any
-removal probes: replacing each removal atom by the full vertex set
-relaxes every expression to a superset, so a failed nonempty/cover/size
-requirement on the relaxed masks is a sound rejection.  Empty
-requirements are not tested, so how much it rejects depends on the
+removal probes.  Replacing each removal atom by the full vertex set
+relaxes every expression to a superset, and the monotone requirements
+(nonempty, exact as a lower bound, cover, cut_vertex_in) can only gain
+from larger masks, so one of them failing on the relaxed masks is a
+sound rejection.  evaluate runs the same monotone walk on the true
+masks, then the empty requirements and the exact sizes.  The prefilter
+does not test empty requirements, so how much it rejects depends on the
 signature: min-plus-zero-minus-empty-anticore, whose nonempty atoms are
 all removal classes, passes every graph (all 11117 at n = 8).  Budgets
 (graph-count caps) are reported in the result, and a scan that reaches
@@ -40,8 +43,12 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 
-from .classify import classification_masks
-from .enumeration import NULL_GRAPH, _ordered_map, enumerate_connected, map_children
+from .classify import classification_masks, membership_masks
+from .enumeration import (
+    _ordered_map,
+    enumerate_connected,  # noqa: F401 -- not called here; bench/tracing.py binds this name
+    map_children,
+)
 from .graph import Graph, GraphError, bits, cut_vertices
 from .graph6 import (
     parse_graph6,  # noqa: F401 -- not called here; bench/tracing.py binds this name
@@ -51,14 +58,14 @@ from .recognize import contains_induced, is_bipartite
 from .solve import core_and_corona, gamma_value
 
 ATOMS = ("plus", "zero", "minus", "core", "corona_only", "anticore")
-_MEMBERSHIP_ATOMS = frozenset({"core", "corona_only", "anticore"})
 
 
 @dataclass(frozen=True)
 class PartitionSignature:
     """Requirements on one graph's class masks.
 
-    Expressions are atoms from ATOMS joined by '&' (intersection).
+    Expressions are atoms from ATOMS joined by '&' (intersection);
+    construction checks them, and the exact sizes, once.
     nonempty / empty: expressions that must / must not have vertices.
     exact: expression -> required exact cardinality.
     cover: expressions whose union must be the whole vertex set.
@@ -79,27 +86,30 @@ class PartitionSignature:
     def __post_init__(self) -> None:
         if self.graph_class is not None and not callable(self.graph_class):
             raise GraphError(f"graph_class of signature {self.name} must be callable")
+        cut = () if self.cut_vertex_in is None else (self.cut_vertex_in,)
+        for expr in (*self.nonempty, *self.empty, *(e for e, _ in self.exact), *self.cover, *cut):
+            if not isinstance(expr, str) or not set(expr.split("&")).issubset(ATOMS):
+                raise GraphError(f"bad class expression {expr!r} in signature {self.name}")
+        for expr, size in self.exact:
+            if type(size) is not int or size < 0:
+                raise GraphError(f"bad size {size!r} for {expr!r} in signature {self.name}")
 
-    def _mask(self, expr: str, masks: dict[str, int], full: int) -> int:
+    @staticmethod
+    def _mask(expr: str, masks: dict[str, int], full: int) -> int:
         value = full
         for atom in expr.split("&"):
-            if atom not in ATOMS:
-                raise GraphError(f"unknown class atom {atom!r} in signature {self.name}")
             value &= masks[atom]
         return value
 
-    def evaluate(self, g: Graph, masks: dict[str, int]) -> bool:
-        if self.graph_class is not None and not self.graph_class(g):
-            return False
+    def _monotone(self, g: Graph, masks: dict[str, int]) -> bool:
+        """The requirements that larger masks can only help: nonempty,
+        exact as a lower bound, cover and cut_vertex_in."""
         full = g.full_mask
         for expr in self.nonempty:
             if not self._mask(expr, masks, full):
                 return False
-        for expr in self.empty:
-            if self._mask(expr, masks, full):
-                return False
         for expr, size in self.exact:
-            if self._mask(expr, masks, full).bit_count() != size:
+            if self._mask(expr, masks, full).bit_count() < size:
                 return False
         if self.cover:
             union = 0
@@ -107,43 +117,28 @@ class PartitionSignature:
                 union |= self._mask(expr, masks, full)
             if union != full:
                 return False
-        if self.cut_vertex_in is not None:
-            if not self._mask(self.cut_vertex_in, masks, full) & cut_vertices(g):
-                return False
-        return True
+        cut = self.cut_vertex_in
+        return cut is None or bool(self._mask(cut, masks, full) & cut_vertices(g))
+
+    def evaluate(self, g: Graph, masks: dict[str, int]) -> bool:
+        if self.graph_class is not None and not self.graph_class(g):
+            return False
+        full = g.full_mask
+        return (
+            self._monotone(g, masks)
+            and not any(self._mask(expr, masks, full) for expr in self.empty)
+            and all(self._mask(expr, masks, full).bit_count() == size for expr, size in self.exact)
+        )
 
     def feasible_by_membership(self, g: Graph, membership: dict[str, int]) -> bool:
         """Sound rejection test using membership masks only.
 
         Removal atoms relax to the full set, making every expression a
-        superset of its true value; requirements that fail even then
-        cannot be met.
+        superset of its true value; monotone requirements that fail even
+        then cannot be met.
         """
         full = g.full_mask
-
-        def relaxed(expr: str) -> int:
-            value = full
-            for atom in expr.split("&"):
-                if atom in _MEMBERSHIP_ATOMS:
-                    value &= membership[atom]
-            return value
-
-        for expr in self.nonempty:
-            if not relaxed(expr):
-                return False
-        for expr, size in self.exact:
-            if relaxed(expr).bit_count() < size:
-                return False
-        if self.cover:
-            union = 0
-            for expr in self.cover:
-                union |= relaxed(expr)
-            if union != full:
-                return False
-        if self.cut_vertex_in is not None:
-            if not relaxed(self.cut_vertex_in) & cut_vertices(g):
-                return False
-        return True
+        return self._monotone(g, dict(membership, plus=full, zero=full, minus=full))
 
 
 def has_k4(g: Graph) -> bool:
@@ -282,15 +277,9 @@ def evaluate_signature(sig: PartitionSignature, g: Graph) -> bool:
         return False
     gamma = gamma_value(g)
     core, corona = core_and_corona(g, gamma)
-    membership = {
-        "core": core,
-        "corona_only": corona & ~core,
-        "anticore": g.full_mask & ~corona,
-    }
-    if not sig.feasible_by_membership(g, membership):
+    if not sig.feasible_by_membership(g, membership_masks(g, core, corona)):
         return False
-    masks = classification_masks(g, gamma, (core, corona))
-    return sig.evaluate(g, masks)
+    return sig.evaluate(g, classification_masks(g, gamma, (core, corona)))
 
 
 def _witness(sig: PartitionSignature, g: Graph) -> Graph | None:
@@ -330,8 +319,7 @@ def search_signature(
     budget_exceeded = False
     with _ordered_map(jobs) as ordered_map:
         for n in range(1, n_max + 1):
-            parents = enumerate_connected(n - 1) if n > 1 else (NULL_GRAPH,)
-            hits = map_children(ordered_map, witness, parents)
+            hits = map_children(ordered_map, witness, n)
             budget = None if max_graphs is None else max(max_graphs - examined, 0)
             scanned = 0
             found: list[Graph] = []

@@ -3,7 +3,7 @@
 from hypothesis import strategies as st
 
 from domcore import Graph, build_graph, parse_graph6, write_graph6
-from domcore.classify import classification_masks
+from domcore.classify import classification_masks, membership_masks
 from domcore.graph import MAX_VERTICES, connected_components, delete_vertex, mask_of
 from domcore.search import SIGNATURES
 from domcore.solve import core_and_corona, gamma_value
@@ -113,11 +113,7 @@ def nine_sweep_step(g: Graph):
     text = write_graph6(g)
     gamma = gamma_value(g)
     core, corona = core_and_corona(g, gamma)
-    membership = {
-        "core": core,
-        "corona_only": corona & ~core,
-        "anticore": g.full_mask & ~corona,
-    }
+    membership = membership_masks(g, core, corona)
     fig_possible = _EVERY_CLASS_SIG.feasible_by_membership(g, membership)
     cut_possible = _CUT_VERTEX_SIG.feasible_by_membership(g, membership)
     sizes, cut_witness = None, False

@@ -83,7 +83,7 @@ def nine_sweep():
     """
     sweep = NineSweep()
     with _ordered_map(os.cpu_count() or 1) as ordered_map:
-        steps = map_children(ordered_map, nine_sweep_step, enumerate_connected(8))
+        steps = map_children(ordered_map, nine_sweep_step, 9)
         for text, roundtrip_ok, sizes, cut_witness in steps:
             sweep.count += 1
             sweep.stream_sha256.update((text + "\n").encode())

@@ -20,7 +20,6 @@ from domcore.canonical import automorphism_generators, canonical_form, rooted_ca
 from domcore.enumeration import (
     ENUMERATION_MAX,
     LABELED_MAX,
-    NULL_GRAPH,
     TREE_ENUMERATION_MAX,
     _children,
     _is_canonical_child,
@@ -241,13 +240,19 @@ def test_map_children_follows_the_stream():
     for jobs in (1, 2):
         with _ordered_map(jobs) as ordered_map:
             for n in range(1, 9):
-                parents = enumerate_connected(n - 1) if n > 1 else (NULL_GRAPH,)
-                got = list(map_children(ordered_map, write_graph6, parents))
+                got = list(map_children(ordered_map, write_graph6, n))
                 if n in STREAM_DIGESTS:
                     text = "".join(line + "\n" for line in got)
                     assert sha256(text.encode()).hexdigest() == STREAM_DIGESTS[n], (jobs, n)
                 else:
                     assert got == streams[n], (jobs, n)
+
+
+def test_map_children_bounds():
+    # the order is checked when the call is made, before any parent is drawn
+    for n in (0, ENUMERATION_MAX + 1):
+        with pytest.raises(GraphError):
+            map_children(map, write_graph6, n)
 
 
 def test_enumeration_bounds():

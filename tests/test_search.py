@@ -6,8 +6,9 @@ import pytest
 
 import domcore.search
 from domcore import GraphError, build_graph, parse_graph6, write_graph6
-from domcore.classify import classification_masks
+from domcore.classify import classification_masks, membership_masks
 from domcore.graph import bits, cut_vertices
+from domcore.solve import core_and_corona
 from domcore.search import (
     SEARCH_MAX,
     SIGNATURES,
@@ -40,9 +41,54 @@ def test_registry_names():
 
 
 def test_unknown_atom_rejected():
-    sig = PartitionSignature(name="bad", description="", nonempty=("halo",))
     with pytest.raises(GraphError):
-        sig.evaluate(path(2), classification_masks(path(2)))
+        PartitionSignature(name="bad", description="", nonempty=("halo",))
+
+
+_TYPOS = {
+    "nonempty": ("core&zeroo",),
+    "empty": ("anticore&bogus",),
+    "exact": (("anticore&bogus", 3),),
+    "cover": ("core&zero", "antcore"),
+    "cut_vertex_in": "core&zeroo",
+}
+
+
+@pytest.mark.parametrize("field", _TYPOS)
+def test_misspelled_atom_fails_at_construction(field):
+    with pytest.raises(GraphError, match="typo"):
+        PartitionSignature(name="typo", description="", **{field: _TYPOS[field]})
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"nonempty": "core"},  # a bare string: its atoms would be its letters
+        {"exact": (("core", -1),)},
+        {"exact": (("core", 1.5),)},
+    ],
+    ids=["bare-string", "negative-size", "fractional-size"],
+)
+def test_malformed_requirement_fails_at_construction(fields):
+    with pytest.raises(GraphError, match="malformed"):
+        PartitionSignature(name="malformed", description="", **fields)
+
+
+def test_exact_size_is_an_equality():
+    # a double star: deleting either center raises gamma, so plus has two vertices
+    g = build_graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
+    masks = classification_masks(g)
+    for size, verdict in ((1, False), (2, True), (3, False)):
+        sig = PartitionSignature(name="plus", description="", exact=(("plus", size),))
+        assert sig.evaluate(g, masks) == verdict, size
+
+
+def test_evaluate_needs_the_removal_masks():
+    g = path(3)
+    membership = membership_masks(g, *core_and_corona(g))
+    for name in ("min-plus-zero-minus-empty-anticore", "all-zero-nonempty-core"):
+        with pytest.raises(KeyError):
+            SIGNATURES[name].evaluate(g, membership)
 
 
 def test_prefilter_is_sound(corpus6):
