@@ -57,13 +57,12 @@ exchanges of index bits until the set stops growing.
 from __future__ import annotations
 
 import os
-import threading
+from collections import deque
 from collections.abc import Iterator
 from contextlib import contextmanager
 from functools import partial
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from math import factorial, gcd
-from multiprocessing import Pool
 
 from .graph import Graph, GraphError, add_vertex, bits, cut_vertices
 from .canonical import (
@@ -223,43 +222,44 @@ def enumerate_connected(n: int):
 
 @contextmanager
 def _ordered_map(jobs: int):
-    """Yield an order-preserving map: the imap of one pool of
-    min(jobs, os.cpu_count()) workers that stays open for the whole
-    block, or the builtin map when that is one worker or none.
+    """Yield an order-preserving map: one process pool of
+    min(jobs, os.cpu_count()) workers for the whole block, or the
+    builtin map when that is one worker or none.
 
     The pool takes items in chunks of _PARENT_CHUNK, since its work
     units are parents (see map_children).  Items, results and the
-    function are pickled for the workers, so the function must be a
-    module-level name or a partial of one.
-
-    A block that ends normally stops every map from taking further
-    items, lets the workers finish the chunks already sent, and closes
-    and joins the pool.  Only an exception terminates it: terminate
-    kills the workers, and a worker killed while it holds the result
-    queue's lock leaves the pool's task thread waiting for that lock
-    forever, so the exit hangs.
+    function are pickled, so the function must be a module-level name
+    or a partial of one.  A map keeps at most 2 * workers chunks
+    submitted and unread, and draws one chunk ahead of them.  A worker
+    that dies raises BrokenProcessPool in the reader, and when the
+    block ends, chunks not yet started are cancelled.
     """
     workers = min(jobs, os.cpu_count() or 1)
     if workers <= 1:
         yield map
         return
-    stopped = threading.Event()
+    # imported here: the executor loads multiprocessing, which maps without a pool never need
+    from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(workers)
 
-    def feed(items):
-        for item in items:
-            if stopped.is_set():
-                return
-            yield item
+    def ordered_map(fn, items):
+        items, window = iter(items), deque()
+        while chunk := list(islice(items, _PARENT_CHUNK)):
+            if len(window) == 2 * workers:
+                yield from window.popleft().result()
+            window.append(pool.submit(_apply, fn, chunk))
+        while window:
+            yield from window.popleft().result()
 
-    pool = Pool(workers)
     try:
-        yield lambda fn, items: pool.imap(fn, feed(items), chunksize=_PARENT_CHUNK)
-    except BaseException:
-        pool.terminate()
-        raise
-    stopped.set()
-    pool.close()
-    pool.join()
+        yield ordered_map
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _apply(fn, items: list) -> list:
+    """fn of every item, in order: one task of the pool in _ordered_map."""
+    return [fn(item) for item in items]
 
 
 def _map_children(fn, parent: Graph) -> list:
@@ -278,9 +278,9 @@ def map_children(ordered_map, fn, n: int):
     only parents and fn's results cross between processes.  Results come
     in parent order, each parent's in child order, whatever the map.
 
-    A parent's children are evaluated together: a consumer that stops
-    early may leave up to one parent's results evaluated and unread with
-    the builtin map, or every chunk already sent to the pool.
+    A consumer that stops early may leave evaluated and unread one
+    parent's children with the builtin map, or with the pool at most
+    2 * workers chunks; chunks not yet started are cancelled.
     """
     if not 1 <= n <= ENUMERATION_MAX:
         raise GraphError(f"enumeration covers 1..{ENUMERATION_MAX} vertices")

@@ -26,13 +26,13 @@ all removal classes, passes every graph (all 11117 at n = 8).  Budgets
 its ceiling without a witness is an explicit "exhausted" outcome rather
 than a silent pass.
 
-With jobs > 1 one process pool serves the whole call, every order
-included.  The parent process enumerates only the graphs one vertex
-smaller and sends them to the workers as pickled Graphs; each worker
-builds their children, evaluates them, and sends back one result per
-child (enumeration.map_children).  Results come back in stream order,
-so the result does not depend on jobs.  The signature is pickled with
-each chunk, so its graph_class must then be a module-level function.
+With jobs > 1 one process pool serves the whole call.  The parent
+enumerates only the graphs one vertex smaller and sends them to the
+workers in chunks, at most two per worker unread, cancelling those not
+started when the scan stops.  The workers evaluate those graphs' children
+(enumeration.map_children), whose results are read in stream order, so
+the result does not depend on jobs.  The signature is pickled with each
+chunk, so its graph_class must then be a module-level function.
 """
 
 from __future__ import annotations
@@ -307,8 +307,8 @@ def search_signature(
     a module-level function; a lambda raises.
 
     The count of examined graphs is exact, but the work is not: past the
-    cap, up to one parent's children (jobs = 1) or the chunks already
-    sent to the pool (jobs > 1) may be evaluated and discarded.
+    cap, one parent's children (jobs = 1) or 2 * workers chunks of parents
+    (jobs > 1; unstarted ones are cancelled) may be evaluated and discarded.
     """
     if not 1 <= n_max <= SEARCH_MAX:
         raise GraphError(f"search covers n_max 1..{SEARCH_MAX}")

@@ -1,7 +1,11 @@
+import multiprocessing
 import os
+import subprocess
+import sys
 import time
 from hashlib import sha256
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -21,6 +25,7 @@ from domcore.enumeration import (
     ENUMERATION_MAX,
     LABELED_MAX,
     TREE_ENUMERATION_MAX,
+    _PARENT_CHUNK,
     _children,
     _is_canonical_child,
     _ordered_map,
@@ -52,6 +57,8 @@ LABELED_BITMAP_SHA256 = {
     6: "250e7e349b897872e8ab1b4b38f2154713da9507972ee3b5f13be367adbb6501",
     7: "6980dd66999b7c9aeacc9eab3d1b4c04333900458cca00bc17288321d46936ca",
 }
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_stream_counts_match_known_sequence():
@@ -204,15 +211,42 @@ def test_ordered_map_keeps_order():
             assert list(ordered_map(abs, [])) == []
 
 
-def test_ordered_map_joins_the_pool_after_a_partial_read(monkeypatch):
-    # terminate kills workers, and one killed while it holds the result
-    # queue's lock hangs the pool's exit; a block that ends normally,
-    # even after reading only part of a map, closes and joins the pool
-    terminated = []
-    monkeypatch.setattr("multiprocessing.pool.Pool.terminate", terminated.append)
+def test_ordered_map_draws_one_window_and_stops_its_workers(monkeypatch):
+    # a consumer that reads one result of an endless input draws at most
+    # the window and one chunk ahead, and the block's exit stops the pool
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    drawn = []
+
+    def endless():
+        while True:
+            drawn.append(None)
+            yield -1
+
     with _ordered_map(2) as ordered_map:
-        assert next(ordered_map(abs, range(-1000, 0))) == 1000
-    assert terminated == []
+        assert next(ordered_map(abs, endless())) == 1
+    assert len(drawn) <= (2 * 2 + 1) * _PARENT_CHUNK
+    assert multiprocessing.active_children() == []
+
+
+def test_ordered_map_raises_when_a_worker_dies():
+    # a worker killed mid-task must end the map with an error, not hang it
+    code = (
+        "import os\n"
+        "from domcore.enumeration import _ordered_map\n"
+        "os.cpu_count = lambda: 2\n"
+        "with _ordered_map(2) as ordered_map:\n"
+        "    list(ordered_map(os._exit, [3] * 16))\n"
+    )
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "BrokenProcessPool" in proc.stderr
 
 
 def test_ordered_map_never_exceeds_cpu_count(monkeypatch):
@@ -222,7 +256,7 @@ def test_ordered_map_never_exceeds_cpu_count(monkeypatch):
         started.append(workers)
         raise RuntimeError("no process may start in this test")
 
-    monkeypatch.setattr("domcore.enumeration.Pool", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     for cpus in (1, None):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         with _ordered_map(100000) as ordered_map:
