@@ -54,7 +54,7 @@ from .graph import (
 from .solve import (
     ALL_SETS_MAX,
     _exists_dominating,
-    all_minimum_dominating_sets,
+    all_minimum_dominating_sets,  # noqa: F401 -- not called here; bench/tracing.py binds this name
     core_and_corona,
     exists_dominating_within,  # noqa: F401 -- not called here; bench/tracing.py binds this name
     gamma_value,
@@ -217,21 +217,17 @@ def classify_all(g: Graph) -> ClassificationReport:
 def classify_by_enumeration(g: Graph) -> ClassificationReport:
     """Classify every vertex straight from the set of all minimum sets.
 
-    The reference implementation: membership is literal intersection
-    and union over the enumerated minimum dominating sets, and removal
+    The reference implementation: membership is the intersection and
+    union over the minimum-set stream (core_and_corona), and removal
     classes recompute gamma on each deleted graph.
     """
     if g.n > ALL_SETS_MAX:
         raise GraphError(f"enumeration route is limited to {ALL_SETS_MAX} vertices")
-    report = all_minimum_dominating_sets(g)
-    core = g.full_mask
-    corona = 0
-    for s in report.all_sets or ():
-        core &= s
-        corona |= s
+    gamma = gamma_value(g)
+    core, corona = core_and_corona(g, gamma)
     rows = []
     for v in range(g.n):
-        delta = gamma_value(delete_vertex(g, v)) - report.gamma
+        delta = gamma_value(delete_vertex(g, v)) - gamma
         removal = (
             RemovalClass.PLUS
             if delta > 0
@@ -244,7 +240,7 @@ def classify_by_enumeration(g: Graph) -> ClassificationReport:
         else:
             membership = MembershipClass.CORONA_ONLY
         rows.append(VertexClassification(v, removal, membership))
-    return ClassificationReport(report.gamma, tuple(rows))
+    return ClassificationReport(gamma, tuple(rows))
 
 
 def classification_masks(

@@ -7,7 +7,7 @@ default or tab-separated rows with --tsv, and is byte-identical across
 repeated runs and across --jobs settings.
 
 Exit codes: 0 success, 1 usage error, 2 input format error, 3 budget
-exceeded, 4 verification violations.
+exceeded, 4 verification violations, 5 a --jobs worker died.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures import BrokenExecutor
 
 from .canonical import CANONICAL_MAX
 from .classify import classify_all, report_to_dict
@@ -42,6 +43,7 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_VIOLATIONS = 4
+EXIT_WORKER = 5
 
 JOBS_HELP = "worker processes, at most the CPU count; the output does not depend on it"
 
@@ -298,6 +300,9 @@ def run(argv=None) -> int:
         return EXIT_INPUT
     except BrokenPipeError:
         return EXIT_OK
+    except BrokenExecutor as exc:
+        print(f"worker error: {exc}", file=sys.stderr)
+        return EXIT_WORKER
     except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

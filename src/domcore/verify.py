@@ -30,12 +30,7 @@ from functools import cache, cached_property, partial
 from itertools import combinations, permutations
 
 from .canonical import canonical_form
-from .classify import (
-    MembershipClass,
-    RemovalClass,
-    classify_all,
-    classify_by_enumeration,
-)
+from .classify import RemovalClass, classify_all, classify_by_enumeration
 from .enumeration import (
     LABELED_MAX,
     _ordered_map,
@@ -59,7 +54,6 @@ from .graph import (
     distance_shell,
     format_edge_list,
     index_after_delete,
-    is_connected,
     is_dominating,
     mask_of,
     parse_edge_list,
@@ -158,9 +152,8 @@ def _check_graph_surgery(ctx: _Ctx):
         back = mask_of(index_after_delete(u, v) for u in bits(g.adj[v]))
         if add_vertex(h, back) != _moved_last(g, v):
             yield f"delete/re-add of {v} is not g with {v} moved last"
-        p = add_pendant(g, v)
-        if p.n != g.n + 1 or p.adj[g.n] != 1 << v:
-            yield f"pendant on {v} malformed"
+        if add_pendant(g, v) != build_graph(g.n + 1, [*g.edges(), (v, g.n)]):
+            yield f"pendant on {v} is not g with a new leaf at {v}"
     if parse_edge_list(format_edge_list(g)) != g:
         yield "edge-list text round-trip changes the graph"
 
@@ -411,34 +404,28 @@ def _check_tcp(ctx: _Ctx):
     g = ctx.g
     gamma = ctx.report.gamma
     for root, tcp in enumerate(ctx.tcps):
-        if sum(tcp.cliques) != g.full_mask:
+        cliques, h = tcp.cliques, tcp.reduced
+        # a sum adds popcounts only without carries, i.e. over disjoint parts
+        if (
+            h.n != len(cliques)
+            or 0 in cliques
+            or sum(cliques) != g.full_mask
+            or sum(c.bit_count() for c in cliques) != g.n
+        ):
             yield f"twin clique partition at {root} does not partition"
             return
-        if tcp.cliques[0] != 1 << root:
+        if cliques[0] != 1 << root:
             yield f"twin clique partition at {root} moves the root"
             return
-        for idx, clique in enumerate(tcp.cliques):
-            if not _is_clique(g, clique):
-                yield f"part {idx} at root {root} is not a clique"
+        # g must be h with each part blown up to its clique
+        for i, clique in enumerate(cliques):
+            around = 0
+            for j in bits(h.adj[i]):
+                around |= cliques[j]
+            if any(g.adj[u] != clique & ~(1 << u) | around for u in bits(clique)):
+                yield f"part {i} at root {root} is not a twin clique of the reduced graph"
                 return
-            vs = list(bits(clique))
-            if idx > 0 and any(ctx.closed[u] != ctx.closed[vs[0]] for u in vs[1:]):
-                yield f"part {idx} at root {root} mixes closed neighborhoods"
-                return
-        for i in range(len(tcp.cliques)):
-            for j in range(i + 1, len(tcp.cliques)):
-                a, b = tcp.cliques[i], tcp.cliques[j]
-                links = sum(
-                    1 for u in bits(a) for w in bits(b) if (g.adj[u] >> w) & 1
-                )
-                if links not in (0, a.bit_count() * b.bit_count()):
-                    yield f"parts {i},{j} at root {root} partially adjacent"
-                    return
-                reduced_edge = (tcp.reduced.adj[i] >> j) & 1
-                if bool(links) != bool(reduced_edge):
-                    yield f"reduced adjacency wrong for parts {i},{j} at root {root}"
-                    return
-        if ctx.once(gamma_exact, tcp.reduced).gamma != gamma:
+        if ctx.once(gamma_exact, h).gamma != gamma:
             yield f"reduced graph at root {root} changes gamma"
             return
 
@@ -601,18 +588,16 @@ class VerifyReport:
         }
 
 
-def _run_checks_on_graph(n_max: int, g: Graph) -> tuple[Graph, int, list[tuple[str, str, str]]]:
-    """Returns (g, checks-run bitmask, violations as (check, graph6, message))."""
+def _run_checks_on_graph(active: tuple[int, ...], g: Graph) -> tuple[Graph, list]:
+    """Run PER_GRAPH_CHECKS[i] for each i in active on g; returns
+    (g, violations as (check, graph6, message))."""
     ctx = _Ctx(g)
-    ran = 0
     violations = []
-    for idx, (name, fn, cap) in enumerate(PER_GRAPH_CHECKS):
-        if g.n > min(cap, n_max):
-            continue
-        ran |= 1 << idx
+    for idx in active:
+        name, fn, _ = PER_GRAPH_CHECKS[idx]
         for message in fn(ctx):
             violations.append((name, ctx.g6, message))
-    return g, ran, violations
+    return g, violations
 
 
 def verify_corpus(n_max: int, jobs: int = 1, progress=None) -> VerifyReport:
@@ -635,20 +620,21 @@ def verify_corpus(n_max: int, jobs: int = 1, progress=None) -> VerifyReport:
     # the labeled oracles need the graphs themselves; they come back with
     # their check results and are held only for the orders the oracles cover
     labeled: dict[int, list[Graph]] = {}
-    check = partial(_run_checks_on_graph, n_max)
     with _ordered_map(jobs) as ordered_map:
         for n in range(1, n_max + 1):
+            # the checks that run at order n; the caps apply only here
+            active = tuple(i for i, (_, _, cap) in enumerate(PER_GRAPH_CHECKS) if n <= cap)
             counts[n] = 0
-            for g, ran, viols in map_children(ordered_map, check, n):
+            for g, viols in map_children(ordered_map, partial(_run_checks_on_graph, active), n):
                 counts[n] += 1
                 if n <= LABELED_MAX:
                     labeled.setdefault(n, []).append(g)
-                for idx in bits(ran):
-                    checked[idx] += 1
                 for name, g6, message in viols:
                     totals[name] += 1
                     if len(violations[name]) < _VIOLATIONS_KEPT:
                         violations[name].append((g6, message))
+            for idx in active:
+                checked[idx] += counts[n]
             if progress is not None:
                 progress(n, counts[n])
 
@@ -660,23 +646,19 @@ def verify_corpus(n_max: int, jobs: int = 1, progress=None) -> VerifyReport:
     return VerifyReport(n_max, sum(counts.values()), tuple(checks))
 
 
+def _result(name: str, checked: int, bad: list[tuple[str, str]]) -> CheckResult:
+    return CheckResult(name, checked, len(bad), tuple(bad[:_VIOLATIONS_KEPT]))
+
+
 def _corpus_level_checks(
     counts: dict[int, int], labeled: dict[int, list[Graph]]
 ) -> list[CheckResult]:
-    results = []
     bad = []
     for n, got in counts.items():
         want = count_connected_graphs(n)
         if got != want:
             bad.append(("", f"n={n}: stream has {got} classes, oracle says {want}"))
-    results.append(
-        CheckResult(
-            "enumeration-count-analytic",
-            sum(counts.values()),
-            len(bad),
-            tuple(bad[:_VIOLATIONS_KEPT]),
-        )
-    )
+    results = [_result("enumeration-count-analytic", sum(counts.values()), bad)]
     bad = []
     checked = 0
     for n, graphs in labeled.items():
@@ -685,13 +667,5 @@ def _corpus_level_checks(
         checked += closure_count
         if oracle_bitmap != closure or oracle_count != closure_count:
             bad.append(("", f"n={n}: relabeling closure misses labeled graphs"))
-    results.append(
-        CheckResult(
-            "enumeration-completeness-labeled",
-            checked,
-            len(bad),
-            tuple(bad[:_VIOLATIONS_KEPT]),
-        )
-    )
+    results.append(_result("enumeration-completeness-labeled", checked, bad))
     return results
-

@@ -4,16 +4,18 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 
+from domcore import parse_graph6
 from domcore.canonical import CANONICAL_MAX
-from domcore.cli import run
+from domcore.cli import EXIT_WORKER, run
 from domcore.enumeration import ENUMERATION_MAX, TREE_ENUMERATION_MAX
 from domcore.search import SEARCH_MAX
 from domcore.solve import ALL_SETS_MAX
-from domcore.verify import VERIFY_MAX
+from domcore.verify import PER_GRAPH_CHECKS, VERIFY_MAX
 
 
 # SHA-256 of the concatenated stdout of gamma, classify and recognize, as
@@ -85,9 +87,16 @@ def test_enumerate_counts(capsys):
     assert json.loads(out)["count"] == 21
 
 
-def test_enumerate_stream_parseable(capsys):
-    from domcore import parse_graph6
+def test_enumerate_tsv(capsys):
+    code, out, _ = run_cli(capsys, "enumerate", "--n", "4", "--tsv")
+    assert code == 0
+    rows = [line.split("\t") for line in out.splitlines()]
+    assert len(rows) == 6
+    assert all(n == "4" and parse_graph6(text).n == 4 for n, text in rows)
+    assert run_cli(capsys, "enumerate", "--n", "5", "--count-only", "--tsv")[:2] == (0, "5\t21\n")
 
+
+def test_enumerate_stream_parseable(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "4")
     assert code == 0
     lines = out.strip().splitlines()
@@ -207,6 +216,30 @@ def test_verify_command(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["all_pass"] is True
+
+
+def test_verify_tsv(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--nmax", "3", "--tsv")
+    assert code == 0
+    rows = [line.split("\t") for line in out.splitlines()]
+    assert len(rows) == len(PER_GRAPH_CHECKS) + 2 == 27
+    assert [row[0] for row in rows[: len(PER_GRAPH_CHECKS)]] == [
+        name for name, _, _ in PER_GRAPH_CHECKS
+    ]
+    # every per-graph check ran on the 4 connected graphs with n <= 3
+    assert {row[1] for row in rows[: len(PER_GRAPH_CHECKS)]} == {"4"}
+    assert all(len(row) == 4 and row[2] == "0" and row[3] == "pass" for row in rows)
+
+
+def test_dead_worker_exits_five(capsys, monkeypatch):
+    def die(*args, **kwargs):
+        raise BrokenProcessPool("a worker process terminated abruptly")
+
+    monkeypatch.setattr("domcore.cli.verify_corpus", die)
+    code, out, err = run_cli(capsys, "verify", "--nmax", "3", "--jobs", "2")
+    assert code == EXIT_WORKER == 5
+    assert out == ""
+    assert err.startswith("worker error: ")
 
 
 def test_usage_errors(capsys):

@@ -114,6 +114,25 @@ def test_core_and_corona_takes_gamma(corpus6):
         assert core_and_corona(g, gamma_value(g)) == core_and_corona(g)
 
 
+def _fold_all_sets(g):
+    """Literal intersection and union of every listed minimum set."""
+    core, corona = g.full_mask, 0
+    for s in all_minimum_dominating_sets(g).all_sets:
+        core &= s
+        corona |= s
+    return core, corona
+
+
+def test_core_and_corona_is_the_fold_of_all_sets(corpus6):
+    for _, g in corpus6:
+        assert core_and_corona(g) == _fold_all_sets(g)
+
+
+@given(graphs(0, 12))
+def test_core_and_corona_is_the_fold_of_all_sets_on_random_graphs(g):
+    assert core_and_corona(g) == _fold_all_sets(g)
+
+
 def test_independence_number():
     assert independence_number(cycle(5)) == 2
     assert independence_number(path(4)) == 2

@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 import domcore.verify
-from domcore import Graph, GraphError, verify_corpus
+from domcore import Graph, GraphError, build_graph, verify_corpus
 from domcore.recognize import PATTERNS, TwinCliquePartition
 from domcore.verify import PER_GRAPH_CHECKS, VERIFY_MAX, _pattern_table
+from helpers import complete
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -113,6 +114,24 @@ def test_graph_surgery_flags_a_dropped_edge(monkeypatch):
     assert "graph-surgery" in _flagged()
 
 
+def test_graph_surgery_flags_a_pendant_that_drops_an_edge(monkeypatch):
+    real = domcore.verify.add_pendant
+
+    def lossy(g, v):
+        # the leaf is right, but v loses its edge to its lowest old neighbor
+        p = real(g, v)
+        if not g.adj[v]:
+            return p
+        w = (g.adj[v] & -g.adj[v]).bit_length() - 1
+        adj = list(p.adj)
+        adj[v] &= ~(1 << w)
+        adj[w] &= ~(1 << v)
+        return Graph(p.n, tuple(adj))
+
+    monkeypatch.setattr(domcore.verify, "add_pendant", lossy)
+    assert "graph-surgery" in _flagged()
+
+
 # a class test that accepts every graph; no connected graph on five or fewer
 # vertices has a core other than its gamma-raising set, so these need n = 6
 @pytest.mark.parametrize(
@@ -142,3 +161,26 @@ def test_twin_clique_checks_flag_a_wrong_reduced_graph(monkeypatch):
     flagged = _flagged()
     assert "twin-clique-partition" in flagged
     assert "twin-clique-core-correspondence" in flagged
+
+
+# parts at root 0 of K3 that sum to V but do not partition it, with the
+# reduced graph their members give: {1} three times and no 2; or an empty
+# part next to both real ones, which keeps K3 and gamma
+@pytest.mark.parametrize(
+    "cliques, edges",
+    [
+        ((0b001, 0b010, 0b010, 0b010), [(0, 1), (0, 2), (0, 3)]),
+        ((0b001, 0b110, 0), [(0, 1), (0, 2), (1, 2)]),
+    ],
+    ids=["repeated-part", "empty-part"],
+)
+def test_twin_clique_partition_flags_a_false_partition(monkeypatch, cliques, edges):
+    real = domcore.verify.twin_clique_partition
+
+    def false_partition(g, root):
+        if g != complete(3) or root != 0:
+            return real(g, root)
+        return TwinCliquePartition(root, cliques, build_graph(len(cliques), edges))
+
+    monkeypatch.setattr(domcore.verify, "twin_clique_partition", false_partition)
+    assert "twin-clique-partition" in _flagged(3)
