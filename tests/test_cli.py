@@ -21,6 +21,8 @@ from domcore.verify import PER_GRAPH_CHECKS, VERIFY_MAX
 # SHA-256 of the concatenated stdout of gamma, classify and recognize, as
 # JSON and as TSV, on --g6 Cl, an --edges file for P3 and a --stdin-g6 stream
 GRAPH_INPUT_STDOUT_SHA256 = "b2ebfcb5ded1b7b8cab047232de9c418d24eaaf68210d0b2d439667c1d3096d6"
+# SHA-256 of classify --stdin-g6 JSON stdout over the 112 graphs of enumerate --n 6
+CLASSIFY_STREAM_SHA256 = "5bf2c06071342c46ad3be021a6d8712125eceb695ee298a543e1e4cf55dd1984"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -70,6 +72,17 @@ def test_graph_input_stdout_pinned(tmp_path, capsys, monkeypatch):
                 assert code == 0
                 digest.update(out.encode())
     assert digest.hexdigest() == GRAPH_INPUT_STDOUT_SHA256
+
+
+def test_classify_stream_pinned(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "enumerate", "--n", "6", "--tsv")
+    assert code == 0
+    lines = [line.split("\t")[1] for line in out.splitlines()]
+    assert len(lines) == 112
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+    code, out, _ = run_cli(capsys, "classify", "--stdin-g6")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_STREAM_SHA256
 
 
 def test_recognize_reports_classes(capsys):
