@@ -80,46 +80,26 @@ class VertexClassification:
     membership: MembershipClass
 
 
+# a class's name in CLASSES, masks() and signatures is its value in lower case
+_NAME = {cls: cls.value.lower() for cls in (*RemovalClass, *MembershipClass)}
+CLASSES = tuple(_NAME.values())  # plus, zero, minus, core, corona_only, anticore
+
+
 @dataclass(frozen=True)
 class ClassificationReport:
     gamma: int
     vertices: tuple[VertexClassification, ...]
 
-    def mask_of_removal(self, cls: RemovalClass) -> int:
-        m = 0
+    def masks(self) -> dict[str, int]:
+        """The vertex mask of each class, keyed by CLASSES."""
+        out = dict.fromkeys(CLASSES, 0)
         for vc in self.vertices:
-            if vc.removal is cls:
-                m |= 1 << vc.vertex
-        return m
-
-    def mask_of_membership(self, cls: MembershipClass) -> int:
-        m = 0
-        for vc in self.vertices:
-            if vc.membership is cls:
-                m |= 1 << vc.vertex
-        return m
-
-    @property
-    def core_mask(self) -> int:
-        return self.mask_of_membership(MembershipClass.CORE)
-
-    @property
-    def anticore_mask(self) -> int:
-        return self.mask_of_membership(MembershipClass.ANTICORE)
-
-    @property
-    def corona_mask(self) -> int:
-        return self.core_mask | self.mask_of_membership(MembershipClass.CORONA_ONLY)
+            out[_NAME[vc.removal]] |= 1 << vc.vertex
+            out[_NAME[vc.membership]] |= 1 << vc.vertex
+        return out
 
     def summary(self) -> dict[str, int]:
-        return {
-            "plus": self.mask_of_removal(RemovalClass.PLUS).bit_count(),
-            "zero": self.mask_of_removal(RemovalClass.ZERO).bit_count(),
-            "minus": self.mask_of_removal(RemovalClass.MINUS).bit_count(),
-            "core": self.core_mask.bit_count(),
-            "corona_only": self.mask_of_membership(MembershipClass.CORONA_ONLY).bit_count(),
-            "anticore": self.anticore_mask.bit_count(),
-        }
+        return {name: m.bit_count() for name, m in self.masks().items()}
 
 
 def _delete(closed: list[int], full: int, v: int) -> tuple[list[int], int]:
@@ -248,7 +228,7 @@ def classification_masks(
 ) -> dict[str, int]:
     """Class bitmasks for signature evaluation, by the definitional route.
 
-    Keys: plus, zero, minus, core, corona_only, anticore.  Membership
+    Keyed by CLASSES, as ClassificationReport.masks().  Membership
     masks come from folding the minimum-set stream; core_corona, if
     given, must be core_and_corona(g).  Removal masks come from budget
     probes on the deleted masks, and the budget-gamma (PLUS) probe runs

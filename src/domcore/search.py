@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 
-from .classify import classification_masks, membership_masks
+from .classify import CLASSES, classification_masks, membership_masks
 from .enumeration import (
     _ordered_map,
     enumerate_connected,  # noqa: F401 -- not called here; bench/tracing.py binds this name
@@ -57,15 +57,13 @@ from .graph6 import (
 from .recognize import contains_induced, is_bipartite
 from .solve import core_and_corona, gamma_value
 
-ATOMS = ("plus", "zero", "minus", "core", "corona_only", "anticore")
-
 
 @dataclass(frozen=True)
 class PartitionSignature:
     """Requirements on one graph's class masks.
 
-    Expressions are atoms from ATOMS joined by '&' (intersection);
-    construction checks them, and the exact sizes, once.
+    Expressions are names from classify.CLASSES joined by '&'
+    (intersection); construction checks them, and the exact sizes, once.
     nonempty / empty: expressions that must / must not have vertices.
     exact: expression -> required exact cardinality.
     cover: expressions whose union must be the whole vertex set.
@@ -88,7 +86,7 @@ class PartitionSignature:
             raise GraphError(f"graph_class of signature {self.name} must be callable")
         cut = () if self.cut_vertex_in is None else (self.cut_vertex_in,)
         for expr in (*self.nonempty, *self.empty, *(e for e, _ in self.exact), *self.cover, *cut):
-            if not isinstance(expr, str) or not set(expr.split("&")).issubset(ATOMS):
+            if not isinstance(expr, str) or not set(expr.split("&")).issubset(CLASSES):
                 raise GraphError(f"bad class expression {expr!r} in signature {self.name}")
         for expr, size in self.exact:
             if type(size) is not int or size < 0:

@@ -30,7 +30,7 @@ from functools import cache, cached_property, partial
 from itertools import combinations, permutations
 
 from .canonical import canonical_form
-from .classify import RemovalClass, classify_all, classify_by_enumeration
+from .classify import classify_all, classify_by_enumeration
 from .enumeration import (
     LABELED_MAX,
     _ordered_map,
@@ -107,6 +107,15 @@ class _Ctx:
         return classify_by_enumeration(self.g)
 
     @cached_property
+    def masks(self) -> dict[str, int]:
+        """The class masks of the definitional classification."""
+        return self.enum.masks()
+
+    @cached_property
+    def ind(self):
+        return independent_domination_number(self.g)
+
+    @cached_property
     def closed(self) -> list[int]:
         return closed_masks(self.g)
 
@@ -176,7 +185,7 @@ def _check_solver_oracle(ctx: _Ctx):
 
 def _check_gamma_chain(ctx: _Ctx):
     gamma = ctx.report.gamma
-    ind = independent_domination_number(ctx.g)
+    ind = ctx.ind
     alpha = independence_number(ctx.g)
     if not gamma <= ind.gamma <= alpha:
         yield f"chain gamma={gamma} i={ind.gamma} alpha={alpha} broken"
@@ -206,34 +215,29 @@ def _check_tree_gamma(ctx: _Ctx):
 
 
 def _check_classifier_equivalence(ctx: _Ctx):
-    if ctx.thm.vertices != ctx.enum.vertices or ctx.thm.gamma != ctx.enum.gamma:
+    if ctx.thm != ctx.enum:
         yield "structural classification differs from definitional"
 
 
 def _check_membership_remarks(ctx: _Ctx):
-    rep = ctx.enum
-    minus = rep.mask_of_removal(RemovalClass.MINUS)
-    anticore = rep.anticore_mask
-    core = rep.core_mask
+    m = ctx.masks
     isolated = mask_of(v for v in range(ctx.g.n) if ctx.g.adj[v] == 0)
-    if anticore & minus:
+    if m["anticore"] & m["minus"]:
         yield "anticore vertex lowers gamma on deletion"
-    if core & minus != isolated:
+    if m["core"] & m["minus"] != isolated:
         yield "core vertices lowering gamma are not exactly the isolated ones"
-    if core & ~rep.corona_mask:
-        yield "core outside corona"
-    counts = rep.summary()
-    if counts["core"] + counts["corona_only"] + counts["anticore"] != ctx.g.n:
-        yield "membership counts do not sum to n"
-    if counts["plus"] + counts["zero"] + counts["minus"] != ctx.g.n:
-        yield "removal counts do not sum to n"
+    for kind, names in (
+        ("membership", ("core", "corona_only", "anticore")),
+        ("removal", ("plus", "zero", "minus")),
+    ):
+        if sum(m[name].bit_count() for name in names) != ctx.g.n:
+            yield f"{kind} counts do not sum to n"
 
 
 def _check_theorem_plus(ctx: _Ctx):
     g = ctx.g
-    rep = ctx.enum
-    gamma = rep.gamma
-    core = rep.core_mask
+    gamma = ctx.enum.gamma
+    core, plus = ctx.masks["core"], ctx.masks["plus"]
     for v in range(g.n):
         outside = g.full_mask & ~ctx.closed[v]
         exists_avoiding = False
@@ -245,7 +249,7 @@ def _check_theorem_plus(ctx: _Ctx):
             if covered | (1 << v) == g.full_mask:
                 exists_avoiding = True
                 break
-        lhs = rep.vertices[v].removal is RemovalClass.PLUS
+        lhs = bool((plus >> v) & 1)
         rhs = g.adj[v] != 0 and bool((core >> v) & 1) and not exists_avoiding
         if lhs != rhs:
             yield f"removal-raises characterization fails at {v}"
@@ -253,15 +257,14 @@ def _check_theorem_plus(ctx: _Ctx):
 
 def _check_theorem_minus(ctx: _Ctx):
     g = ctx.g
-    rep = ctx.enum
+    minus = ctx.masks["minus"]
     for v in range(g.n):
         witness = False
         for s in ctx.report.all_sets:
             if (s >> v) & 1 and private_neighbors(g, v, s) == 1 << v:
                 witness = True
                 break
-        lhs = rep.vertices[v].removal is RemovalClass.MINUS
-        if lhs != witness:
+        if bool((minus >> v) & 1) != witness:
             yield f"removal-lowers characterization fails at {v}"
 
 
@@ -288,7 +291,7 @@ def _check_simplicial(ctx: _Ctx):
     g = ctx.g
     if g.n < 2:
         return
-    core = ctx.enum.core_mask
+    core = ctx.masks["core"]
     for v in range(g.n):
         nv = ctx.closed[v]
         if all(nv & ~ctx.closed[u] == 0 for u in bits(nv)):
@@ -305,32 +308,28 @@ def _is_clique(g: Graph, s: int) -> bool:
 
 def _check_cut_vertex_lemma(ctx: _Ctx):
     g = ctx.g
-    rep = ctx.enum
-    core = rep.core_mask
-    cuts = cut_vertices(g)
-    for v in bits(core & cuts):
+    m = ctx.masks
+    for v in bits(m["core"] & ~m["plus"] & cut_vertices(g)):
         rest = g.full_mask & ~(1 << v)
         if all(
             _is_clique(g, comp & g.adj[v]) for comp in connected_components(g, rest)
         ):
-            if rep.vertices[v].removal is not RemovalClass.PLUS:
-                yield f"clique-attachment cut vertex {v} in core does not raise gamma"
+            yield f"clique-attachment cut vertex {v} in core does not raise gamma"
 
 
 def _check_attachment_lemma(ctx: _Ctx):
     g = ctx.g
     if g.n < 2:
         return
-    rep = ctx.enum
-    for v in bits(rep.core_mask):
+    m = ctx.masks
+    for v in bits(m["core"] & ~m["plus"]):
         outside = g.full_mask & ~ctx.closed[v]
         attachments = [
             g.adj[v] & _neighbors_of_mask(g, comp)
             for comp in connected_components(g, outside)
         ]
         if all(_is_clique(g, a) for a in attachments):
-            if rep.vertices[v].removal is not RemovalClass.PLUS:
-                yield f"clique attachment sets at core vertex {v} without gamma raise"
+            yield f"clique attachment sets at core vertex {v} without gamma raise"
 
 
 def _neighbors_of_mask(g: Graph, s: int) -> int:
@@ -345,8 +344,7 @@ def _check_core_is_plus(in_class, message: str, ctx: _Ctx):
     in_class(ctx) and has a core other than its gamma-raising set."""
     if ctx.g.n < 2 or not in_class(ctx):
         return
-    rep = ctx.enum
-    if rep.core_mask != rep.mask_of_removal(RemovalClass.PLUS):
+    if ctx.masks["core"] != ctx.masks["plus"]:
         yield message
 
 
@@ -361,11 +359,10 @@ _check_chordal_core = partial(
 def _check_cograph_core(ctx: _Ctx):
     if ctx.g.n < 2 or not is_cograph(ctx.g):
         return
-    rep = ctx.enum
-    core = rep.core_mask
+    core = ctx.masks["core"]
     if core.bit_count() > 1:
         yield "cograph with more than one core vertex"
-    if core & ~rep.mask_of_removal(RemovalClass.PLUS):
+    if core & ~ctx.masks["plus"]:
         yield "cograph core vertex that does not raise gamma"
 
 
@@ -385,7 +382,7 @@ _check_claw_bull_free_core = partial(
 def _check_claw_free_gamma_i(ctx: _Ctx):
     if not is_claw_free(ctx.g):
         return
-    if independent_domination_number(ctx.g).gamma != ctx.report.gamma:
+    if ctx.ind.gamma != ctx.report.gamma:
         yield "claw-free graph with gamma below independent domination number"
 
 
@@ -417,7 +414,10 @@ def _check_tcp(ctx: _Ctx):
         if cliques[0] != 1 << root:
             yield f"twin clique partition at {root} moves the root"
             return
-        # g must be h with each part blown up to its clique
+        # g must be h with each part blown up to its clique, and the parts
+        # besides the root must be whole twin classes: clique | around is
+        # the closed neighborhood of each member, so no two parts share it
+        seen = set()
         for i, clique in enumerate(cliques):
             around = 0
             for j in bits(h.adj[i]):
@@ -425,6 +425,11 @@ def _check_tcp(ctx: _Ctx):
             if any(g.adj[u] != clique & ~(1 << u) | around for u in bits(clique)):
                 yield f"part {i} at root {root} is not a twin clique of the reduced graph"
                 return
+            if i:
+                if (clique | around) in seen:
+                    yield f"twin clique partition at {root} splits a twin class"
+                    return
+                seen.add(clique | around)
         if ctx.once(gamma_exact, h).gamma != gamma:
             yield f"reduced graph at root {root} changes gamma"
             return
@@ -434,9 +439,8 @@ def _check_tcp_core_correspondence(ctx: _Ctx):
     g = ctx.g
     sets = ctx.report.all_sets
     for root, tcp in enumerate(ctx.tcps):
-        hrep = ctx.once(classify_by_enumeration, tcp.reduced)
-        core_h = hrep.core_mask
-        anticore_h = hrep.anticore_mask
+        masks_h = ctx.once(_reference_masks, tcp.reduced)
+        core_h, anticore_h = masks_h["core"], masks_h["anticore"]
         for i, clique in enumerate(tcp.cliques):
             always_one = all((s & clique).bit_count() == 1 for s in sets)
             never = all(s & clique == 0 for s in sets)
@@ -446,6 +450,10 @@ def _check_tcp_core_correspondence(ctx: _Ctx):
             if never != bool((anticore_h >> i) & 1):
                 yield f"anticore correspondence fails for part {i} at root {root}"
                 return
+
+
+def _reference_masks(g: Graph) -> dict[str, int]:
+    return classify_by_enumeration(g).masks()
 
 
 @cache
@@ -512,8 +520,7 @@ def _check_canonical_relabeling(ctx: _Ctx):
 
 
 def _check_graph6_roundtrip(ctx: _Ctx):
-    text = write_graph6(ctx.g)
-    if parse_graph6(text) != ctx.g:
+    if parse_graph6(ctx.g6) != ctx.g:
         yield "graph6 round-trip changes the graph"
 
 

@@ -16,7 +16,7 @@ from domcore import (
     membership_class,
     removal_class,
 )
-from domcore.classify import _exists_dominating, classification_masks, report_to_dict
+from domcore.classify import CLASSES, _exists_dominating, classification_masks, report_to_dict
 from domcore.solve import core_and_corona, gamma_value
 from helpers import complete_bipartite, cycle, graphs, path, relabel, relabeled_graphs, star
 
@@ -123,11 +123,15 @@ def test_each_class_pair_has_a_named_case(case):
 
 def test_report_masks_and_summary():
     rep = classify_all(star(3))
-    assert rep.core_mask == 0b0001
-    assert rep.anticore_mask == 0b1110
-    assert rep.corona_mask == 0b0001
-    counts = rep.summary()
-    assert counts == {
+    assert rep.masks() == {
+        "plus": 0b0001,
+        "zero": 0b1110,
+        "minus": 0,
+        "core": 0b0001,
+        "corona_only": 0,
+        "anticore": 0b1110,
+    }
+    assert rep.summary() == {
         "plus": 1,
         "zero": 3,
         "minus": 0,
@@ -135,8 +139,19 @@ def test_report_masks_and_summary():
         "corona_only": 0,
         "anticore": 3,
     }
-    assert rep.core_mask & ~rep.corona_mask == 0
-    assert rep.anticore_mask == 0b1111 & ~rep.corona_mask
+
+
+@given(graphs(0, 12))
+def test_report_masks_partition_the_vertices(g):
+    rep = classify_all(g)
+    masks = rep.masks()
+    for names in (CLASSES[:3], CLASSES[3:]):
+        parts = [masks[name] for name in names]
+        assert sum(parts) == g.full_mask
+        assert sum(m.bit_count() for m in parts) == g.n  # no carries: disjoint
+    assert rep.summary() == {name: m.bit_count() for name, m in masks.items()}
+    assert tuple(masks) == CLASSES
+    assert tuple(classification_masks(g)) == CLASSES
 
 
 def test_report_to_dict_shape():
@@ -181,14 +196,7 @@ def _check_masks_against_reference(g):
     """classification_masks, with and without core_corona passed, equals
     the classes classify_by_enumeration reads off the minimum sets."""
     want = classify_by_enumeration(g)
-    expected = {
-        "plus": want.mask_of_removal(RemovalClass.PLUS),
-        "zero": want.mask_of_removal(RemovalClass.ZERO),
-        "minus": want.mask_of_removal(RemovalClass.MINUS),
-        "core": want.core_mask,
-        "corona_only": want.mask_of_membership(MembershipClass.CORONA_ONLY),
-        "anticore": want.anticore_mask,
-    }
+    expected = want.masks()
     assert classification_masks(g) == expected
     assert classification_masks(g, want.gamma, core_and_corona(g)) == expected
 

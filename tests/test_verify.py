@@ -163,6 +163,23 @@ def test_twin_clique_checks_flag_a_wrong_reduced_graph(monkeypatch):
     assert "twin-clique-core-correspondence" in flagged
 
 
+def test_twin_clique_partition_flags_split_twin_classes(monkeypatch):
+    # every vertex its own part, root first: a partition into cliques that
+    # g blows up from exactly, but not into twin classes
+    def singletons(g, root):
+        order = [root] + [v for v in range(g.n) if v != root]
+        pos = {v: i for i, v in enumerate(order)}
+        h = build_graph(g.n, [(pos[u], pos[w]) for u, w in g.edges()])
+        return TwinCliquePartition(root, tuple(1 << v for v in order), h)
+
+    monkeypatch.setattr(domcore.verify, "twin_clique_partition", singletons)
+    report = verify_corpus(4)
+    assert {c.name for c in report.checks if c.violation_count} == {"twin-clique-partition"}
+    (check,) = (c for c in report.checks if c.name == "twin-clique-partition")
+    assert check.violation_count == 4
+    assert all("splits a twin class" in message for _, message in check.violations)
+
+
 # parts at root 0 of K3 that sum to V but do not partition it, with the
 # reduced graph their members give: {1} three times and no 2; or an empty
 # part next to both real ones, which keeps K3 and gamma
