@@ -14,12 +14,14 @@ Graphs are frozen dataclasses and every operation returns a new graph;
 nothing here mutates.  Validity (an int vertex count, a tuple of int
 masks, symmetric adjacency, no self-loops, no bits outside the vertex
 range) is enforced by the public constructors that take data from
-outside the program: ``Graph(...)``, build_graph, parse_edge_list and
-graph6's parse_graph6.  Graphs derived from a valid graph by add_vertex,
-delete_vertex and add_pendant inherit its validity: those functions
-check their own arguments (vertex, neighbor mask, capacity) and then
-build the result without validating it again.  So a Graph that exists
-is always well formed.
+outside the program: ``Graph(...)``, build_graph and parse_edge_list.
+Graphs derived from a valid graph by add_vertex, delete_vertex and
+add_pendant inherit its validity: those functions check their own
+arguments (vertex, neighbor mask, capacity) and then build the result
+through _derived, without validating it again.  graph6's parse_graph6
+builds through _derived too: it checks its input text, and sets each
+edge in both directions, off the diagonal, for n <= 62 only.  So a
+Graph that exists is always well formed.
 """
 
 from __future__ import annotations
@@ -114,7 +116,8 @@ def _derived(n: int, adj: tuple[int, ...]) -> Graph:
 
     Only for add_vertex, delete_vertex and add_pendant, whose results are
     well formed whenever their input graph is and their own argument
-    checks pass.
+    checks pass, and for graph6's parse_graph6, which checks its text and
+    sets each edge in both directions, off the diagonal, for n <= 62.
     """
     g = object.__new__(Graph)
     object.__setattr__(g, "n", n)

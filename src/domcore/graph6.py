@@ -10,7 +10,7 @@ rather than guessing.
 
 from __future__ import annotations
 
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, _derived
 
 MAX_GRAPH6_VERTICES = 62
 
@@ -76,4 +76,5 @@ def parse_graph6(text: str) -> Graph:
         used = bit_index % 6
         if used and data[-1] & ((1 << (6 - used)) - 1):
             raise Graph6Error("nonzero padding bits in final graph6 byte")
-    return Graph(n, tuple(adj))
+    # well formed by construction (see graph._derived), so not validated again
+    return _derived(n, tuple(adj))

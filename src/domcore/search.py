@@ -115,8 +115,11 @@ class PartitionSignature:
                 union |= self._mask(expr, masks, full)
             if union != full:
                 return False
-        cut = self.cut_vertex_in
-        return cut is None or bool(self._mask(cut, masks, full) & cut_vertices(g))
+        if self.cut_vertex_in is None:
+            return True
+        # an empty mask fails without the cut-vertex DFS
+        cut = self._mask(self.cut_vertex_in, masks, full)
+        return bool(cut) and bool(cut & cut_vertices(g))
 
     def evaluate(self, g: Graph, masks: dict[str, int]) -> bool:
         if self.graph_class is not None and not self.graph_class(g):

@@ -309,7 +309,10 @@ def _is_clique(g: Graph, s: int) -> bool:
 def _check_cut_vertex_lemma(ctx: _Ctx):
     g = ctx.g
     m = ctx.masks
-    for v in bits(m["core"] & ~m["plus"] & cut_vertices(g)):
+    candidates = m["core"] & ~m["plus"]
+    if not candidates:
+        return
+    for v in bits(candidates & cut_vertices(g)):
         rest = g.full_mask & ~(1 << v)
         if all(
             _is_clique(g, comp & g.adj[v]) for comp in connected_components(g, rest)

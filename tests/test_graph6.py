@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
-from domcore import Graph6Error, build_graph, parse_graph6, write_graph6
-from domcore.graph6 import MAX_GRAPH6_VERTICES
+from domcore import Graph, Graph6Error, build_graph, parse_graph6, write_graph6
+from domcore.graph6 import MAX_GRAPH6_VERTICES, _data_length
 from helpers import complete, cycle, graphs, path
 
 
@@ -66,3 +66,44 @@ def test_parse_rejects_nonzero_padding():
 def test_strip_is_not_applied():
     with pytest.raises(Graph6Error):
         parse_graph6(" Cl")
+
+
+def _well_formed(text):
+    """Independent reading of the short-form rules parse_graph6 enforces."""
+    if not text or not all(63 <= ord(ch) <= 126 for ch in text):
+        return False
+    n = ord(text[0]) - 63
+    if n > MAX_GRAPH6_VERTICES or len(text) != 1 + _data_length(n):
+        return False
+    pad = -(n * (n - 1) // 2) % 6
+    return len(text) == 1 or (ord(text[-1]) - 63) & ((1 << pad) - 1) == 0
+
+
+# bodies of the right length for their header, which parse unless the
+# random last byte sets a padding bit, plus free text over a slightly
+# wider alphabet than graph6's for the other errors
+_sized_texts = st.integers(0, MAX_GRAPH6_VERTICES).flatmap(
+    lambda n: st.lists(
+        st.integers(63, 126), min_size=_data_length(n), max_size=_data_length(n)
+    ).map(lambda body: chr(n + 63) + "".join(map(chr, body)))
+)
+_free_texts = st.text(st.characters(min_codepoint=60, max_codepoint=127), max_size=8)
+
+
+@given(st.one_of(_sized_texts, _free_texts))
+def test_parsed_graphs_pass_the_validating_constructor(text):
+    # parse_graph6 builds its result without Graph.__post_init__, so every
+    # graph it returns must survive that check and compare equal
+    if not _well_formed(text):
+        with pytest.raises(Graph6Error):
+            parse_graph6(text)
+        return
+    h = parse_graph6(text)
+    assert Graph(h.n, h.adj) == h
+    assert write_graph6(h) == text
+
+
+@given(graphs(0, MAX_GRAPH6_VERTICES))
+def test_written_graphs_parse_to_valid_graphs(g):
+    h = parse_graph6(write_graph6(g))
+    assert Graph(h.n, h.adj) == h == g

@@ -1,12 +1,14 @@
 import os
 import pickle
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 import domcore.search
 from domcore import GraphError, build_graph, parse_graph6, write_graph6
-from domcore.classify import classification_masks, membership_masks
+from domcore.classify import CLASSES, classification_masks, membership_masks
 from domcore.graph import bits, cut_vertices
 from domcore.solve import core_and_corona
 from domcore.search import (
@@ -21,7 +23,7 @@ from domcore.search import (
     witness_directory,
     write_witness_file,
 )
-from helpers import complete, complete_bipartite, cycle, path, star
+from helpers import complete, complete_bipartite, cycle, graphs, path, star
 
 # smallest orders established by exhaustive scans; raising any of these
 # numbers is a regression
@@ -96,6 +98,51 @@ def test_prefilter_is_sound(corpus6):
         masks = classification_masks(g)
         for sig in SIGNATURES.values():
             assert evaluate_signature(sig, g) == sig.evaluate(g, masks)
+
+
+def test_cut_vertex_dfs_runs_only_for_a_nonempty_mask(monkeypatch, corpus6):
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return cut_vertices(g)
+
+    monkeypatch.setattr(domcore.search, "cut_vertices", counting)
+    sig = SIGNATURES["cut-vertex-in-core-zero"]
+    empty = 0
+    for _, g in corpus6:
+        core, corona = core_and_corona(g)
+        calls.clear()
+        sig.feasible_by_membership(g, membership_masks(g, core, corona))
+        assert len(calls) == bool(core), g
+        masks = classification_masks(g)
+        calls.clear()
+        sig.evaluate(g, masks)
+        assert len(calls) == bool(masks["core"] & masks["zero"]), g
+        empty += not core
+    # graphs with and without a core both occur, so neither branch is vacuous
+    assert 0 < empty < len(corpus6)
+
+
+@st.composite
+def _graphs_with_masks(draw):
+    g = draw(graphs(0, 12))
+    full = g.full_mask
+    return g, {atom: draw(st.integers(0, full)) for atom in CLASSES}
+
+
+@given(_graphs_with_masks())
+def test_lazy_cut_vertex_test_matches_the_eager_one(case):
+    g, masks = case
+    full = g.full_mask
+    for sig in SIGNATURES.values():
+        if sig.cut_vertex_in is None:
+            continue
+        rest = replace(sig, cut_vertex_in=None)
+        eager = rest._monotone(g, masks) and bool(
+            sig._mask(sig.cut_vertex_in, masks, full) & cut_vertices(g)
+        )
+        assert sig._monotone(g, masks) == eager
 
 
 def test_signature_verdicts_survive_relabeling(corpus6):

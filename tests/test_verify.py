@@ -9,8 +9,14 @@ import pytest
 import domcore.verify
 from domcore import Graph, GraphError, build_graph, verify_corpus
 from domcore.recognize import PATTERNS, TwinCliquePartition
-from domcore.verify import PER_GRAPH_CHECKS, VERIFY_MAX, _pattern_table
-from helpers import complete
+from domcore.verify import (
+    PER_GRAPH_CHECKS,
+    VERIFY_MAX,
+    _check_cut_vertex_lemma,
+    _Ctx,
+    _pattern_table,
+)
+from helpers import complete, path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -201,3 +207,27 @@ def test_twin_clique_partition_flags_a_false_partition(monkeypatch, cliques, edg
 
     monkeypatch.setattr(domcore.verify, "twin_clique_partition", false_partition)
     assert "twin-clique-partition" in _flagged(3)
+
+
+def _forged_ctx(g, core, plus):
+    ctx = _Ctx(g)
+    ctx.__dict__["masks"] = {"core": core, "plus": plus}
+    return ctx
+
+
+def test_cut_vertex_lemma_flags_a_forged_class_and_skips_the_dfs(monkeypatch):
+    calls = []
+    real = domcore.verify.cut_vertices
+    monkeypatch.setattr(domcore.verify, "cut_vertices", lambda g: calls.append(g) or real(g))
+    # the centre of P3 is a cut vertex whose two sides attach by cliques,
+    # so the lemma says it raises gamma; a class mask that says otherwise
+    # must be caught
+    g = path(3)
+    assert list(_check_cut_vertex_lemma(_forged_ctx(g, 0b010, 0))) == [
+        "clique-attachment cut vertex 1 in core does not raise gamma"
+    ]
+    assert len(calls) == 1
+    calls.clear()
+    for core, plus in ((0b010, 0b010), (0, 0), (0b101, 0b111)):
+        assert list(_check_cut_vertex_lemma(_forged_ctx(g, core, plus))) == []
+    assert calls == []
