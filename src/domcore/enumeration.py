@@ -1,4 +1,4 @@
-"""Isomorph-free enumeration of small connected graphs.
+"""Isomorph-free enumeration of small connected graphs and trees.
 
 Graphs are grown by canonical augmentation: a connected graph on k
 vertices is extended by one new vertex joined to every nonempty subset
@@ -21,7 +21,7 @@ a cut vertex of P+S for any nonempty S other than {u}, because P - u is
 connected and the new vertex joins it through S minus u.  So, with one
 cut-vertex pass over P, a non-cut vertex of P whose child degree
 deg_P(u) + [u in S] is below |S| >= 2 is a deletable rival of the new
-vertex, and the child would be rejected; _children skips such subsets.
+vertex, and the child would be rejected; _connected_subsets drops them.
 
 Two accepted children P+S and P+S' of one parent are isomorphic exactly
 when S' = sigma(S) for an automorphism sigma of P (McKay, "Isomorph-free
@@ -36,10 +36,15 @@ only the orbits of the subsets it keeps are closed under the
 generators; a parent with a trivial group tries every subset it keeps.
 Children of different parents are never isomorphic, since deleting the
 canonical vertex gives back the parent, so each isomorphism class
-appears exactly once globally.  The tree is rooted at the null graph,
-whose one child is K1.  Since a parent's children depend on nothing
-else, map_children evaluates a function on the stream of one order
-with each parent as the work unit of a process pool.
+appears exactly once globally.  The augmentation is rooted at the null
+graph, whose one child is K1.  Since a parent's children depend on
+nothing else, map_children evaluates a function on the stream of one
+order with each parent as the work unit of a process pool.
+
+Trees share the augmentation, with the one-vertex subsets in place of
+the prefiltered ones: a tree plus a leaf is a tree, and the non-cut
+vertices of a tree are its leaves, so deleting the canonical vertex of
+a tree gives back a tree, and every tree class appears exactly once.
 
 Two independent oracles back the stream.  An analytic count via the
 permutation cycle index plus an inverse Euler transform gives the number
@@ -68,12 +73,12 @@ from .graph import Graph, GraphError, add_vertex, bits, cut_vertices
 from .canonical import (
     CANONICAL_MAX,
     automorphism_generators,
-    canonical_form,
+    canonical_form,  # noqa: F401 -- not called here; bench/tracing.py binds this name
     rooted_canonical_bits,
 )
 
 ENUMERATION_MAX = 10
-# trees are told apart by canonical form, so they stop where canonical forms do
+# trees stop where rooted canonical bits do, not where canonical forms do
 TREE_ENUMERATION_MAX = CANONICAL_MAX
 LABELED_MAX = 7
 # parents per task of the pool in map_children: on search_signature(8,
@@ -161,20 +166,15 @@ def _subset_orbit_minima(k: int, generators, candidates) -> Iterator[int]:
         yield s
 
 
-def _children(parent: Graph, generators) -> Iterator[Graph]:
-    """The accepted one-vertex extensions of parent, in subset order.
+def _connected_subsets(parent: Graph):
+    """The subsets a connected child of parent may join, in increasing order.
 
-    Two subsets in one Aut(parent)-orbit give isomorphic children with
-    the same deletion-test outcome, and accepted children from different
-    orbits are never isomorphic, so only each orbit's least subset is
-    tried.  With a trivial group every subset is its own orbit.
-
-    A subset S with s = |S| >= 2 is skipped without building its child
+    A subset S with s = |S| >= 2 is dropped without building its child
     when a non-cut vertex u of the parent has deg(u) <= s - 1 outside S
     or deg(u) <= s - 2 inside S: u's child degree is below s and, by
     the lemma in the module docstring, u stays deletable, so
     _is_canonical_child would reject the child.  Degrees and cut
-    vertices are Aut(parent)-invariant, so this skips whole orbits and
+    vertices are Aut(parent)-invariant, so this drops whole orbits and
     runs before the orbits are formed.
     """
     k = parent.n
@@ -191,13 +191,35 @@ def _children(parent: Graph, generators) -> Iterator[Graph]:
 
     # the new vertex needs a neighbor to keep the child connected, unless
     # it is the first vertex: the null graph's one child is K1
-    subsets = filter(kept, range(1 if k else 0, 1 << k))
+    return filter(kept, range(1 if k else 0, 1 << k))
+
+
+def _leaf_subsets(parent: Graph):
+    """The subsets a tree child of parent joins: one vertex each, in order."""
+    return tuple(1 << v for v in range(parent.n)) or (0,)
+
+
+def _children(parent: Graph, subsets) -> Iterator[Graph]:
+    """The accepted children of parent by subsets, which must be increasing
+    and a union of Aut(parent)-orbits: only each orbit's least subset is
+    tried, as the module docstring explains."""
+    k = parent.n
+    generators = automorphism_generators(parent)
     if generators:
         subsets = _subset_orbit_minima(k, generators, subsets)
     for subset in subsets:
         child = add_vertex(parent, subset)
         if _is_canonical_child(child, k):
             yield child
+
+
+def _augment(n: int, subsets_of) -> Iterator[Graph]:
+    """The null graph for n = 0, else each parent's accepted children by subsets_of(parent)."""
+    if not n:
+        yield NULL_GRAPH
+        return
+    for parent in _augment(n - 1, subsets_of):
+        yield from _children(parent, subsets_of(parent))
 
 
 def enumerate_connected(n: int):
@@ -209,15 +231,14 @@ def enumerate_connected(n: int):
     """
     if not 1 <= n <= ENUMERATION_MAX:
         raise GraphError(f"enumeration covers 1..{ENUMERATION_MAX} vertices")
+    return _augment(n, _connected_subsets)
 
-    def level(k: int):
-        if k == 0:
-            yield NULL_GRAPH
-            return
-        for parent in level(k - 1):
-            yield from _children(parent, automorphism_generators(parent))
 
-    return level(n)
+def enumerate_trees(n: int):
+    """Yield one representative per isomorphism class of trees, lazily, in a fixed order."""
+    if not 1 <= n <= TREE_ENUMERATION_MAX:
+        raise GraphError(f"tree enumeration covers 1..{TREE_ENUMERATION_MAX} vertices")
+    return _augment(n, _leaf_subsets)
 
 
 @contextmanager
@@ -263,20 +284,20 @@ def _apply(fn, items: list) -> list:
 
 
 def _map_children(fn, parent: Graph) -> list:
-    """fn of every accepted child of parent, in child order."""
-    return [fn(child) for child in _children(parent, automorphism_generators(parent))]
+    """fn of every accepted connected child of parent, in child order."""
+    return [fn(child) for child in _children(parent, _connected_subsets(parent))]
 
 
 def map_children(ordered_map, fn, n: int):
     """Yield fn(g) for every g of enumerate_connected(n), in stream order.
 
-    They are the accepted children of the stream of order n - 1 (of the
+    They are the accepted children of the stream of order n - 1 (the
     null graph for n = 1), and a parent's children depend only on the
-    parent and its automorphism group.  So parents, not graphs, are the
-    work unit: each worker of ordered_map (from _ordered_map) builds the
-    children of the parents it is sent and applies fn to them there, and
-    only parents and fn's results cross between processes.  Results come
-    in parent order, each parent's in child order, whatever the map.
+    parent.  So parents, not graphs, are the work unit: each worker of
+    ordered_map (from _ordered_map) builds the children of the parents
+    it is sent and applies fn to them there, and only parents and fn's
+    results cross between processes.  Results come in parent order,
+    each parent's in child order, whatever the map.
 
     A consumer that stops early may leave evaluated and unread one
     parent's children with the builtin map, or with the pool at most
@@ -284,31 +305,8 @@ def map_children(ordered_map, fn, n: int):
     """
     if not 1 <= n <= ENUMERATION_MAX:
         raise GraphError(f"enumeration covers 1..{ENUMERATION_MAX} vertices")
-    parents = enumerate_connected(n - 1) if n > 1 else (NULL_GRAPH,)
+    parents = _augment(n - 1, _connected_subsets)
     return chain.from_iterable(ordered_map(partial(_map_children, fn), parents))
-
-
-def enumerate_trees(n: int):
-    """Yield one representative per isomorphism class of trees.
-
-    Grown by leaf attachment with global per-level deduplication by
-    canonical form; tree counts are small enough to hold a level.
-    """
-    if not 1 <= n <= TREE_ENUMERATION_MAX:
-        raise GraphError(f"tree enumeration covers 1..{TREE_ENUMERATION_MAX} vertices")
-    level = [Graph(1, (0,))]
-    for k in range(2, n + 1):
-        seen: set[bytes] = set()
-        nxt = []
-        for parent in level:
-            for v in range(parent.n):
-                child = add_vertex(parent, 1 << v)
-                form = canonical_form(child)
-                if form not in seen:
-                    seen.add(form)
-                    nxt.append(child)
-        level = nxt
-    yield from level
 
 
 def _partitions(n: int):

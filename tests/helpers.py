@@ -16,6 +16,13 @@ STREAM_DIGESTS = {
     8: "4275e461cf113a1d545d21d268aebbc4859f64c13f6e7abb4e951b312b5462b1",
     9: "8aee77ac3f6d44e9a74a14987ac33289e19b990f1017f5d83afe08be27250cca",
 }
+# the same digest of the stream of enumerate_trees(n)
+TREE_STREAM_DIGESTS = {
+    10: "c28defe1c8dc43b378ba735fc598e70833cdcfc8e3989fa45bc5235dd92ad4e2",
+    12: "394a821d58733cbbef0a4126b9c462d6ef6f99d618df5d51916366c0c1d0c564",
+}
+# trees per order, OEIS A000055
+TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551}
 
 
 def path(n: int) -> Graph:

@@ -16,6 +16,7 @@ from domcore.enumeration import ENUMERATION_MAX, TREE_ENUMERATION_MAX
 from domcore.search import SEARCH_MAX
 from domcore.solve import ALL_SETS_MAX
 from domcore.verify import PER_GRAPH_CHECKS, VERIFY_MAX
+from helpers import TREE_COUNTS, TREE_STREAM_DIGESTS
 
 
 # SHA-256 of the concatenated stdout of gamma, classify and recognize, as
@@ -107,6 +108,17 @@ def test_enumerate_tsv(capsys):
     assert len(rows) == 6
     assert all(n == "4" and parse_graph6(text).n == 4 for n, text in rows)
     assert run_cli(capsys, "enumerate", "--n", "5", "--count-only", "--tsv")[:2] == (0, "5\t21\n")
+
+
+def test_enumerate_trees_tsv_pinned(capsys):
+    # the rows carry the pinned tree stream, one graph6 line per tree
+    code, out, _ = run_cli(capsys, "enumerate", "--trees", "--n", "10", "--tsv")
+    assert code == 0
+    rows = [line.split("\t") for line in out.splitlines()]
+    assert len(rows) == TREE_COUNTS[10]
+    assert all(n == "10" for n, _ in rows)
+    text = "".join(g6 + "\n" for _, g6 in rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == TREE_STREAM_DIGESTS[10]
 
 
 def test_enumerate_stream_parseable(capsys):

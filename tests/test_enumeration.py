@@ -24,10 +24,13 @@ from domcore.canonical import automorphism_generators, canonical_form, rooted_ca
 from domcore.enumeration import (
     ENUMERATION_MAX,
     LABELED_MAX,
+    NULL_GRAPH,
     TREE_ENUMERATION_MAX,
     _PARENT_CHUNK,
     _children,
+    _connected_subsets,
     _is_canonical_child,
+    _leaf_subsets,
     _ordered_map,
     _subset_orbit_minima,
     labeled_connected_bitmap,
@@ -38,6 +41,8 @@ from domcore.graph import add_vertex, bits, is_connected, mask_of
 from domcore.recognize import is_tree
 from helpers import (
     STREAM_DIGESTS,
+    TREE_COUNTS,
+    TREE_STREAM_DIGESTS,
     connected_graphs,
     cut_vertices_bruteforce,
     cycle,
@@ -49,7 +54,6 @@ from helpers import (
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
-TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
 LABELED_CONNECTED = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704, 7: 1866256}  # OEIS A001187
 # SHA-256 of the bitmap bytes, pinning the layout: bit mask & 7 of byte
 # mask >> 3 marks edge mask `mask`, pairs in lexicographic order
@@ -87,11 +91,25 @@ def test_analytic_counts():
 
 
 def test_tree_counts():
+    # the tree stream is isomorph-free by the deletion test alone, with no
+    # canonical form to deduplicate it, so these forms must all differ
     for n, want in TREE_COUNTS.items():
         stream = list(enumerate_trees(n))
         assert len(stream) == want
+        assert len({canonical_form(t) for t in stream}) == want, n
         for t in stream:
-            assert is_tree(t)
+            assert t.n == n and is_tree(t)
+        if n in TREE_STREAM_DIGESTS:
+            text = "".join(write_graph6(t) + "\n" for t in stream)
+            assert sha256(text.encode()).hexdigest() == TREE_STREAM_DIGESTS[n], n
+
+
+def test_tree_stream_is_lazy():
+    # depth first: the first tree of the largest order needs one parent per
+    # smaller order, not every tree of every smaller order
+    t = next(enumerate_trees(TREE_ENUMERATION_MAX))
+    assert t.n == TREE_ENUMERATION_MAX == 16
+    assert is_tree(t)
 
 
 def test_labeled_bitmap_counts():
@@ -296,6 +314,10 @@ def test_enumeration_bounds():
         list(enumerate_trees(TREE_ENUMERATION_MAX + 1))
     with pytest.raises(GraphError):
         list(enumerate_connected(0))
+    # like enumerate_connected, the tree stream checks its order when called
+    for n in (0, TREE_ENUMERATION_MAX + 1):
+        with pytest.raises(GraphError):
+            enumerate_trees(n)
 
 
 def _cheap_invariant(g, v):
@@ -375,13 +397,14 @@ def _record_built_subsets(monkeypatch) -> list:
 
 
 def test_prefilter_drops_only_rejected_children(corpus6, monkeypatch):
-    # with no generators _children tries every subset, so the subsets it
-    # never builds a child for are the ones its prefilter dropped
+    # with a trivial group _children tries every subset it is given, so the
+    # subsets it never builds a child for are the ones the prefilter dropped
+    monkeypatch.setattr("domcore.enumeration.automorphism_generators", lambda g: ())
     built = _record_built_subsets(monkeypatch)
     candidates = dropped = 0
     for k, parent in corpus6:
         built.clear()
-        list(_children(parent, ()))
+        list(_children(parent, _connected_subsets(parent)))
         for subset in set(range(1, 1 << k)) - set(built):
             assert not _is_canonical_child(add_vertex(parent, subset), k), (parent, subset)
             dropped += 1
@@ -397,11 +420,12 @@ def test_prefilter_builds_fewer_children(monkeypatch):
     assert len(built) == 18312
 
 
-def _children_reference(parent):
-    """Every subset in order, deletion test, then per-parent deduplication
-    by canonical form: the first child of each isomorphism class stays."""
+def _children_reference(parent, subsets):
+    """Every given subset in order, deletion test, then per-parent
+    deduplication by canonical form: the first child of each isomorphism
+    class stays."""
     seen = set()
-    for subset in range(1, 1 << parent.n):
+    for subset in subsets:
         child = add_vertex(parent, subset)
         if _is_canonical_child(child, parent.n):
             form = canonical_form(child)
@@ -415,7 +439,7 @@ def _enumerate_connected_reference(n):
         yield build_graph(1, [])
         return
     for parent in _enumerate_connected_reference(n - 1):
-        yield from _children_reference(parent)
+        yield from _children_reference(parent, range(1, 1 << parent.n))
 
 
 def test_stream_matches_per_parent_deduplication():
@@ -435,8 +459,16 @@ K4_PATH_TRIANGLE = build_graph(8, [*combinations(range(4), 2), (0, 4), (4, 5), (
 @example(star(6))  # the group comes from cell transpositions
 def test_orbit_reduced_children_match_reference(parent):
     # any parent, not only the canonical representatives of the stream
-    got = list(_children(parent, automorphism_generators(parent)))
-    assert got == list(_children_reference(parent))
+    got = list(_children(parent, _connected_subsets(parent)))
+    assert got == list(_children_reference(parent, range(1, 1 << parent.n)))
+
+
+def test_leaf_children_match_reference():
+    # one leaf per child: every tree with at most 10 vertices, and the null graph
+    parents = [NULL_GRAPH, *(t for n in range(1, 11) for t in enumerate_trees(n))]
+    for parent in parents:
+        leaves = [1 << v for v in range(parent.n)] or [0]
+        assert list(_children(parent, _leaf_subsets(parent))) == list(_children_reference(parent, leaves))
 
 
 def _fits(g, image, w):

@@ -26,6 +26,7 @@ from domcore.solve import (
 )
 from domcore.enumeration import enumerate_trees
 from helpers import (
+    TREE_COUNTS,
     complete,
     complete_bipartite,
     cycle,
@@ -173,7 +174,7 @@ def test_gamma_chain_on_corpus(corpus6):
 
 
 def test_gamma_tree_agrees():
-    for n in range(1, 11):
+    for n in TREE_COUNTS:
         for t in enumerate_trees(n):
             assert gamma_tree(t).gamma == gamma_value(t)
 
