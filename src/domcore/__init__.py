@@ -15,10 +15,7 @@ from .classify import (
     VertexClassification,
     classify_all,
     classify_by_enumeration,
-    in_anticore,
-    in_core,
-    membership_class,
-    removal_class,
+    classify_vertex,
 )
 from .enumeration import (
     count_connected_graphs,
@@ -37,7 +34,6 @@ from .graph import (
 )
 from .graph6 import Graph6Error, parse_graph6, write_graph6
 from .recognize import (
-    ClassFlags,
     TwinCliquePartition,
     class_flags,
     contains_induced,
@@ -68,7 +64,6 @@ from .verify import VerifyReport, verify_corpus
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClassFlags",
     "ClassificationReport",
     "DominationReport",
     "Graph",
@@ -89,6 +84,7 @@ __all__ = [
     "class_flags",
     "classify_all",
     "classify_by_enumeration",
+    "classify_vertex",
     "contains_induced",
     "core_and_corona",
     "count_connected_graphs",
@@ -98,8 +94,6 @@ __all__ = [
     "enumerate_trees",
     "gamma_exact",
     "gamma_value",
-    "in_anticore",
-    "in_core",
     "independence_number",
     "independent_domination_number",
     "is_bipartite",
@@ -107,10 +101,8 @@ __all__ = [
     "is_claw_free",
     "is_cograph",
     "is_tree",
-    "membership_class",
     "parse_edge_list",
     "parse_graph6",
-    "removal_class",
     "search_signature",
     "twin_clique_partition",
     "verify_corpus",

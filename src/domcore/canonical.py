@@ -243,10 +243,3 @@ def rooted_canonical_bits(g: Graph, v: int) -> int:
     rest = g.full_mask & ~(1 << v)
     cells = [1 << v] + ([rest] if rest else [])
     return canonical_bits(g, cells)
-
-
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    """Isomorphism test by canonical form comparison."""
-    if g.n != h.n or g.edge_count() != h.edge_count():
-        return False
-    return canonical_form(g) == canonical_form(h)

@@ -158,31 +158,12 @@ def _classify_vertex(closed: list[int], full: int, v: int, gamma: int) -> Vertex
     return VertexClassification(v, removal, membership)
 
 
-def _vertex(g: Graph, v: int, gamma: int | None) -> VertexClassification:
+def classify_vertex(g: Graph, v: int, gamma: int | None = None) -> VertexClassification:
     """Structural classification of one vertex; gamma, if given, must be gamma(g)."""
     g._check_vertex(v)
     if gamma is None:
         gamma = gamma_value(g)
     return _classify_vertex(closed_masks(g), g.full_mask, v, gamma)
-
-
-def removal_class(g: Graph, v: int, gamma: int | None = None) -> RemovalClass:
-    """How gamma changes when v is deleted: PLUS up, MINUS down, ZERO same."""
-    return _vertex(g, v, gamma).removal
-
-
-def in_anticore(g: Graph, v: int, gamma: int | None = None) -> bool:
-    """True if no minimum dominating set contains v."""
-    return _vertex(g, v, gamma).membership is MembershipClass.ANTICORE
-
-
-def in_core(g: Graph, v: int, gamma: int | None = None) -> bool:
-    """True if every minimum dominating set contains v."""
-    return _vertex(g, v, gamma).membership is MembershipClass.CORE
-
-
-def membership_class(g: Graph, v: int, gamma: int | None = None) -> MembershipClass:
-    return _vertex(g, v, gamma).membership
 
 
 def classify_all(g: Graph) -> ClassificationReport:

@@ -27,7 +27,7 @@ from .enumeration import (
 )
 from .graph import Graph, GraphError, bits, parse_edge_list
 from .graph6 import parse_graph6, write_graph6
-from .recognize import class_flags, flags_to_dict
+from .recognize import class_flags
 from .search import (
     SEARCH_MAX,
     SIGNATURES,
@@ -96,7 +96,7 @@ def _classify_rows(payload: dict, prefix: str):
 
 
 def _recognize_payload(g: Graph) -> dict:
-    return {"n": g.n, "classes": flags_to_dict(class_flags(g))}
+    return {"n": g.n, "classes": class_flags(g)}
 
 
 def _recognize_rows(payload: dict, prefix: str):

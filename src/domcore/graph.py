@@ -84,9 +84,6 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
@@ -138,12 +135,6 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(n, tuple(adj))
-
-
-def closed_neighborhood(g: Graph, v: int) -> int:
-    """Return N[v] = N(v) plus v itself, as a mask."""
-    g._check_vertex(v)
-    return g.adj[v] | (1 << v)
 
 
 def closed_masks(g: Graph) -> list[int]:
@@ -199,13 +190,6 @@ def delete_vertex(g: Graph, v: int) -> Graph:
         a = g.adj[u] & ~(1 << v)
         adj.append((a & low) | ((a >> 1) & ~low))
     return _derived(g.n - 1, tuple(adj))
-
-
-def index_after_delete(u: int, v: int) -> int:
-    """Index of surviving vertex u in delete_vertex(g, v)."""
-    if u == v:
-        raise GraphError("deleted vertex has no surviving index")
-    return u - 1 if u > v else u
 
 
 def add_pendant(g: Graph, v: int) -> Graph:

@@ -208,41 +208,19 @@ def twin_clique_partition(g: Graph, root: int) -> TwinCliquePartition:
     return TwinCliquePartition(root, tuple(cliques), build_graph(len(reps), edges))
 
 
-@dataclass(frozen=True)
-class ClassFlags:
-    """Recognition summary for one graph.
+def class_flags(g: Graph) -> dict:
+    """Recognition summary of g as a JSON-ready dict.
 
-    patterns maps each catalog pattern name to whether the graph
-    contains it as an induced subgraph.
+    contains maps each catalog pattern name, in PATTERNS order, to
+    whether g contains it as an induced subgraph.
     """
-
-    chordal: bool
-    bipartite: bool
-    tree: bool
-    cograph: bool
-    claw_free: bool
-    patterns: tuple[tuple[str, bool], ...]
-
-
-def class_flags(g: Graph) -> ClassFlags:
-    return ClassFlags(
-        chordal=is_chordal(g),
-        bipartite=is_bipartite(g),
-        tree=is_tree(g),
-        cograph=is_cograph(g),
-        claw_free=is_claw_free(g),
-        patterns=tuple((name, contains_induced(g, name)) for name in PATTERNS),
-    )
-
-
-def flags_to_dict(flags: ClassFlags) -> dict:
     return {
-        "chordal": flags.chordal,
-        "bipartite": flags.bipartite,
-        "tree": flags.tree,
-        "cograph": flags.cograph,
-        "claw_free": flags.claw_free,
-        "contains": {name: hit for name, hit in flags.patterns},
+        "chordal": is_chordal(g),
+        "bipartite": is_bipartite(g),
+        "tree": is_tree(g),
+        "cograph": is_cograph(g),
+        "claw_free": is_claw_free(g),
+        "contains": {name: contains_induced(g, name) for name in PATTERNS},
     }
 
 
@@ -257,7 +235,5 @@ __all__ = [
     "max_cardinality_search",
     "TwinCliquePartition",
     "twin_clique_partition",
-    "ClassFlags",
     "class_flags",
-    "flags_to_dict",
 ]

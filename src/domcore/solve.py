@@ -69,9 +69,9 @@ class DominationReport:
     all_sets: tuple[int, ...] | None = None
 
 
-def _greedy_cover(closed: list[int], full: int) -> list[int]:
-    """Greedy max-coverage dominating set; returns the picked vertices."""
-    picked = []
+def _greedy_cover(closed: list[int], full: int) -> int:
+    """Size of a greedy max-coverage dominating set."""
+    picked = 0
     dominated = 0
     while dominated != full:
         best_v = -1
@@ -81,7 +81,7 @@ def _greedy_cover(closed: list[int], full: int) -> list[int]:
             if gain > best_gain:
                 best_gain = gain
                 best_v = v
-        picked.append(best_v)
+        picked += 1
         dominated |= closed[best_v]
     return picked
 
@@ -196,7 +196,7 @@ def gamma_value(g: Graph) -> int:
     """Domination number, the least budget between the packing bound and a greedy cover."""
     closed = closed_masks(g)
     full = g.full_mask
-    return _least_budget(closed, full, len(_greedy_cover(closed, full)))
+    return _least_budget(closed, full, _greedy_cover(closed, full))
 
 
 def _minimum_sets(

@@ -53,7 +53,6 @@ from .graph import (
     delete_vertex,
     distance_shell,
     format_edge_list,
-    index_after_delete,
     is_dominating,
     mask_of,
     parse_edge_list,
@@ -158,7 +157,7 @@ def _check_graph_surgery(ctx: _Ctx):
             yield f"private neighbors of {u} leak outside its closed neighborhood"
     for v in range(g.n):
         h = delete_vertex(g, v)
-        back = mask_of(index_after_delete(u, v) for u in bits(g.adj[v]))
+        back = mask_of(u - (u > v) for u in bits(g.adj[v]))
         if add_vertex(h, back) != _moved_last(g, v):
             yield f"delete/re-add of {v} is not g with {v} moved last"
         if add_pendant(g, v) != build_graph(g.n + 1, [*g.edges(), (v, g.n)]):

@@ -6,7 +6,6 @@ import pytest
 from domcore import Graph, GraphError, build_graph, enumerate_connected
 from domcore.canonical import (
     CANONICAL_MAX,
-    are_isomorphic,
     automorphism_generators,
     canonical_form,
     rooted_canonical_bits,
@@ -58,12 +57,6 @@ def test_matches_bruteforce_partition(corpus6):
     assert sorted(by_canon.values(), key=min) == sorted(
         by_brute.values(), key=min
     )
-
-
-def test_are_isomorphic():
-    assert are_isomorphic(cycle(5), relabel(cycle(5), [3, 1, 4, 0, 2]))
-    assert not are_isomorphic(path(5), cycle(5))
-    assert not are_isomorphic(path(4), path(5))
 
 
 def test_rooted_form_separates_orbits():

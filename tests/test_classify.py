@@ -11,10 +11,7 @@ from domcore import (
     build_graph,
     classify_all,
     classify_by_enumeration,
-    in_anticore,
-    in_core,
-    membership_class,
-    removal_class,
+    classify_vertex,
 )
 from domcore.classify import CLASSES, _exists_dominating, classification_masks, report_to_dict
 from domcore.solve import core_and_corona, gamma_value
@@ -24,40 +21,40 @@ K1 = build_graph(1, [])
 
 
 def test_removal_class_examples():
-    assert removal_class(path(3), 1) is RemovalClass.PLUS
-    assert removal_class(path(2), 0) is RemovalClass.ZERO
-    assert removal_class(path(2), 1) is RemovalClass.ZERO
+    assert classify_vertex(path(3), 1).removal is RemovalClass.PLUS
+    assert classify_vertex(path(2), 0).removal is RemovalClass.ZERO
+    assert classify_vertex(path(2), 1).removal is RemovalClass.ZERO
     for v in range(4):
-        assert removal_class(cycle(4), v) is RemovalClass.MINUS
+        assert classify_vertex(cycle(4), v).removal is RemovalClass.MINUS
     # a single vertex leaves the empty graph with gamma zero
-    assert removal_class(K1, 0) is RemovalClass.MINUS
+    assert classify_vertex(K1, 0).removal is RemovalClass.MINUS
     with pytest.raises(GraphError):
-        removal_class(path(3), 3)
+        classify_vertex(path(3), 3)
 
 
 def test_in_anticore_examples():
-    assert in_anticore(path(3), 0)
-    assert in_anticore(path(3), 2)
-    assert not in_anticore(path(3), 1)
+    assert classify_vertex(path(3), 0).membership is MembershipClass.ANTICORE
+    assert classify_vertex(path(3), 2).membership is MembershipClass.ANTICORE
+    assert classify_vertex(path(3), 1).membership is not MembershipClass.ANTICORE
     for v in range(4):
-        assert not in_anticore(cycle(4), v)
+        assert classify_vertex(cycle(4), v).membership is not MembershipClass.ANTICORE
 
 
 def test_in_core_examples():
-    assert in_core(K1, 0)  # isolated vertex
-    assert in_core(path(3), 1)
-    assert not in_core(path(3), 0)
+    assert classify_vertex(K1, 0).membership is MembershipClass.CORE  # isolated vertex
+    assert classify_vertex(path(3), 1).membership is MembershipClass.CORE
+    assert classify_vertex(path(3), 0).membership is not MembershipClass.CORE
     for v in range(6):
-        assert not in_core(cycle(6), v)
+        assert classify_vertex(cycle(6), v).membership is not MembershipClass.CORE
 
 
 def test_membership_examples():
-    assert membership_class(path(3), 1) is MembershipClass.CORE
-    assert membership_class(path(3), 0) is MembershipClass.ANTICORE
+    assert classify_vertex(path(3), 1).membership is MembershipClass.CORE
+    assert classify_vertex(path(3), 0).membership is MembershipClass.ANTICORE
     for v in range(4):
-        assert membership_class(cycle(4), v) is MembershipClass.CORONA_ONLY
+        assert classify_vertex(cycle(4), v).membership is MembershipClass.CORONA_ONLY
     for v in range(6):
-        assert membership_class(complete_bipartite(3, 3), v) is (
+        assert classify_vertex(complete_bipartite(3, 3), v).membership is (
             MembershipClass.CORONA_ONLY
         )
 
@@ -117,8 +114,7 @@ def test_each_class_pair_has_a_named_case(case):
     assert (want.vertices[v].removal, want.vertices[v].membership) == (removal, membership)
     assert classify_all(g) == want
     for row in want.vertices:
-        assert removal_class(g, row.vertex) is row.removal
-        assert membership_class(g, row.vertex) is row.membership
+        assert classify_vertex(g, row.vertex) == row
 
 
 def test_report_masks_and_summary():
@@ -232,11 +228,8 @@ def test_plus_probe_runs_on_core_vertices_only(corpus6, monkeypatch):
 def test_single_vertex_functions_match_classify_all(g):
     rep = classify_all(g)
     for row in rep.vertices:
-        v = row.vertex
-        assert removal_class(g, v) is row.removal
-        assert membership_class(g, v, rep.gamma) is row.membership
-        assert in_core(g, v) == (row.membership is MembershipClass.CORE)
-        assert in_anticore(g, v, rep.gamma) == (row.membership is MembershipClass.ANTICORE)
+        assert classify_vertex(g, row.vertex) == row
+        assert classify_vertex(g, row.vertex, rep.gamma) == row
 
 
 def test_definitional_capacity_guard():

@@ -6,12 +6,11 @@ from domcore.graph import (
     MAX_VERTICES,
     bfs_layers,
     bits,
-    closed_neighborhood,
+    closed_masks,
     connected_components,
     cut_vertices,
     distance_shell,
     format_edge_list,
-    index_after_delete,
     is_connected,
     is_dominating,
     mask_of,
@@ -86,8 +85,9 @@ def test_bits_and_mask_of():
 
 def test_closed_neighborhood():
     g = path(3)
-    assert closed_neighborhood(g, 0) == 0b011
-    assert closed_neighborhood(g, 1) == 0b111
+    assert closed_masks(g) == [0b011, 0b111, 0b110]
+    assert closed_masks(build_graph(2, [])) == [0b01, 0b10]
+    assert closed_masks(build_graph(0, [])) == []
 
 
 def test_distance_shell():
@@ -132,12 +132,6 @@ def test_delete_vertex_compacts():
     assert sorted(h.edges()) == [(0, 1), (0, 3), (2, 3)]
     with pytest.raises(GraphError):
         delete_vertex(g, 5)
-
-
-def test_index_after_delete():
-    assert index_after_delete(0, 3) == 0
-    assert index_after_delete(5, 3) == 4
-    assert index_after_delete(3, 0) == 2
 
 
 def test_add_pendant_and_add_vertex():

@@ -13,7 +13,7 @@ from domcore import (
     is_tree,
     twin_clique_partition,
 )
-from domcore.recognize import PATTERNS, flags_to_dict, max_cardinality_search
+from domcore.recognize import PATTERNS, max_cardinality_search
 from domcore.solve import gamma_value
 from helpers import (
     complete,
@@ -132,13 +132,12 @@ def test_is_bipartite_matches_bruteforce_coloring(g):
 
 
 def test_class_flags_bundle():
-    flags = class_flags(path(4))
-    assert flags.tree and flags.bipartite and flags.chordal
-    assert not flags.cograph
-    assert flags.claw_free
-    d = flags_to_dict(flags)
+    d = class_flags(path(4))
     assert list(d) == ["chordal", "bipartite", "tree", "cograph", "claw_free", "contains"]
-    assert len(d["contains"]) == 13
+    assert d["tree"] and d["bipartite"] and d["chordal"]
+    assert d["cograph"] is False
+    assert d["claw_free"] is True
+    assert list(d["contains"]) == list(PATTERNS)
     assert d["contains"]["P4"] is True
     assert d["contains"]["claw"] is False
 

@@ -12,11 +12,14 @@ from domcore.recognize import PATTERNS, TwinCliquePartition
 from domcore.verify import (
     PER_GRAPH_CHECKS,
     VERIFY_MAX,
+    _VIOLATIONS_KEPT,
     _check_cut_vertex_lemma,
+    _check_recognizer_consistency,
+    _check_simplicial,
     _Ctx,
     _pattern_table,
 )
-from helpers import complete, path
+from helpers import complete, cycle, path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -62,6 +65,9 @@ def test_caps_respected():
 
 
 def test_bounds():
+    report = verify_corpus(1)
+    assert report.all_pass
+    assert report.graphs_total == 1
     with pytest.raises(GraphError):
         verify_corpus(0)
     with pytest.raises(GraphError):
@@ -231,3 +237,31 @@ def test_cut_vertex_lemma_flags_a_forged_class_and_skips_the_dfs(monkeypatch):
     for core, plus in ((0b010, 0b010), (0, 0), (0b101, 0b111)):
         assert list(_check_cut_vertex_lemma(_forged_ctx(g, core, plus))) == []
     assert calls == []
+
+
+def test_simplicial_exclusion_flags_a_forged_core():
+    # both ends of P3 are simplicial; a core mask holding vertex 0 must be caught
+    ctx = _Ctx(path(3))
+    ctx.__dict__["masks"] = {"core": 0b001}
+    assert list(_check_simplicial(ctx)) == ["simplicial vertex 0 sits in the core"]
+
+
+def test_recognizer_consistency_flags_a_hole_free_seven_vertex_cycle():
+    # C7 is not chordal, so a pattern search that finds no hole in it is
+    # wrong at n = 7, the largest order the hole test covers
+    g = cycle(7)
+    ctx = _Ctx(g)
+    for pattern in ("C4", "C5", "C6", "C7", "P4"):
+        ctx._once[(domcore.verify.contains_induced, (g, pattern))] = False
+    assert list(_check_recognizer_consistency(ctx)) == [
+        "cograph flag disagrees with induced P4 search",
+        "non-chordal small graph without any induced hole",
+    ]
+
+
+def test_verify_counts_every_violation_and_keeps_the_first_few(monkeypatch):
+    monkeypatch.setattr(domcore.verify, "PER_GRAPH_CHECKS", (("always", lambda ctx: ["flagged"], 8),))
+    report = verify_corpus(4)
+    check = report.checks[0]
+    assert (check.name, check.graphs_checked, check.violation_count) == ("always", 10, 10)
+    assert len(check.violations) == _VIOLATIONS_KEPT == 5
