@@ -18,7 +18,9 @@ outside the program: ``Graph(...)``, build_graph and parse_edge_list.
 Graphs derived from a valid graph by add_vertex, delete_vertex and
 add_pendant inherit its validity: those functions check their own
 arguments (vertex, neighbor mask, capacity) and then build the result
-through _derived, without validating it again.  graph6's parse_graph6
+through _derived, without validating it again.  So does the reduced
+graph of recognize's twin_clique_partition, the subgraph a valid graph
+induces on a set of its vertices, relabeled.  graph6's parse_graph6
 builds through _derived too: it checks its input text, and sets each
 edge in both directions, off the diagonal, for n <= 62 only.  So a
 Graph that exists is always well formed.
@@ -113,8 +115,11 @@ def _derived(n: int, adj: tuple[int, ...]) -> Graph:
 
     Only for add_vertex, delete_vertex and add_pendant, whose results are
     well formed whenever their input graph is and their own argument
-    checks pass, and for graph6's parse_graph6, which checks its text and
-    sets each edge in both directions, off the diagonal, for n <= 62.
+    checks pass; for recognize's twin_clique_partition, whose reduced
+    graph is the subgraph its valid input induces on one vertex per
+    part, relabeled by part index, so symmetric and loop-free; and for
+    graph6's parse_graph6, which checks its text and sets each edge in
+    both directions, off the diagonal, for n <= 62.
     """
     g = object.__new__(Graph)
     object.__setattr__(g, "n", n)

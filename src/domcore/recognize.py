@@ -7,6 +7,16 @@ candidate sets: a partial map constrains the next image to be adjacent
 to the images of mapped pattern-neighbors and non-adjacent to the rest,
 so dead branches die on a couple of AND operations.
 
+The search also breaks the pattern's symmetry (Grochow and Kellis,
+"Network motif discovery using subgraph enumeration and
+symmetry-breaking", RECOMB 2007).  Aut(h) is found by brute force over
+the pattern's permutations, and a stabilizer chain along the embedding
+order gives conditions image(a) < image(b): of the |Aut(h)| embeddings
+onto one induced copy, exactly one meets them all, so each induced copy
+is found once instead of |Aut(h)| times.  Each condition is one mask
+cut on the candidates.  The conditions are computed on a pattern's
+first use, not at import.
+
 Chordality uses maximum cardinality search: take the produced order,
 check that each vertex's earlier neighbors minus the latest one are all
 adjacent to that latest one.  The order is a perfect elimination order
@@ -24,8 +34,10 @@ point gives the reduced graph used to transfer domination facts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import permutations
 
-from .graph import Graph, GraphError, bfs_layers, bits, build_graph, is_connected, mask_of
+from .graph import Graph, GraphError, _derived, bfs_layers, bits, build_graph, is_connected, mask_of
 
 _PATTERN_EDGES: dict[str, tuple[int, list[tuple[int, int]]]] = {
     "claw": (4, [(0, 1), (0, 2), (0, 3)]),
@@ -64,34 +76,86 @@ def _embedding_order(h: Graph) -> list[int]:
 _ORDERS: dict[str, list[int]] = {name: _embedding_order(h) for name, h in PATTERNS.items()}
 
 
+@cache
+def _symmetry_conditions(pattern: str) -> tuple[tuple[int, int], ...]:
+    """Pairs (a, b) of pattern vertices: an embedding f is searched only
+    if f(a) < f(b) for every pair.
+
+    Stabilizer chain along _ORDERS[pattern]: for each vertex a in turn,
+    every other b in a's orbit under the automorphisms that fix all
+    earlier vertices gives (a, b), and the group shrinks to a's
+    stabilizer.  Such a b is never an earlier vertex, since those are
+    fixed, so the search meets every condition at b's level.
+    """
+    h = PATTERNS[pattern]
+    # Aut(h) by brute force: every permutation p with p(N(v)) = N(p(v))
+    group = [
+        p
+        for p in permutations(range(h.n))
+        if all(h.adj[p[v]] == mask_of(p[u] for u in bits(h.adj[v])) for v in range(h.n))
+    ]
+    conditions = []
+    for a in _ORDERS[pattern]:
+        conditions.extend((a, b) for b in sorted({p[a] for p in group} - {a}))
+        group = [p for p in group if p[a] == a]
+    return tuple(conditions)
+
+
+@cache
+def _search_plan(pattern: str) -> tuple[tuple, ...]:
+    """Per level i of the embedding order: the pattern degree of its
+    vertex, the earlier levels it is adjacent to, those it is not
+    adjacent to, and those whose images its image must exceed (the
+    symmetry conditions that end at it)."""
+    h = PATTERNS[pattern]
+    order = _ORDERS[pattern]
+    level = {v: i for i, v in enumerate(order)}
+    above: list[list[int]] = [[] for _ in order]
+    for a, b in _symmetry_conditions(pattern):
+        above[level[b]].append(level[a])
+    return tuple(
+        (
+            h.adj[v].bit_count(),
+            tuple(j for j in range(i) if (h.adj[v] >> order[j]) & 1),
+            tuple(j for j in range(i) if not (h.adj[v] >> order[j]) & 1),
+            tuple(above[i]),
+        )
+        for i, v in enumerate(order)
+    )
+
+
 def contains_induced(g: Graph, pattern: str) -> bool:
     """True if g has an induced subgraph isomorphic to the named pattern."""
     if pattern not in PATTERNS:
         raise GraphError(f"unknown pattern {pattern!r}")
-    h = PATTERNS[pattern]
-    if h.n > g.n:
+    k = PATTERNS[pattern].n
+    if k > g.n:
         return False
-    order = _ORDERS[pattern]
-    degs = [h.adj[v].bit_count() for v in order]
-    images = [0] * h.n
+    plan = _search_plan(pattern)
+    adj = g.adj
+    images = [0] * k
     full = g.full_mask
 
     def rec(i: int, used: int) -> bool:
-        if i == len(order):
+        if i == k:
             return True
-        hv = order[i]
+        need, adjacent, apart, above = plan[i]
         cand = full & ~used
-        for j in range(i):
-            if (h.adj[hv] >> order[j]) & 1:
-                cand &= g.adj[images[j]]
-            else:
-                cand &= ~g.adj[images[j]]
-        need = degs[i]
-        for w in bits(cand):
-            if g.adj[w].bit_count() < need:
+        for j in adjacent:
+            cand &= adj[images[j]]
+        for j in apart:
+            cand &= ~adj[images[j]]
+        for j in above:
+            # only the bits above images[j]
+            cand &= -(2 << images[j])
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            w = low.bit_length() - 1
+            if adj[w].bit_count() < need:
                 continue
             images[i] = w
-            if rec(i + 1, used | (1 << w)):
+            if rec(i + 1, used | low):
                 return True
         return False
 
@@ -198,14 +262,15 @@ def twin_clique_partition(g: Graph, root: int) -> TwinCliquePartition:
             continue
         key = g.adj[v] | (1 << v)
         groups[key] = groups.get(key, 0) | (1 << v)
-    cliques = [1 << root] + sorted(groups.values(), key=lambda m: (m & -m).bit_length())
-    reps = [next(bits(c)) for c in cliques]
-    edges = []
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            if (g.adj[reps[i]] >> reps[j]) & 1:
-                edges.append((i, j))
-    return TwinCliquePartition(root, tuple(cliques), build_graph(len(reps), edges))
+    # v ascends, so the groups come in order of their least member
+    cliques = (1 << root, *groups.values())
+    reps = [(c & -c).bit_length() - 1 for c in cliques]
+    # the subgraph g induces on the representatives, relabeled by part:
+    # well formed whenever g is (see graph._derived)
+    adj = tuple(
+        mask_of(j for j, r in enumerate(reps) if (g.adj[rep] >> r) & 1) for rep in reps
+    )
+    return TwinCliquePartition(root, cliques, _derived(len(reps), adj))
 
 
 def class_flags(g: Graph) -> dict:

@@ -18,8 +18,20 @@ every check has zero violations.
 No oracle calls the code it checks.  The pattern oracle looks each
 k-subset's induced edge mask up in a table of every labeled copy of
 every order-k pattern, and graph surgery must give back exactly g with
-the re-added vertex relabeled last.  _Ctx computes what several checks
-share once per graph.
+the re-added vertex relabeled last.  The graphs these checks expect (g
+with a vertex moved last, g with a leaf added, and the three relabeled
+copies of the canonical-form check) are built by shifting, extending or
+permuting g's adjacency masks, never through add_vertex, delete_vertex
+or add_pendant, and surgery compares n and adj field by field.
+
+At a root where every twin-clique part is a singleton, the reduced graph
+h should be g relabeled by the part map, and neither twin-clique check
+solves h again.  The partition check's blow-up identity proves that h is
+this relabeling, so h has g's gamma.  The core correspondence compares
+h.adj exactly with g's masks relabeled: when they are equal it takes h's
+classes from g's own, relabeled, and otherwise it classifies h from
+scratch, so a forged partition gets the same verdict as a full solve.
+_Ctx computes what several checks share once per graph.
 """
 
 from __future__ import annotations
@@ -46,7 +58,6 @@ from .graph import (
     add_pendant,
     add_vertex,
     bits,
-    build_graph,
     closed_masks,
     connected_components,
     cut_vertices,
@@ -155,22 +166,37 @@ def _check_graph_surgery(ctx: _Ctx):
         pn = private_neighbors(g, u, full)
         if pn & ~ctx.closed[u]:
             yield f"private neighbors of {u} leak outside its closed neighborhood"
+    leaf = 1 << g.n
     for v in range(g.n):
-        h = delete_vertex(g, v)
         back = mask_of(u - (u > v) for u in bits(g.adj[v]))
-        if add_vertex(h, back) != _moved_last(g, v):
+        h = add_vertex(delete_vertex(g, v), back)
+        if h.n != g.n or h.adj != _moved_last(g, v):
             yield f"delete/re-add of {v} is not g with {v} moved last"
-        if add_pendant(g, v) != build_graph(g.n + 1, [*g.edges(), (v, g.n)]):
+        h = add_pendant(g, v)
+        if h.n != g.n + 1 or h.adj != (*g.adj[:v], g.adj[v] | leaf, *g.adj[v + 1 :], 1 << v):
             yield f"pendant on {v} is not g with a new leaf at {v}"
     if parse_edge_list(format_edge_list(g)) != g:
         yield "edge-list text round-trip changes the graph"
 
 
-def _moved_last(g: Graph, v: int) -> Graph:
-    """g relabeled so that v is last and the vertices above it shift down."""
-    pos = [u - (u > v) for u in range(g.n)]
-    pos[v] = g.n - 1
-    return build_graph(g.n, [(pos[u], pos[w]) for u, w in g.edges()])
+def _moved_last(g: Graph, v: int) -> tuple[int, ...]:
+    """Adjacency masks of g relabeled so that v is last and the vertices
+    above it shift down."""
+    low = (1 << v) - 1
+    last = 1 << (g.n - 1)
+
+    def move(a: int) -> int:
+        return (a & low) | (a >> (v + 1) << v) | (last if (a >> v) & 1 else 0)
+
+    return tuple(move(a) for u, a in enumerate(g.adj) if u != v) + (move(g.adj[v]),)
+
+
+def _relabeled(g: Graph, perm) -> tuple[int, ...]:
+    """Adjacency masks of the copy of g in which vertex u is perm[u]."""
+    adj = [0] * g.n
+    for u, a in enumerate(g.adj):
+        adj[perm[u]] = mask_of(perm[w] for w in bits(a))
+    return tuple(adj)
 
 
 def _check_solver_oracle(ctx: _Ctx):
@@ -432,7 +458,9 @@ def _check_tcp(ctx: _Ctx):
                     yield f"twin clique partition at {root} splits a twin class"
                     return
                 seen.add(clique | around)
-        if ctx.once(gamma_exact, h).gamma != gamma:
+        # with as many parts as vertices every part is a singleton, and the
+        # identity above says that h is g relabeled by the part map
+        if h.n != g.n and ctx.once(gamma_exact, h).gamma != gamma:
             yield f"reduced graph at root {root} changes gamma"
             return
 
@@ -440,9 +468,18 @@ def _check_tcp(ctx: _Ctx):
 def _check_tcp_core_correspondence(ctx: _Ctx):
     g = ctx.g
     sets = ctx.report.all_sets
+    singletons = [1 << v for v in range(g.n)]
     for root, tcp in enumerate(ctx.tcps):
-        masks_h = ctx.once(_reference_masks, tcp.reduced)
-        core_h, anticore_h = masks_h["core"], masks_h["anticore"]
+        h = tcp.reduced
+        # the part index of each vertex, when every part is a singleton
+        part = {c.bit_length() - 1: i for i, c in enumerate(tcp.cliques)}
+        if sorted(tcp.cliques) == singletons and h.adj == _relabeled(g, part):
+            # h is g relabeled by the part map, so its classes are g's, relabeled
+            core_h = mask_of(part[v] for v in bits(ctx.masks["core"]))
+            anticore_h = mask_of(part[v] for v in bits(ctx.masks["anticore"]))
+        else:
+            masks_h = ctx.once(_reference_masks, h)
+            core_h, anticore_h = masks_h["core"], masks_h["anticore"]
         for i, clique in enumerate(tcp.cliques):
             always_one = all((s & clique).bit_count() == 1 for s in sets)
             never = all(s & clique == 0 for s in sets)
@@ -515,8 +552,7 @@ def _check_canonical_relabeling(ctx: _Ctx):
     for _ in range(3):
         perm = list(range(g.n))
         rng.shuffle(perm)
-        h = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-        if canonical_form(h) != base:
+        if canonical_form(Graph(g.n, _relabeled(g, perm))) != base:
             yield "canonical form changes under relabeling"
             return
 

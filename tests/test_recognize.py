@@ -1,7 +1,16 @@
+import os
+import subprocess
+import sys
+from functools import cache
+from itertools import combinations, permutations
+from pathlib import Path
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domcore import (
+    Graph,
     GraphError,
     build_graph,
     class_flags,
@@ -13,7 +22,12 @@ from domcore import (
     is_tree,
     twin_clique_partition,
 )
-from domcore.recognize import PATTERNS, max_cardinality_search
+from domcore.recognize import (
+    _ORDERS,
+    PATTERNS,
+    _symmetry_conditions,
+    max_cardinality_search,
+)
 from domcore.solve import gamma_value
 from helpers import (
     complete,
@@ -31,6 +45,44 @@ PAW = build_graph(4, [(1, 2), (2, 3), (1, 3), (0, 1)])
 BULL = build_graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4)])
 DIAMOND = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 NET = build_graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _pair_mask(g: Graph, vs) -> int:
+    """Edges g induces on vs; bit b is the b-th pair of combinations(vs, 2)."""
+    return sum(1 << b for b, (u, v) in enumerate(combinations(vs, 2)) if (g.adj[u] >> v) & 1)
+
+
+@cache
+def _labeled_copies(pattern: str) -> frozenset[int]:
+    """_pair_mask of the pattern's vertices under every permutation."""
+    h = PATTERNS[pattern]
+    return frozenset(_pair_mask(h, p) for p in permutations(range(h.n)))
+
+
+def _contains_bruteforce(g: Graph, pattern: str) -> bool:
+    """Some k-subset of g, in some order, induces exactly the pattern."""
+    copies = _labeled_copies(pattern)
+    return any(_pair_mask(g, vs) in copies for vs in combinations(range(g.n), PATTERNS[pattern].n))
+
+
+@st.composite
+def _planted_graphs(draw, max_n):
+    """Graphs of about half density in which k vertices, in a random
+    order, induce a copy of a random k-vertex pattern."""
+    h = PATTERNS[draw(st.sampled_from(sorted(PATTERNS)))]
+    n = draw(st.integers(h.n, max_n))
+    pos = {v: i for i, v in enumerate(draw(st.permutations(range(n))))}
+    pairs = list(combinations(range(n), 2))
+    chosen = draw(st.integers(0, (1 << len(pairs)) - 1))
+
+    def edge(b, u, v):
+        if pos[u] < h.n and pos[v] < h.n:
+            return h.has_edge(pos[u], pos[v])
+        return (chosen >> b) & 1
+
+    return build_graph(n, [(u, v) for b, (u, v) in enumerate(pairs) if edge(b, u, v)])
 
 
 def test_catalog_is_pinned():
@@ -78,6 +130,48 @@ def test_paths_and_holes():
         assert not contains_induced(complete(k), f"C{k}")
     # a long hole does not hide a short one
     assert not contains_induced(cycle(7), "C5")
+
+
+@settings(max_examples=300)
+@given(st.one_of(graphs(0, 10), _planted_graphs(10)))
+def test_contains_induced_matches_bruteforce(g):
+    for name in PATTERNS:
+        assert contains_induced(g, name) == _contains_bruteforce(g, name), name
+
+
+@pytest.mark.parametrize("name", list(PATTERNS))
+def test_symmetry_conditions_keep_one_automorphism(name):
+    # of the embeddings onto one induced copy, which differ by an
+    # automorphism, exactly one may survive the conditions: the identity
+    h = PATTERNS[name]
+    edges = {frozenset(e) for e in h.edges()}
+    automorphisms = [
+        p for p in permutations(range(h.n)) if {frozenset((p[u], p[v])) for u, v in edges} == edges
+    ]
+    conditions = _symmetry_conditions(name)
+    kept = [p for p in automorphisms if all(p[a] < p[b] for a, b in conditions)]
+    assert kept == [tuple(range(h.n))]
+    # each condition's second vertex comes later in the embedding order,
+    # so the search applies it as a lower bound at that vertex's level
+    order = _ORDERS[name]
+    assert all(order.index(a) < order.index(b) for a, b in conditions)
+
+
+def test_symmetry_plan_is_not_built_on_import():
+    # the benchmark times fresh imports as set-up, so import builds nothing
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    code = (
+        "import domcore.recognize as r; "
+        "print(r._symmetry_conditions.cache_info().currsize, r._search_plan.cache_info().currsize)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.split() == ["0", "0"]
 
 
 def test_is_chordal():
@@ -168,6 +262,18 @@ def test_twin_clique_partition_preserves_gamma(corpus6):
             tcp = twin_clique_partition(g, root)
             assert sum(tcp.cliques) == g.full_mask
             assert gamma_value(tcp.reduced) == gamma
+
+
+@given(st.data())
+def test_twin_clique_reduced_graph_is_well_formed(data):
+    # reduced is built without validation; the validating constructor must
+    # accept its data, and it must be the subgraph induced on one vertex per part
+    g = data.draw(graphs(1, 12))
+    tcp = twin_clique_partition(g, data.draw(st.integers(0, g.n - 1)))
+    h = tcp.reduced
+    assert Graph(h.n, h.adj) == h
+    reps = [(c & -c).bit_length() - 1 for c in tcp.cliques]
+    assert all(h.has_edge(i, j) == g.has_edge(reps[i], reps[j]) for i, j in combinations(range(h.n), 2))
 
 
 @given(relabeled_graphs(0, 10))

@@ -16,6 +16,8 @@ from domcore.verify import (
     _check_cut_vertex_lemma,
     _check_recognizer_consistency,
     _check_simplicial,
+    _check_tcp,
+    _check_tcp_core_correspondence,
     _Ctx,
     _pattern_table,
 )
@@ -173,6 +175,40 @@ def test_twin_clique_checks_flag_a_wrong_reduced_graph(monkeypatch):
     flagged = _flagged()
     assert "twin-clique-partition" in flagged
     assert "twin-clique-core-correspondence" in flagged
+
+
+def test_twin_clique_checks_flag_a_wrong_reduced_graph_at_singleton_roots(monkeypatch):
+    # the same flip, only where every part is a singleton: there the checks
+    # reuse g's own gamma and classes once h is exactly g relabeled
+    real = domcore.verify.twin_clique_partition
+
+    def flipped(g, root):
+        tcp = real(g, root)
+        h = tcp.reduced
+        if h.n != g.n or h.n < 2:
+            return tcp
+        adj = (h.adj[0] ^ 0b10, h.adj[1] ^ 0b01) + h.adj[2:]
+        return TwinCliquePartition(tcp.root, tcp.cliques, Graph(h.n, adj))
+
+    monkeypatch.setattr(domcore.verify, "twin_clique_partition", flipped)
+    flagged = _flagged()
+    assert "twin-clique-partition" in flagged
+    assert "twin-clique-core-correspondence" in flagged
+
+
+def test_twin_clique_checks_solve_no_reduced_graph_at_singleton_roots(monkeypatch):
+    solved = []
+    real_gamma, real_masks = domcore.verify.gamma_exact, domcore.verify._reference_masks
+    monkeypatch.setattr(domcore.verify, "gamma_exact", lambda h: solved.append(h) or real_gamma(h))
+    monkeypatch.setattr(domcore.verify, "_reference_masks", lambda h: solved.append(h) or real_masks(h))
+    # no two vertices of P5 are twins, so every part at every root is a singleton
+    ctx = _Ctx(path(5))
+    assert list(_check_tcp(ctx)) == list(_check_tcp_core_correspondence(ctx)) == []
+    assert solved == []
+    # in K3 the two vertices besides the root share a part
+    ctx = _Ctx(complete(3))
+    assert list(_check_tcp(ctx)) == list(_check_tcp_core_correspondence(ctx)) == []
+    assert solved == [build_graph(2, [(0, 1)])] * 2
 
 
 def test_twin_clique_partition_flags_split_twin_classes(monkeypatch):
