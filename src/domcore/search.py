@@ -11,20 +11,28 @@ PLUS probe on core vertices only), never against the structural
 theorems, so search results stay independent of the theorems the
 package verifies.
 
-search_signature scans the connected-graph stream order by order.  A
-cheap necessary test using membership masks alone runs before any
-removal probes.  Replacing each removal atom by the full vertex set
-relaxes every expression to a superset, and the monotone requirements
-(nonempty, exact as a lower bound, cover, cut_vertex_in) can only gain
-from larger masks, so one of them failing on the relaxed masks is a
-sound rejection.  evaluate runs the same monotone walk on the true
-masks, then the empty requirements and the exact sizes.  The prefilter
-does not test empty requirements, so how much it rejects depends on the
-signature: min-plus-zero-minus-empty-anticore, whose nonempty atoms are
-all removal classes, passes every graph (all 11117 at n = 8).  Budgets
-(graph-count caps) are reported in the result, and a scan that reaches
-its ceiling without a witness is an explicit "exhausted" outcome rather
-than a silent pass.
+One step, evaluate_signatures(g, sigs), judges a graph against several
+signatures at once; search_signature runs it with one signature on each
+graph of the connected-graph stream, order by order, and the nine-vertex
+sweep with two.  Each signature's graph class is tested first, before
+gamma.  Then, for the signatures left, gamma, core and corona are solved
+once, and each signature's cheap necessary test on the membership masks
+alone (feasible_by_membership) runs before any removal probes.  The
+classification masks are computed at most once, only when some
+signature passes that test.
+
+The prefilter is sound: replacing each removal atom by the full vertex
+set relaxes every expression to a superset, and the monotone
+requirements (nonempty, exact as a lower bound, cover, cut_vertex_in)
+can only gain from larger masks, so one of them failing on the relaxed
+masks is a sound rejection.  evaluate runs the same monotone walk on the
+true masks, then the empty requirements and the exact sizes.  The
+prefilter does not test empty requirements, so how much it rejects
+depends on the signature: min-plus-zero-minus-empty-anticore, whose
+nonempty atoms are all removal classes, passes every graph (all 11117 at
+n = 8).  Budgets (graph-count caps) are reported in the result, and a
+scan that reaches its ceiling without a witness is an explicit
+"exhausted" outcome rather than a silent pass.
 
 With jobs > 1 one process pool serves the whole call.  The parent
 enumerates only the graphs one vertex smaller and sends them to the
@@ -271,16 +279,30 @@ class SearchResult:
         }
 
 
+def evaluate_signatures(g: Graph, sigs: tuple[PartitionSignature, ...]) -> tuple[bool, ...]:
+    """Each signature's verdict on g, in order, solving g at most once.
+
+    Graph classes first; then, if a signature is left, one gamma and one
+    core and corona, and each survivor's membership prefilter on one
+    membership dict; then, if one is still left, one classification_masks
+    call for every survivor's evaluate.  A signature dropped on the way
+    is False.
+    """
+    verdicts = [sig.graph_class is None or sig.graph_class(g) for sig in sigs]
+    if any(verdicts):
+        gamma = gamma_value(g)
+        core, corona = core_and_corona(g, gamma)
+        membership = membership_masks(g, core, corona)
+        verdicts = [ok and sig.feasible_by_membership(g, membership) for ok, sig in zip(verdicts, sigs)]
+        if any(verdicts):
+            masks = classification_masks(g, gamma, (core, corona))
+            verdicts = [ok and sig.evaluate(g, masks) for ok, sig in zip(verdicts, sigs)]
+    return tuple(verdicts)
+
+
 def evaluate_signature(sig: PartitionSignature, g: Graph) -> bool:
-    """Full evaluation: graph class, membership prefilter, then
-    classification masks."""
-    if sig.graph_class is not None and not sig.graph_class(g):
-        return False
-    gamma = gamma_value(g)
-    core, corona = core_and_corona(g, gamma)
-    if not sig.feasible_by_membership(g, membership_masks(g, core, corona)):
-        return False
-    return sig.evaluate(g, classification_masks(g, gamma, (core, corona)))
+    """evaluate_signatures for one signature."""
+    return evaluate_signatures(g, (sig,))[0]
 
 
 def _witness(sig: PartitionSignature, g: Graph) -> Graph | None:

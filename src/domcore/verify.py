@@ -31,7 +31,9 @@ this relabeling, so h has g's gamma.  The core correspondence compares
 h.adj exactly with g's masks relabeled: when they are equal it takes h's
 classes from g's own, relabeled, and otherwise it classifies h from
 scratch, so a forged partition gets the same verdict as a full solve.
-_Ctx computes what several checks share once per graph.
+_Ctx computes what several checks share once per graph: the minimum
+sets, both classifications, the induced-pattern searches and the class
+tests is_tree, is_chordal, is_bipartite, is_claw_free and is_cograph.
 """
 
 from __future__ import annotations
@@ -135,8 +137,9 @@ class _Ctx:
         return tuple(twin_clique_partition(self.g, root) for root in range(self.g.n))
 
     def once(self, fn, *args):
-        """fn(*args), computed at most once for this graph (roots often
-        share a reduced graph); the memo dies with the graph."""
+        """fn(*args), computed at most once for this graph (a class test
+        that several checks ask, a reduced graph that roots share); the
+        memo dies with the graph."""
         key = (fn, args)
         if key not in self._once:
             self._once[key] = fn(*args)
@@ -234,7 +237,7 @@ def _check_private_neighbors_in_sets(ctx: _Ctx):
 
 
 def _check_tree_gamma(ctx: _Ctx):
-    if is_tree(ctx.g):
+    if ctx.once(is_tree, ctx.g):
         if gamma_tree(ctx.g).gamma != ctx.report.gamma:
             yield "tree dynamic program disagrees with exact solver"
 
@@ -379,13 +382,13 @@ def _check_core_is_plus(in_class, message: str, ctx: _Ctx):
 # the class tests look the recognizers up when called, so tests can patch them
 _check_chordal_core = partial(
     _check_core_is_plus,
-    lambda ctx: is_chordal(ctx.g),
+    lambda ctx: ctx.once(is_chordal, ctx.g),
     "chordal graph with core different from the gamma-raising set",
 )
 
 
 def _check_cograph_core(ctx: _Ctx):
-    if ctx.g.n < 2 or not is_cograph(ctx.g):
+    if ctx.g.n < 2 or not ctx.once(is_cograph, ctx.g):
         return
     core = ctx.masks["core"]
     if core.bit_count() > 1:
@@ -396,19 +399,19 @@ def _check_cograph_core(ctx: _Ctx):
 
 _check_claw_p6_free_core = partial(
     _check_core_is_plus,
-    lambda ctx: is_claw_free(ctx.g) and not ctx.contains("P6"),
+    lambda ctx: ctx.once(is_claw_free, ctx.g) and not ctx.contains("P6"),
     "(claw,P6)-free graph whose core is not the gamma-raising set",
 )
 
 _check_claw_bull_free_core = partial(
     _check_core_is_plus,
-    lambda ctx: is_claw_free(ctx.g) and not ctx.contains("bull"),
+    lambda ctx: ctx.once(is_claw_free, ctx.g) and not ctx.contains("bull"),
     "(claw,bull)-free graph whose core is not the gamma-raising set",
 )
 
 
 def _check_claw_free_gamma_i(ctx: _Ctx):
-    if not is_claw_free(ctx.g):
+    if not ctx.once(is_claw_free, ctx.g):
         return
     if ctx.ind.gamma != ctx.report.gamma:
         yield "claw-free graph with gamma below independent domination number"
@@ -416,10 +419,10 @@ def _check_claw_free_gamma_i(ctx: _Ctx):
 
 def _check_bipartite_claw_free_shape(ctx: _Ctx):
     g = ctx.g
-    if g.n < 2 or not is_bipartite(g) or not is_claw_free(g):
+    if g.n < 2 or not ctx.once(is_bipartite, g) or not ctx.once(is_claw_free, g):
         return
     degrees = sorted(a.bit_count() for a in g.adj)
-    path = is_tree(g) and degrees[-1] <= 2
+    path = ctx.once(is_tree, g) and degrees[-1] <= 2
     even_cycle = g.n % 2 == 0 and degrees[0] == degrees[-1] == 2
     if not (path or even_cycle):
         yield "bipartite claw-free graph that is neither path nor even cycle"
@@ -533,11 +536,11 @@ def _check_pattern_oracle(ctx: _Ctx):
 
 def _check_recognizer_consistency(ctx: _Ctx):
     g = ctx.g
-    if is_tree(g) and not (is_bipartite(g) and is_chordal(g)):
+    if ctx.once(is_tree, g) and not (ctx.once(is_bipartite, g) and ctx.once(is_chordal, g)):
         yield "tree flagged non-bipartite or non-chordal"
-    if is_cograph(g) == ctx.contains("P4"):
+    if ctx.once(is_cograph, g) == ctx.contains("P4"):
         yield "cograph flag disagrees with induced P4 search"
-    chordal = is_chordal(g)
+    chordal = ctx.once(is_chordal, g)
     holes = [c for c in ("C4", "C5", "C6", "C7") if ctx.contains(c)]
     if chordal and holes:
         yield f"chordal graph contains induced {holes[0]}"

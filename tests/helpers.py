@@ -3,10 +3,9 @@
 from hypothesis import strategies as st
 
 from domcore import Graph, build_graph, parse_graph6, write_graph6
-from domcore.classify import classification_masks, membership_masks
+from domcore.classify import classification_masks
 from domcore.graph import MAX_VERTICES, connected_components, delete_vertex, mask_of
-from domcore.search import SIGNATURES
-from domcore.solve import core_and_corona, gamma_value
+from domcore.search import SIGNATURES, evaluate_signatures
 
 # SHA-256 of the newline-terminated graph6 stream of enumerate_connected(n);
 # any change to which graphs the enumerator yields, or in what order,
@@ -105,8 +104,11 @@ def forests(draw, min_n=0, max_n=MAX_VERTICES):
     return build_graph(g.n, kept)
 
 
-_EVERY_CLASS_SIG = SIGNATURES["min-plus-zero-minus-empty-anticore"]
-_CUT_VERTEX_SIG = SIGNATURES["cut-vertex-in-core-zero"]
+# the every-class signature (criterion 5) first, then the cut-vertex one (criterion 6)
+_SWEEP_SIGS = (
+    SIGNATURES["min-plus-zero-minus-empty-anticore"],
+    SIGNATURES["cut-vertex-in-core-zero"],
+)
 
 
 def nine_sweep_step(g: Graph):
@@ -115,22 +117,16 @@ def nine_sweep_step(g: Graph):
     if g witnesses min-plus-zero-minus-empty-anticore else None, whether
     g witnesses cut-vertex-in-core-zero).
 
-    A module-level function, so a process pool can run it.
+    Both verdicts come from the package's one step,
+    search.evaluate_signatures, which solves g at most once.  Only an
+    every-class witness has its masks computed again, for the sizes; no
+    graph with n <= 8 is one.  A module-level function, so a process pool
+    can run it.
     """
     text = write_graph6(g)
-    gamma = gamma_value(g)
-    core, corona = core_and_corona(g, gamma)
-    membership = membership_masks(g, core, corona)
-    fig_possible = _EVERY_CLASS_SIG.feasible_by_membership(g, membership)
-    cut_possible = _CUT_VERTEX_SIG.feasible_by_membership(g, membership)
-    sizes, cut_witness = None, False
-    if fig_possible or cut_possible:
-        masks = classification_masks(g, gamma, (core, corona))
-        if fig_possible and _EVERY_CLASS_SIG.evaluate(g, masks):
-            sizes = (
-                masks["plus"].bit_count(),
-                masks["zero"].bit_count(),
-                masks["minus"].bit_count(),
-            )
-        cut_witness = cut_possible and _CUT_VERTEX_SIG.evaluate(g, masks)
+    every_class, cut_witness = evaluate_signatures(g, _SWEEP_SIGS)
+    sizes = None
+    if every_class:
+        masks = classification_masks(g)
+        sizes = (masks["plus"].bit_count(), masks["zero"].bit_count(), masks["minus"].bit_count())
     return text, parse_graph6(text) == g, sizes, cut_witness

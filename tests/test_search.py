@@ -17,6 +17,7 @@ from domcore.search import (
     PartitionSignature,
     cubic_bipartite_filter,
     evaluate_signature,
+    evaluate_signatures,
     has_k4,
     line_graph_family_filter,
     search_signature,
@@ -290,6 +291,37 @@ def test_graph_class_is_tested_before_gamma(monkeypatch, corpus6):
     monkeypatch.setattr(domcore.search, "gamma_value", no_gamma)
     for g in outside:
         assert not evaluate_signature(sig, g)
+
+
+def test_one_step_solves_each_graph_once(monkeypatch, corpus6):
+    sigs = tuple(SIGNATURES.values())
+    classed = tuple(sig for sig in sigs if sig.graph_class is not None)
+    expected = [tuple(evaluate_signature(sig, g) for sig in sigs) for _, g in corpus6]
+    calls = {}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    names = ("gamma_value", "core_and_corona", "classification_masks")
+    for name in names:
+        monkeypatch.setattr(domcore.search, name, counting(name, getattr(domcore.search, name)))
+    masked = outside = 0
+    for (_, g), verdicts in zip(corpus6, expected):
+        calls.update(dict.fromkeys(names, 0))
+        assert evaluate_signatures(g, sigs) == verdicts, g
+        assert max(calls.values()) <= 1, (g, calls)
+        masked += calls["classification_masks"]
+        if not any(sig.graph_class(g) for sig in classed):
+            outside += 1
+            calls.update(dict.fromkeys(names, 0))
+            assert evaluate_signatures(g, classed) == (False,) * len(classed)
+            assert not any(calls.values()), (g, calls)
+    # some graphs reach the masks and some lie outside both classes
+    assert masked and outside
 
 
 def test_has_k4_and_filters():

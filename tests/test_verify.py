@@ -160,6 +160,24 @@ def test_core_is_plus_checks_flag_a_wrong_class_test(monkeypatch, class_test, fl
     assert flags <= _flagged(6)
 
 
+def test_class_tests_run_once_per_graph(monkeypatch):
+    names = ("is_claw_free", "is_cograph", "is_chordal", "is_tree", "is_bipartite")
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, real):
+        def wrapper(g):
+            calls[name] += 1
+            return real(g)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(domcore.verify, name, counting(name, getattr(domcore.verify, name)))
+    report = verify_corpus(5)
+    assert report.graphs_total == 31
+    assert all(0 < count <= 31 for count in calls.values()), calls
+
+
 def test_twin_clique_checks_flag_a_wrong_reduced_graph(monkeypatch):
     real = domcore.verify.twin_clique_partition
 
