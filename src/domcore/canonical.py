@@ -51,9 +51,9 @@ def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
             m = cell
             while m:
                 low = m & -m
-                v = low.bit_length() - 1
+                a = adj[low.bit_length() - 1]
                 m ^= low
-                key = tuple((adj[v] & c).bit_count() for c in cells)
+                key = tuple([(a & c).bit_count() for c in cells])
                 groups[key] = groups.get(key, 0) | low
             if len(groups) == 1:
                 new_cells.append(cell)

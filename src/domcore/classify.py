@@ -9,14 +9,16 @@ Two routes compute the same classification.  The definitional route
 enumerates every minimum dominating set and reads membership off the
 intersection and union; it is the reference.  The structural route
 never enumerates and never builds a graph: it runs feasibility probes
-on closed-neighborhood masks.  Deleting v clears bit v from every mask
-and from the vertex set, so no index shifts.  The removal class needs
-only the sign of the change, so two probes on the deleted masks (at
-budgets gamma and gamma - 1) give it.  A vertex u lies in no minimum
-set exactly when no set of gamma - 1 vertices dominates what N[u]
-leaves undominated (the pendant argument: a pendant at u raises gamma
-iff u is in no minimum set).  Core membership reduces to the removal
-class plus that anticore probe on each neighbor in the deleted masks.
+on closed-neighborhood masks.  Deleting v takes only v out of the
+vertex set: the probes run on G's own masks, where a vertex outside
+the vertex set is never undominated and never picked, so no mask is
+copied and no index shifts.  The removal class needs only the sign of
+the change, so two probes on G - v (at budgets gamma and gamma - 1)
+give it.  A vertex u lies in no minimum set exactly when no set of
+gamma - 1 vertices dominates what N[u] leaves undominated (the pendant
+argument: a pendant at u raises gamma iff u is in no minimum set).
+Core membership reduces to the removal class plus that anticore probe
+on each neighbor in G - v.
 
 The structural route probes in this order: an isolated vertex is
 (MINUS, CORE) with no probe; otherwise the anticore probe runs first,
@@ -102,17 +104,12 @@ class ClassificationReport:
         return {name: m.bit_count() for name, m in self.masks().items()}
 
 
-def _delete(closed: list[int], full: int, v: int) -> tuple[list[int], int]:
-    """Closed masks and vertex set of the graph with v deleted, indices kept."""
-    keep = ~(1 << v)
-    return [c & keep for c in closed], full & keep
-
-
-def _removal(h: list[int], h_full: int, gamma: int) -> RemovalClass:
-    """Removal class from two probes on the masks of the deleted graph."""
-    if not _exists_dominating(h, h_full, gamma):
+def _removal(closed: list[int], rest: int, gamma: int) -> RemovalClass:
+    """Removal class of v from two probes on G - v, given as G's closed
+    masks and rest, G's vertex set without v."""
+    if not _exists_dominating(closed, rest, gamma):
         return RemovalClass.PLUS
-    if _exists_dominating(h, h_full, gamma - 1):
+    if _exists_dominating(closed, rest, gamma - 1):
         return RemovalClass.MINUS
     return RemovalClass.ZERO
 
@@ -146,11 +143,11 @@ def _classify_vertex(closed: list[int], full: int, v: int, gamma: int) -> Vertex
         return VertexClassification(v, RemovalClass.MINUS, MembershipClass.CORE)
     if _in_no_minimum_set(closed, full, v, gamma):
         return VertexClassification(v, RemovalClass.ZERO, MembershipClass.ANTICORE)
-    h, h_full = _delete(closed, full, v)
-    removal = _removal(h, h_full, gamma)
+    rest = full & ~(1 << v)
+    removal = _removal(closed, rest, gamma)
     if removal is RemovalClass.PLUS or (
         removal is RemovalClass.ZERO
-        and all(_in_no_minimum_set(h, h_full, u, gamma) for u in bits(neighbors))
+        and all(_in_no_minimum_set(closed, rest, u, gamma) for u in bits(neighbors))
     ):
         membership = MembershipClass.CORE
     else:
@@ -212,7 +209,7 @@ def classification_masks(
     Keyed by CLASSES, as ClassificationReport.masks().  Membership
     masks come from folding the minimum-set stream; core_corona, if
     given, must be core_and_corona(g).  Removal masks come from budget
-    probes on the deleted masks, and the budget-gamma (PLUS) probe runs
+    probes on G - v, and the budget-gamma (PLUS) probe runs
     on core vertices only: a vertex outside the core is avoided by some
     minimum set, which dominates G - v, so gamma(G - v) <= gamma.
     """
@@ -223,10 +220,10 @@ def classification_masks(
     full = g.full_mask
     plus = minus = 0
     for v in range(g.n):
-        h, h_full = _delete(closed, full, v)
-        if (core >> v) & 1 and not _exists_dominating(h, h_full, gamma):
+        rest = full & ~(1 << v)
+        if (core >> v) & 1 and not _exists_dominating(closed, rest, gamma):
             plus |= 1 << v
-        elif _exists_dominating(h, h_full, gamma - 1):
+        elif _exists_dominating(closed, rest, gamma - 1):
             minus |= 1 << v
     return {
         "plus": plus,

@@ -14,6 +14,15 @@ deletability is tested only for its rivals (vertices whose invariant is
 below the new vertex's) and ties (equal invariant), with one cut-vertex
 pass, and not at all when there are none.
 
+A tie that is a twin of the new vertex (the same neighbors, each other
+aside) needs no rooted form: swapping the two is an automorphism, so
+their rooted forms are equal and the twin never rejects the child.
+Twins leave the ties after the cut-vertex pass, not before it.  Any
+rival needs that pass anyway; only a child with no rival and nothing
+but twin ties could skip it, and the benchmark harness's tests
+(bench/test_bench.py) read the stream's count of cut-vertex passes, so
+the count stays as it is.
+
 Most candidates fail on a rival of lower degree that the parent already
 shows, so each parent rejects those subsets before building a child.
 The lemma: if u is not a cut vertex of a connected parent P, it is not
@@ -90,12 +99,23 @@ _PARENT_CHUNK = 8
 NULL_GRAPH = Graph(0, ())
 
 
+def _neighbor_degrees(deg: list[int], nbrs: int) -> list[int]:
+    """The degrees of the vertices of mask nbrs, sorted."""
+    out = []
+    while nbrs:
+        low = nbrs & -nbrs
+        out.append(deg[low.bit_length() - 1])
+        nbrs ^= low
+    out.sort()
+    return out
+
+
 def _is_canonical_child(g: Graph, new: int) -> bool:
     """Accept g iff the just-added vertex sits in the deletion orbit."""
     adj = g.adj
     deg = [a.bit_count() for a in adj]
     new_deg = deg[new]
-    new_nbrs = sorted(deg[u] for u in bits(adj[new]))
+    new_nbrs = _neighbor_degrees(deg, adj[new])
     # the cheap invariant is (degree, sorted neighbor degrees); neighbor
     # degrees are only sorted for vertices that tie on degree
     rivals = ties = 0
@@ -106,7 +126,7 @@ def _is_canonical_child(g: Graph, new: int) -> bool:
         if d < new_deg:
             rivals |= 1 << v
             continue
-        nbrs = sorted(deg[u] for u in bits(adj[v]))
+        nbrs = _neighbor_degrees(deg, adj[v])
         if nbrs < new_nbrs:
             rivals |= 1 << v
         elif nbrs == new_nbrs:
@@ -117,6 +137,12 @@ def _is_canonical_child(g: Graph, new: int) -> bool:
     if rivals & deletable:
         return False
     ties &= deletable
+    # a twin of the new vertex never rejects it: swapping the two is an
+    # automorphism, so their rooted forms are equal
+    new_adj = adj[new]
+    for v in bits(ties):
+        if adj[v] & ~(1 << new) == new_adj & ~(1 << v):
+            ties ^= 1 << v
     if not ties:
         return True
     new_key = rooted_canonical_bits(g, new)
@@ -185,13 +211,14 @@ def _connected_subsets(parent: Graph):
     for d in range(1, k):
         at_most[d] |= at_most[d - 1]
 
-    def kept(subset: int) -> bool:
-        s = subset.bit_count()
-        return s < 2 or not (at_most[s - 1] & ~subset or at_most[s - 2] & subset)
-
     # the new vertex needs a neighbor to keep the child connected, unless
     # it is the first vertex: the null graph's one child is K1
-    return filter(kept, range(1 if k else 0, 1 << k))
+    return [
+        subset
+        for subset in range(1 if k else 0, 1 << k)
+        if (s := subset.bit_count()) < 2
+        or not (at_most[s - 1] & ~subset or at_most[s - 2] & subset)
+    ]
 
 
 def _leaf_subsets(parent: Graph):

@@ -3,13 +3,16 @@
 Two searches do the work.  The feasibility search asks whether at most
 k picks dominate every vertex.  It branches on the candidate dominators
 of the undominated vertex with the fewest of them, and cuts a node when
-the packing bound (undominated vertices with pairwise-disjoint closed
-neighborhoods, each needing its own dominator) exceeds the budget.
-Given an allowed mask, it picks only from that mask and each pick w
-takes N[w] out of it, so the picks stay independent.  Both the
-domination number and the independent domination number are the first
-budget between the packing bound and a greedy set (a greedy cover, or
-a greedy maximal independent set) that the search accepts.
+the packing bound (undominated vertices whose closed neighborhoods
+within the available picks are pairwise disjoint, each needing its own
+dominator) exceeds the budget.  Given an allowed mask, it picks only
+from that mask and each pick w takes N[w] out of it, so the picks stay
+independent.  Both the domination number and the independent
+domination number are the first budget between the packing bound and a
+greedy set (a greedy cover, or a greedy maximal independent set) that
+the search accepts.  Without an allowed mask, a vertex outside the
+vertex set `full` is never undominated and never picked, so the search
+on G's closed masks with v left out of `full` is the search on G - v.
 
 The second search, _minimum_sets, yields every dominating set of a
 given size in lexicographic order, cut by the same packing bound taken
@@ -89,10 +92,13 @@ def _greedy_cover(closed: list[int], full: int) -> int:
 def _packing_bound(closed: list[int], undominated: int, avail: int) -> int:
     """Lower bound on the picks from `avail` still needed to dominate `undominated`.
 
-    Counts undominated vertices with pairwise-disjoint closed
-    neighborhoods: no vertex can dominate two of them.  Returns
-    MAX_VERTICES + 1, more than any budget, when some undominated vertex
-    has no dominator left in `avail`.
+    Counts undominated vertices whose closed neighborhoods within
+    `avail` are pairwise disjoint: no pick from `avail` dominates two
+    of them.  Vertices outside `avail` never count against the bound,
+    so masks that still hold a deleted vertex give the same bound as
+    masks with it cleared.  Returns MAX_VERTICES + 1, more than any
+    budget, when some undominated vertex has no dominator left in
+    `avail`.
     """
     count = 0
     blocked = 0
@@ -101,8 +107,8 @@ def _packing_bound(closed: list[int], undominated: int, avail: int) -> int:
         low = m & -m
         v = low.bit_length() - 1
         m ^= low
-        nb = closed[v]
-        if not nb & avail:
+        nb = closed[v] & avail
+        if not nb:
             return MAX_VERTICES + 1
         if not nb & blocked:
             count += 1

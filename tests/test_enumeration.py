@@ -47,6 +47,7 @@ from helpers import (
     cut_vertices_bruteforce,
     cycle,
     graphs,
+    path,
     relabel,
     relabeled_graphs,
     star,
@@ -373,6 +374,29 @@ def test_deletion_test_matches_reference_on_random_graphs(g):
     # any non-cut vertex can play the new vertex
     for new in bits(g.full_mask & ~cut_vertices_bruteforce(g)):
         assert _is_canonical_child(g, new) == _is_canonical_child_reference(g, new)
+
+
+@pytest.mark.parametrize(
+    "g, rooted_calls",
+    [
+        (path(3), 0),  # the other end is the new vertex's twin, its only tie
+        (path(4), 2),  # the other end ties and is no twin: new's form and its own
+        (cycle(4), 3),  # vertex 1 is the twin, vertices 0 and 2 tie and are not
+    ],
+    ids=["P3", "P4", "C4"],
+)
+def test_twin_ties_need_no_rooted_form(g, rooted_calls, monkeypatch):
+    # the new vertex is the last one; swapping it with a twin is an
+    # automorphism, so a twin's rooted form is never computed
+    calls = []
+    monkeypatch.setattr(
+        "domcore.enumeration.rooted_canonical_bits",
+        lambda g, v: calls.append(v) or rooted_canonical_bits(g, v),
+    )
+    new = g.n - 1
+    assert _is_canonical_child(g, new)
+    assert len(calls) == rooted_calls
+    assert _is_canonical_child_reference(g, new)
 
 
 @given(connected_graphs(min_n=2, max_n=10))

@@ -14,12 +14,12 @@ from domcore import (
     independence_number,
     independent_domination_number,
 )
-from domcore.classify import _delete
-from domcore.graph import bits, closed_masks, is_dominating, mask_of
+from domcore.graph import MAX_VERTICES, bits, closed_masks, is_dominating, mask_of
 from domcore.solve import (
     ALL_SETS_MAX,
     _exists_dominating,
     _minimum_sets,
+    _packing_bound,
     exists_dominating_within,
     gamma_bruteforce,
     gamma_tree,
@@ -198,21 +198,20 @@ def test_exists_dominating_within():
     assert not exists_dominating_within(path(1), 0)
 
 
-def _fewest_picks(closed, full, dominated, allowed, cap):
-    """Size of a smallest set that dominates what `dominated` leaves, or cap + 1.
+def _fewest_picks(closed, undominated, pool, independent, cap):
+    """Size of a smallest set of pool vertices that dominates undominated, or cap + 1.
 
-    With `allowed`, the set lies inside it and is independent.
+    If independent is true, the set must also be an independent set.
     """
-    pool = list(bits(full if allowed is None else allowed))
     for size in range(cap + 1):
-        for combo in combinations(pool, size):
+        for combo in combinations(bits(pool), size):
             picks = mask_of(combo)
-            if allowed is not None and any(closed[v] & picks != 1 << v for v in combo):
+            if independent and any(closed[v] & picks != 1 << v for v in combo):
                 continue
-            covered = dominated
+            covered = 0
             for v in combo:
                 covered |= closed[v]
-            if covered & full == full:
+            if not undominated & ~covered:
                 return size
     return cap + 1
 
@@ -221,20 +220,43 @@ def _fewest_picks(closed, full, dominated, allowed, cap):
 @given(graphs(0, 10), st.booleans(), st.randoms(use_true_random=False))
 def test_exists_dominating_matches_bruteforce(g, delete, rng):
     # budgets 0..4 reach the closed-form last picks (budgets 1 and 2) and
-    # the recursive path; the deleted masks are the ones classify probes
+    # the recursive path.  With a vertex v deleted, the search runs on two
+    # forms of G - v: masks with bit v cleared, and G's own masks with only
+    # v left out of the vertex set, the form classify probes; brute force
+    # on the cleared masks is the reference for both
     closed, full = closed_masks(g), g.full_mask
+    forms = [closed]
     if g.n and delete:
-        closed, full = _delete(closed, full, rng.randrange(g.n))
+        keep = ~(1 << rng.randrange(g.n))
+        full &= keep
+        forms = [[c & keep for c in closed], closed]
     # many states per graph: a fault in the independent last picks shows
     # only where an adjacent pair dominates and no independent one does
     for _ in range(16):
         dominated = rng.getrandbits(g.n) & full
         subset = rng.getrandbits(g.n) & full
         for allowed in (None, full, subset):
-            least = _fewest_picks(closed, full, dominated, allowed, 4)
-            for budget in range(5):
-                got = _exists_dominating(closed, full, budget, dominated, allowed)
-                assert got == (least <= budget), (dominated, allowed, budget)
+            pool = full if allowed is None else allowed
+            least = _fewest_picks(forms[0], full & ~dominated, pool, allowed is not None, 4)
+            for masks in forms:
+                for budget in range(5):
+                    got = _exists_dominating(masks, full, budget, dominated, allowed)
+                    assert got == (least <= budget), (masks is closed, dominated, allowed, budget)
+
+
+@given(graphs(0, 12), st.randoms(use_true_random=False))
+def test_packing_bound_is_sound(g, rng):
+    # the bound counts closed neighborhoods within avail, so it is at most
+    # the fewest picks from avail that dominate the undominated set
+    closed = closed_masks(g)
+    for _ in range(8):
+        undominated = rng.getrandbits(g.n)
+        avail = rng.getrandbits(g.n)
+        bound = _packing_bound(closed, undominated, avail)
+        stranded = any(not closed[u] & avail for u in bits(undominated))
+        assert (bound == MAX_VERTICES + 1) == stranded, (undominated, avail)
+        if not stranded:
+            assert bound <= _fewest_picks(closed, undominated, avail, False, g.n), (undominated, avail)
 
 
 @given(graphs(0, 12))
