@@ -77,8 +77,7 @@ def _stdin_graphs():
 
 def _gamma_payload(g: Graph) -> dict:
     report = gamma_exact(g)
-    witness = sorted(bits(report.witness)) if report.witness is not None else []
-    return {"n": g.n, "gamma": report.gamma, "witness": witness}
+    return {"n": g.n, "gamma": report.gamma, "witness": sorted(bits(report.witness))}
 
 
 def _gamma_rows(payload: dict, prefix: str):

@@ -4,28 +4,28 @@ Two searches do the work.  The feasibility search asks whether at most
 k picks dominate every vertex.  It branches on the candidate dominators
 of the undominated vertex with the fewest of them, and cuts a node when
 the packing bound (undominated vertices whose closed neighborhoods
-within the available picks are pairwise disjoint, each needing its own
-dominator) exceeds the budget.  Given an allowed mask, it picks only
-from that mask and each pick w takes N[w] out of it, so the picks stay
-independent.  Both the domination number and the independent
-domination number are the first budget between the packing bound and a
-greedy set (a greedy cover, or a greedy maximal independent set) that
-the search accepts.  Without an allowed mask, a vertex outside the
-vertex set `full` is never undominated and never picked, so the search
-on G's closed masks with v left out of `full` is the search on G - v.
+within the vertex set are pairwise disjoint, each needing its own
+dominator) exceeds the budget.  It has one mode: picks come from the
+vertex set `full`.  The domination number is the first budget between
+the packing bound and a greedy cover that it accepts.  A vertex outside
+`full` is never undominated and never picked, so the search on G's
+closed masks with v left out of `full` is the search on G - v.
 
 The second search, _minimum_sets, yields every dominating set of a
 given size in lexicographic order, cut by the same packing bound taken
-over the vertices still available.
+over the vertices still available.  Given the adjacency masks, it keeps
+later picks out of the neighborhoods of earlier ones and yields only
+independent dominating sets; this is the only place independence is
+written.  The independent domination number is the first size, from
+the packing bound up, at which it yields a set.
 
 Neither search recurses for its last pick.  A vertex w dominates u iff
 w is in N[u], so the vertices that dominate all of an undominated set
 U are the AND of N[u] over U (_common_dominators).  With one pick left
-the feasibility search asks whether that set, taken within the allowed
-picks, is nonempty; with two left it tries each candidate w for the
-pivot and asks the same of what N[w] leaves (within the allowed picks
-minus N[w]).  _minimum_sets yields the chosen set plus each vertex of
-that set, in increasing order, which keeps its lexicographic order.
+the feasibility search asks whether that set is nonempty; with two left
+it tries each candidate w for the pivot and asks the same of what N[w]
+leaves.  _minimum_sets yields the chosen set plus each vertex of that
+set, in increasing order, which keeps its lexicographic order.
 
 The witness of gamma_exact is the first set of _minimum_sets,
 all_minimum_dominating_sets is all of them, core_and_corona
@@ -61,14 +61,13 @@ ALL_SETS_MAX = 24
 class DominationReport:
     """Result bundle: the number, one witness, optionally every witness.
 
-    gamma is the optimum size; witness is a bitmask optimum set (None
-    only when a solver computes the value alone); all_sets, when
-    present, lists every optimum set in lexicographic order of their
-    sorted vertex sequences.
+    gamma is the optimum size; witness is a bitmask optimum set;
+    all_sets, when present, lists every optimum set in lexicographic
+    order of their sorted vertex sequences.
     """
 
     gamma: int
-    witness: int | None
+    witness: int
     all_sets: tuple[int, ...] | None = None
 
 
@@ -131,25 +130,18 @@ def _common_dominators(closed: list[int], undominated: int, avail: int) -> int:
     return avail
 
 
-def _exists_dominating(
-    closed: list[int], full: int, budget: int, dominated: int = 0, allowed: int | None = None
-) -> bool:
-    """True if at most `budget` picks dominate everything.
-
-    With `allowed` given, picks come only from it and each pick w takes
-    N[w] out of it, so the picks form an independent set.
-    """
+def _exists_dominating(closed: list[int], full: int, budget: int, dominated: int = 0) -> bool:
+    """True if at most `budget` picks from `full` dominate all of `full`."""
     undominated = full & ~dominated
     if not undominated:
         return True
     if budget <= 0:
         return False
-    avail = full if allowed is None else allowed
     if budget == 1:
-        return bool(_common_dominators(closed, undominated, avail))
-    if _packing_bound(closed, undominated, avail) > budget:
+        return bool(_common_dominators(closed, undominated, full))
+    if _packing_bound(closed, undominated, full) > budget:
         return False
-    # pivot: undominated vertex with the fewest allowed candidate dominators
+    # pivot: undominated vertex with the fewest candidate dominators
     pivot_candidates = 0
     pivot_count = 65
     m = undominated
@@ -157,7 +149,7 @@ def _exists_dominating(
         low = m & -m
         v = low.bit_length() - 1
         m ^= low
-        cand = closed[v] & avail
+        cand = closed[v] & full
         c = cand.bit_count()
         if c < pivot_count:
             pivot_count = c
@@ -168,8 +160,7 @@ def _exists_dominating(
         # the second pick must dominate whatever the first leaves
         for w in bits(pivot_candidates):
             left = undominated & ~closed[w]
-            rest = avail if allowed is None else avail & ~closed[w]
-            if not left or _common_dominators(closed, left, rest):
+            if not left or _common_dominators(closed, left, full):
                 return True
         return False
     order = sorted(
@@ -177,32 +168,25 @@ def _exists_dominating(
         key=lambda w: -(closed[w] & undominated).bit_count(),
     )
     for w in order:
-        rest = None if allowed is None else allowed & ~closed[w]
-        if _exists_dominating(closed, full, budget - 1, dominated | closed[w], rest):
+        if _exists_dominating(closed, full, budget - 1, dominated | closed[w]):
             return True
     return False
 
 
 def exists_dominating_within(g: Graph, budget: int) -> bool:
     """Feasibility probe: is there a dominating set of size <= budget?"""
-    if budget < 0:
-        return g.n == 0
-    return _exists_dominating(closed_masks(g), g.full_mask, budget)
-
-
-def _least_budget(closed: list[int], full: int, upper: int, allowed: int | None = None) -> int:
-    """Least budget the feasibility search accepts below `upper`, a greedy set's size."""
-    for k in range(_packing_bound(closed, full, full), upper):
-        if _exists_dominating(closed, full, k, 0, allowed):
-            return k
-    return upper
+    return budget >= 0 and _exists_dominating(closed_masks(g), g.full_mask, budget)
 
 
 def gamma_value(g: Graph) -> int:
     """Domination number, the least budget between the packing bound and a greedy cover."""
     closed = closed_masks(g)
     full = g.full_mask
-    return _least_budget(closed, full, _greedy_cover(closed, full))
+    upper = _greedy_cover(closed, full)
+    for k in range(_packing_bound(closed, full, full), upper):
+        if _exists_dominating(closed, full, k):
+            return k
+    return upper
 
 
 def _minimum_sets(
@@ -339,26 +323,24 @@ def independence_number(g: Graph) -> int:
 def independent_domination_number(g: Graph) -> DominationReport:
     """Minimum size of an independent dominating set, with witness.
 
-    Always well defined: every maximal independent set dominates, so a
-    greedy one is the upper end of the budget scan.  The feasibility
-    search runs with picks restricted to the vertices still independent
-    of earlier picks; its pivot, the undominated vertex with the fewest
-    such candidates, keeps it complete, because that vertex's dominator
-    must be one of them.
+    The first size k, from the packing bound up, at which the
+    independent mode of _minimum_sets yields a set; that set is the
+    lexicographically smallest independent dominating set of size k.
+    Always well defined: every maximal independent set dominates, so
+    the scan stops by k = n.  Each size below the answer is searched in
+    full, so on large sparse graphs this costs more than a feasibility
+    scan would; verify, its one caller in the package, stops at eight
+    vertices.
     """
     closed = closed_masks(g)
     full = g.full_mask
-    greedy = 0
-    free = full
-    while free:
-        low = free & -free
-        greedy |= low
-        free &= ~closed[low.bit_length() - 1]
-    value = _least_budget(closed, full, greedy.bit_count(), full)
-    return DominationReport(value, next(_minimum_sets(closed, full, value, g.adj)))
+    for k in range(_packing_bound(closed, full, full), g.n + 1):
+        for s in _minimum_sets(closed, full, k, g.adj):
+            return DominationReport(k, s)
+    raise AssertionError("every maximal independent set dominates")
 
 
-def gamma_tree(g: Graph) -> DominationReport:
+def gamma_tree(g: Graph) -> int:
     """Linear-time domination number for forests via dynamic programming.
 
     Three states per vertex: in the set, out but covered from below, or
@@ -397,4 +379,4 @@ def gamma_tree(g: Graph) -> DominationReport:
     # a graph is a forest iff it has n minus its component count edges
     if g.edge_count() != g.n - components:
         raise GraphError("gamma_tree requires a forest")
-    return DominationReport(total, None)
+    return total

@@ -238,7 +238,7 @@ def _check_private_neighbors_in_sets(ctx: _Ctx):
 
 def _check_tree_gamma(ctx: _Ctx):
     if ctx.once(is_tree, ctx.g):
-        if gamma_tree(ctx.g).gamma != ctx.report.gamma:
+        if gamma_tree(ctx.g) != ctx.report.gamma:
             yield "tree dynamic program disagrees with exact solver"
 
 

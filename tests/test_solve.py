@@ -176,12 +176,12 @@ def test_gamma_chain_on_corpus(corpus6):
 def test_gamma_tree_agrees():
     for n in TREE_COUNTS:
         for t in enumerate_trees(n):
-            assert gamma_tree(t).gamma == gamma_value(t)
+            assert gamma_tree(t) == gamma_value(t)
 
 
 @given(forests(0, 12))
 def test_gamma_tree_agrees_on_forests(g):
-    assert gamma_tree(g).gamma == gamma_value(g)
+    assert gamma_tree(g) == gamma_value(g)
 
 
 def test_gamma_tree_rejects_cycles():
@@ -196,18 +196,15 @@ def test_exists_dominating_within():
     assert exists_dominating_within(g, 6)
     assert exists_dominating_within(build_graph(0, []), 0)
     assert not exists_dominating_within(path(1), 0)
+    # no set has negative size, not even on the empty graph
+    assert not exists_dominating_within(build_graph(0, []), -1)
+    assert not exists_dominating_within(path(1), -1)
 
 
-def _fewest_picks(closed, undominated, pool, independent, cap):
-    """Size of a smallest set of pool vertices that dominates undominated, or cap + 1.
-
-    If independent is true, the set must also be an independent set.
-    """
+def _fewest_picks(closed, undominated, pool, cap):
+    """Size of a smallest set of pool vertices that dominates undominated, or cap + 1."""
     for size in range(cap + 1):
         for combo in combinations(bits(pool), size):
-            picks = mask_of(combo)
-            if independent and any(closed[v] & picks != 1 << v for v in combo):
-                continue
             covered = 0
             for v in combo:
                 covered |= closed[v]
@@ -230,18 +227,13 @@ def test_exists_dominating_matches_bruteforce(g, delete, rng):
         keep = ~(1 << rng.randrange(g.n))
         full &= keep
         forms = [[c & keep for c in closed], closed]
-    # many states per graph: a fault in the independent last picks shows
-    # only where an adjacent pair dominates and no independent one does
     for _ in range(16):
         dominated = rng.getrandbits(g.n) & full
-        subset = rng.getrandbits(g.n) & full
-        for allowed in (None, full, subset):
-            pool = full if allowed is None else allowed
-            least = _fewest_picks(forms[0], full & ~dominated, pool, allowed is not None, 4)
-            for masks in forms:
-                for budget in range(5):
-                    got = _exists_dominating(masks, full, budget, dominated, allowed)
-                    assert got == (least <= budget), (masks is closed, dominated, allowed, budget)
+        least = _fewest_picks(forms[0], full & ~dominated, full, 4)
+        for masks in forms:
+            for budget in range(5):
+                got = _exists_dominating(masks, full, budget, dominated)
+                assert got == (least <= budget), (masks is closed, dominated, budget)
 
 
 @given(graphs(0, 12), st.randoms(use_true_random=False))
@@ -256,7 +248,7 @@ def test_packing_bound_is_sound(g, rng):
         stranded = any(not closed[u] & avail for u in bits(undominated))
         assert (bound == MAX_VERTICES + 1) == stranded, (undominated, avail)
         if not stranded:
-            assert bound <= _fewest_picks(closed, undominated, avail, False, g.n), (undominated, avail)
+            assert bound <= _fewest_picks(closed, undominated, avail, g.n), (undominated, avail)
 
 
 @given(graphs(0, 12))
@@ -275,4 +267,6 @@ def test_minimum_sets_match_bruteforce(g):
 @given(relabeled_graphs(0, 16))
 def test_gamma_commutes_with_relabeling(case):
     g, perm = case
-    assert gamma_value(relabel(g, perm)) == gamma_value(g)
+    h = relabel(g, perm)
+    assert gamma_value(h) == gamma_value(g)
+    assert independent_domination_number(h).gamma == independent_domination_number(g).gamma

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import domcore.verify
-from domcore import Graph, GraphError, build_graph, verify_corpus
+from domcore import DominationReport, Graph, GraphError, build_graph, verify_corpus
 from domcore.recognize import PATTERNS, TwinCliquePartition
 from domcore.verify import (
     PER_GRAPH_CHECKS,
@@ -119,6 +119,17 @@ def test_pattern_oracle_flags_a_wrong_pattern_search(monkeypatch):
         domcore.verify, "contains_induced", lambda g, name: real(g, name) != (name == "C5")
     )
     assert "pattern-search-oracle" in _flagged()
+
+
+def test_gamma_i_checks_flag_a_forged_independent_domination_number(monkeypatch):
+    real = domcore.verify.independent_domination_number
+
+    def forged(g):
+        r = real(g)
+        return DominationReport(r.gamma + 1, r.witness)
+
+    monkeypatch.setattr(domcore.verify, "independent_domination_number", forged)
+    assert {"gamma-i-alpha-chain", "claw-free-gamma-equals-i"} <= _flagged(5)
 
 
 def test_graph_surgery_flags_a_dropped_edge(monkeypatch):
