@@ -1,19 +1,23 @@
 """Exact solvers for domination and independence numbers.
 
 Two searches do the work.  The feasibility search asks whether at most
-k picks dominate every vertex.  It branches on the candidate dominators
-of the undominated vertex with the fewest of them, and cuts a node when
-the packing bound (undominated vertices whose closed neighborhoods
-within the vertex set are pairwise disjoint, each needing its own
-dominator) exceeds the budget.  It has one mode: picks come from the
-vertex set `full`.  The domination number is the first budget between
-the packing bound and a greedy cover that it accepts.  A vertex outside
-`full` is never undominated and never picked, so the search on G's
-closed masks with v left out of `full` is the search on G - v.
+k picks dominate every vertex.  Each node makes one pass over the
+undominated vertices (_node_scan).  The pass counts the packing bound:
+undominated vertices whose closed neighborhoods within the vertex set
+are pairwise disjoint, each needing its own dominator.  It cuts the
+node as soon as that count exceeds the budget or some vertex has no
+dominator left.  Otherwise the same pass has found the pivot, the
+first undominated vertex with the fewest candidate dominators, and the
+node branches on those candidates.  The search has one mode: picks
+come from the vertex set `full`.  The domination number is the first
+budget between the packing bound and a greedy cover that it accepts.
+A vertex outside `full` is never undominated and never picked, so the
+search on G's closed masks with v left out of `full` is the search on
+G - v.
 
 The second search, _minimum_sets, yields every dominating set of a
-given size in lexicographic order, cut by the same packing bound taken
-over the vertices still available.  Given the adjacency masks, it keeps
+given size in lexicographic order, cut by the same pass taken over the
+vertices still available.  Given the adjacency masks, it keeps
 later picks out of the neighborhoods of earlier ones and yields only
 independent dominating sets; this is the only place independence is
 written.  The independent domination number is the first size, from
@@ -74,45 +78,69 @@ class DominationReport:
 def _greedy_cover(closed: list[int], full: int) -> int:
     """Size of a greedy max-coverage dominating set."""
     picked = 0
-    dominated = 0
-    while dominated != full:
-        best_v = -1
+    undominated = full
+    while undominated:
+        best = 0
         best_gain = 0
-        for v in range(len(closed)):
-            gain = (closed[v] & ~dominated).bit_count()
+        for nb in closed:
+            gain = (nb & undominated).bit_count()
             if gain > best_gain:
                 best_gain = gain
-                best_v = v
+                best = nb
         picked += 1
-        dominated |= closed[best_v]
+        undominated &= ~best
     return picked
 
 
-def _packing_bound(closed: list[int], undominated: int, avail: int) -> int:
-    """Lower bound on the picks from `avail` still needed to dominate `undominated`.
+def _node_scan(closed: list[int], undominated: int, avail: int, budget: int) -> int | None:
+    """One pass over `undominated`: the packing bound against `budget`, and the pivot.
 
-    Counts undominated vertices whose closed neighborhoods within
-    `avail` are pairwise disjoint: no pick from `avail` dominates two
-    of them.  Vertices outside `avail` never count against the bound,
-    so masks that still hold a deleted vertex give the same bound as
-    masks with it cleared.  Returns MAX_VERTICES + 1, more than any
-    budget, when some undominated vertex has no dominator left in
-    `avail`.
+    The packing bound counts undominated vertices whose closed
+    neighborhoods within `avail` are pairwise disjoint: no pick from
+    `avail` dominates two of them, so each needs its own pick.  Vertices
+    outside `avail` never count against it, so masks that still hold a
+    deleted vertex give the same bound as masks with it cleared.  The
+    walk returns None as soon as the count exceeds `budget`, or some
+    undominated vertex has no dominator left in `avail`.  Otherwise it
+    returns the pivot's candidates: the dominators within `avail` of
+    the first undominated vertex with the fewest of them (0 when
+    nothing is undominated).
     """
     count = 0
     blocked = 0
+    pivot = 0
+    fewest = MAX_VERTICES + 1
     m = undominated
     while m:
         low = m & -m
-        v = low.bit_length() - 1
         m ^= low
-        nb = closed[v] & avail
-        if not nb:
-            return MAX_VERTICES + 1
+        nb = closed[low.bit_length() - 1] & avail
         if not nb & blocked:
+            # an empty nb is disjoint from everything: no dominator left
+            if not nb:
+                return None
             count += 1
+            if count > budget:
+                return None
             blocked |= nb
-    return count
+        c = nb.bit_count()
+        if c < fewest:
+            fewest = c
+            pivot = nb
+    return pivot
+
+
+def _packing_floor(closed: list[int], full: int) -> int:
+    """The packing bound of the whole graph: the least budget _node_scan lets through.
+
+    Every vertex of `full` lies in its own closed neighborhood, so none
+    is stranded and the count stops by |full|; on the null graph nothing
+    is undominated and it stops at 0.
+    """
+    k = 0
+    while _node_scan(closed, full, full, k) is None:
+        k += 1
+    return k
 
 
 def _common_dominators(closed: list[int], undominated: int, avail: int) -> int:
@@ -139,27 +167,16 @@ def _exists_dominating(closed: list[int], full: int, budget: int, dominated: int
         return False
     if budget == 1:
         return bool(_common_dominators(closed, undominated, full))
-    if _packing_bound(closed, undominated, full) > budget:
+    pivot_candidates = _node_scan(closed, undominated, full, budget)
+    if pivot_candidates is None:
         return False
-    # pivot: undominated vertex with the fewest candidate dominators
-    pivot_candidates = 0
-    pivot_count = 65
-    m = undominated
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        m ^= low
-        cand = closed[v] & full
-        c = cand.bit_count()
-        if c < pivot_count:
-            pivot_count = c
-            pivot_candidates = cand
-            if c == 1:
-                break
     if budget == 2:
         # the second pick must dominate whatever the first leaves
-        for w in bits(pivot_candidates):
-            left = undominated & ~closed[w]
+        m = pivot_candidates
+        while m:
+            low = m & -m
+            m ^= low
+            left = undominated & ~closed[low.bit_length() - 1]
             if not left or _common_dominators(closed, left, full):
                 return True
         return False
@@ -183,7 +200,7 @@ def gamma_value(g: Graph) -> int:
     closed = closed_masks(g)
     full = g.full_mask
     upper = _greedy_cover(closed, full)
-    for k in range(_packing_bound(closed, full, full), upper):
+    for k in range(_packing_floor(closed, full), upper):
         if _exists_dominating(closed, full, k):
             return k
     return upper
@@ -216,7 +233,7 @@ def _minimum_sets(
             return
         if avail.bit_count() < remaining:
             return
-        if _packing_bound(closed, full & ~dominated, avail) > remaining:
+        if _node_scan(closed, full & ~dominated, avail, remaining) is None:
             return
         rest = avail
         while rest:
@@ -334,7 +351,7 @@ def independent_domination_number(g: Graph) -> DominationReport:
     """
     closed = closed_masks(g)
     full = g.full_mask
-    for k in range(_packing_bound(closed, full, full), g.n + 1):
+    for k in range(_packing_floor(closed, full), g.n + 1):
         for s in _minimum_sets(closed, full, k, g.adj):
             return DominationReport(k, s)
     raise AssertionError("every maximal independent set dominates")

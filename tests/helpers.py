@@ -1,5 +1,7 @@
 """Small graph builders shared across the tests."""
 
+import random
+
 from hypothesis import strategies as st
 
 from domcore import Graph, build_graph, parse_graph6, write_graph6
@@ -55,6 +57,11 @@ def petersen() -> Graph:
 def relabel(g: Graph, perm) -> Graph:
     """The copy of g in which vertex v is called perm[v]."""
     return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def random_graph(rng: random.Random, n: int, p: float) -> Graph:
+    """G(n, p): each pair an edge with probability p, drawn from rng in pair order."""
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
 
 
 def cut_vertices_bruteforce(g: Graph) -> int:

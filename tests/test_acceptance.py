@@ -15,8 +15,6 @@ import random
 import pytest
 
 from domcore import (
-    Graph,
-    build_graph,
     classify_all,
     classify_by_enumeration,
     count_connected_graphs,
@@ -34,7 +32,7 @@ from domcore.enumeration import (
 from domcore.search import SIGNATURES, search_signature
 from domcore.solve import gamma_bruteforce, gamma_exact
 from domcore.verify import verify_corpus
-from helpers import STREAM_DIGESTS, nine_sweep_step
+from helpers import STREAM_DIGESTS, nine_sweep_step, random_graph
 
 CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853, 11117]
 # SHA-256 of the compact JSON of verify_corpus(8).to_dict(); any change to a
@@ -120,13 +118,6 @@ def test_criterion_1_solver_oracle_equivalence(corpus8):
     )
 
 
-def _random_graph(rng: random.Random) -> Graph:
-    n = rng.randint(9, 16)
-    p = rng.uniform(0.1, 0.9)
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return build_graph(n, edges)
-
-
 def test_criterion_2_classifier_equivalence(corpus8):
     mismatches = 0
     for _, g in corpus8:
@@ -134,7 +125,7 @@ def test_criterion_2_classifier_equivalence(corpus8):
             mismatches += 1
     rng = random.Random(20260817)
     for _ in range(10_000):
-        g = _random_graph(rng)
+        g = random_graph(rng, rng.randint(9, 16), rng.uniform(0.1, 0.9))
         if classify_all(g) != classify_by_enumeration(g):
             mismatches += 1
     _announce(

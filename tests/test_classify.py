@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given
 
 from domcore import (
-    Graph,
     GraphError,
     MembershipClass,
     RemovalClass,
@@ -12,10 +11,20 @@ from domcore import (
     classify_all,
     classify_by_enumeration,
     classify_vertex,
+    write_graph6,
 )
 from domcore.classify import CLASSES, _exists_dominating, classification_masks, report_to_dict
 from domcore.solve import core_and_corona, gamma_value
-from helpers import complete_bipartite, cycle, graphs, path, relabel, relabeled_graphs, star
+from helpers import (
+    complete_bipartite,
+    cycle,
+    graphs,
+    path,
+    random_graph,
+    relabel,
+    relabeled_graphs,
+    star,
+)
 
 K1 = build_graph(1, [])
 
@@ -165,20 +174,20 @@ def test_structural_equals_definitional(corpus6):
         assert classify_all(g) == classify_by_enumeration(g)
 
 
-def _random_graph(rng: random.Random) -> Graph:
-    n = rng.randint(9, 12)
-    p = rng.uniform(0.1, 0.8)
-    edges = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
-    ]
-    return build_graph(n, edges)
-
-
 def test_structural_equals_definitional_random():
     rng = random.Random(421)
     for _ in range(150):
-        g = _random_graph(rng)
+        g = random_graph(rng, rng.randint(9, 12), rng.uniform(0.1, 0.8))
         assert classify_all(g) == classify_by_enumeration(g)
+
+
+def test_structural_equals_definitional_above_sixteen_vertices():
+    # criterion 2 draws at most 16 vertices; both routes accept up to 24
+    rng = random.Random(1724)
+    for n in range(17, 25):
+        for _ in range(3):
+            g = random_graph(rng, n, rng.uniform(0.1, 0.9))
+            assert classify_all(g) == classify_by_enumeration(g), write_graph6(g)
 
 
 @given(graphs(0, 12))

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -19,7 +20,8 @@ from domcore.solve import (
     ALL_SETS_MAX,
     _exists_dominating,
     _minimum_sets,
-    _packing_bound,
+    _node_scan,
+    _packing_floor,
     exists_dominating_within,
     gamma_bruteforce,
     gamma_tree,
@@ -34,6 +36,7 @@ from helpers import (
     graphs,
     path,
     petersen,
+    random_graph,
     relabel,
     relabeled_graphs,
     star,
@@ -75,6 +78,17 @@ def test_solver_matches_bruteforce(corpus6):
         slow = gamma_bruteforce(g)
         assert fast.gamma == slow.gamma
         assert fast.witness == slow.witness
+
+
+def test_solver_matches_bruteforce_above_twelve_vertices():
+    # the hypothesis and corpus checks stop at 12 and 8 vertices, where the
+    # recursive search rarely runs; gamma runs from 1 to 9 on these graphs
+    rng = random.Random(1318)
+    for i in range(100):
+        g = random_graph(rng, rng.randint(13, 18), 0.1 + 0.8 * i / 99)
+        fast = gamma_exact(g)
+        slow = gamma_bruteforce(g)
+        assert (fast.gamma, fast.witness) == (slow.gamma, slow.witness), i
 
 
 def test_all_minimum_dominating_sets():
@@ -238,17 +252,50 @@ def test_exists_dominating_matches_bruteforce(g, delete, rng):
 
 @given(graphs(0, 12), st.randoms(use_true_random=False))
 def test_packing_bound_is_sound(g, rng):
-    # the bound counts closed neighborhoods within avail, so it is at most
-    # the fewest picks from avail that dominate the undominated set
+    # the scan's bound counts closed neighborhoods within avail, so it never
+    # cuts a budget that the fewest picks from avail meet; it cuts every
+    # budget exactly when some undominated vertex has no dominator in avail
     closed = closed_masks(g)
     for _ in range(8):
         undominated = rng.getrandbits(g.n)
         avail = rng.getrandbits(g.n)
-        bound = _packing_bound(closed, undominated, avail)
         stranded = any(not closed[u] & avail for u in bits(undominated))
-        assert (bound == MAX_VERTICES + 1) == stranded, (undominated, avail)
+        cut = _node_scan(closed, undominated, avail, MAX_VERTICES) is None
+        assert cut == stranded, (undominated, avail)
         if not stranded:
-            assert bound <= _fewest_picks(closed, undominated, avail, g.n), (undominated, avail)
+            least = _fewest_picks(closed, undominated, avail, g.n)
+            assert _node_scan(closed, undominated, avail, least) is not None, (undominated, avail)
+
+
+def _plain_bound(closed, undominated, avail):
+    """Packing bound as written: undominated vertices, in order, whose closed
+    neighborhoods within avail miss those already counted; None if one is empty."""
+    counted = []
+    for u in bits(undominated):
+        nb = closed[u] & avail
+        if not nb:
+            return None
+        if all(not nb & other for other in counted):
+            counted.append(nb)
+    return len(counted)
+
+
+@given(graphs(0, 12), st.randoms(use_true_random=False))
+def test_node_scan_matches_plain_bound_and_pivot(g, rng):
+    closed, full = closed_masks(g), g.full_mask
+    assert _packing_floor(closed, full) == _plain_bound(closed, full, full)
+    for _ in range(8):
+        undominated = rng.getrandbits(g.n)
+        avail = rng.choice((full, rng.getrandbits(g.n)))
+        bound = _plain_bound(closed, undominated, avail)
+        # the first undominated vertex with the fewest dominators in avail
+        pivot = min((closed[u] & avail for u in bits(undominated)), key=int.bit_count, default=0)
+        for budget in range(g.n + 2):
+            got = _node_scan(closed, undominated, avail, budget)
+            exceeds = bound is None or bound > budget
+            assert (got is None) == exceeds, (undominated, avail, budget)
+            if not exceeds:
+                assert got == pivot, (undominated, avail, budget)
 
 
 @given(graphs(0, 12))
