@@ -22,9 +22,10 @@ on each neighbor in G - v.
 
 The structural route probes in this order: an isolated vertex is
 (MINUS, CORE) with no probe; otherwise the anticore probe runs first,
-and only a vertex it does not settle gets the two removal probes.  Two
-facts make that order sound (Bauer, Harary, Nieminen and Suffel,
-"Domination alteration sets in graphs", 1983):
+and only a vertex it does not settle gets the two removal probes, then,
+if ZERO, the anticore probes of its neighbors in G - v.  Two facts make
+that order sound (Bauer, Harary, Nieminen and Suffel, "Domination
+alteration sets in graphs", 1983):
 
 - A vertex v in no minimum set is ZERO.  A minimum set avoids v, so it
   dominates G - v; and a dominating set of G - v of size gamma - 1 plus
@@ -32,6 +33,21 @@ facts make that order sound (Bauer, Harary, Nieminen and Suffel,
 - A non-isolated MINUS vertex v is in some but not every minimum set.
   A dominating set D of G - v of size gamma - 1 gives the minimum sets
   D + v and D + u, for any neighbor u of v.
+
+A probe that succeeds returns its picks, and each such answer names
+minimum sets of G: anticore picks P for v give P + v; MINUS picks D
+for v give D + v and D + u over the neighbors u; neighbor picks P for
+u in G - v give P + u, which dominates v through u.  classify_all
+folds them, over all vertices, into two masks: inside, the union of
+the sets found, and avoided, the union of their complements.  A probe
+that a found set already answers is skipped:
+
+- v in inside is in some minimum set, so not ANTICORE: no anticore
+  probe.
+- v in avoided is avoided by a minimum set, which dominates G - v, so
+  gamma(G - v) <= gamma: no PLUS probe.
+- a ZERO v in avoided is not in the core, so CORONA_ONLY: no neighbor
+  probes.
 
 The definitional route, classification_masks included, uses neither
 fact, so verify's membership-remarks check tests both against it.
@@ -44,6 +60,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .graph import (
     Graph,
@@ -104,55 +121,53 @@ class ClassificationReport:
         return {name: m.bit_count() for name, m in self.masks().items()}
 
 
-def _removal(closed: list[int], rest: int, gamma: int) -> RemovalClass:
-    """Removal class of v from two probes on G - v, given as G's closed
-    masks and rest, G's vertex set without v."""
-    if not _exists_dominating(closed, rest, gamma):
-        return RemovalClass.PLUS
-    if _exists_dominating(closed, rest, gamma - 1):
-        return RemovalClass.MINUS
-    return RemovalClass.ZERO
+def _structural_rows(
+    closed: list[int], full: int, gamma: int, vertices: Iterable[int]
+) -> Iterator[VertexClassification]:
+    """Removal and membership class of each vertex by the structural route.
 
-
-def _in_no_minimum_set(closed: list[int], full: int, u: int, gamma: int) -> bool:
-    """True if u is in no dominating set of size gamma, the domination number.
-
-    Such a set would be u plus at most gamma - 1 vertices dominating
-    everything outside N[u].
+    In the probe order of the module docstring.  A ZERO vertex is in
+    the core exactly when every neighbor u is in the anticore of G - v,
+    so that no minimum set of G - v dominates v.  inside and avoided
+    start empty and fold every minimum set a probe finds, for the
+    vertices still to come.
     """
-    return not _exists_dominating(closed, full, gamma - 1, closed[u])
-
-
-def _classify_vertex(closed: list[int], full: int, v: int, gamma: int) -> VertexClassification:
-    """Removal and membership class of v by the structural route.
-
-    An isolated v is in every dominating set, and deleting it takes
-    exactly v out of each, so it is (MINUS, CORE) without a probe.
-    Otherwise the anticore probe runs first: a vertex in no minimum set
-    is ZERO (a minimum set avoiding v dominates G - v, and a smaller
-    set for G - v plus v would be a minimum set with v).  Then the two
-    removal probes: PLUS means CORE (a minimum set avoiding v would
-    dominate G - v), and MINUS means CORONA_ONLY (a dominating set of
-    G - v of size gamma - 1 plus a neighbor of v is a minimum set
-    avoiding v).  A ZERO vertex is in the core exactly when every
-    neighbor is in the anticore of the deleted graph, so that no
-    minimum set of G - v dominates v.
-    """
-    neighbors = closed[v] & ~(1 << v)
-    if not neighbors:
-        return VertexClassification(v, RemovalClass.MINUS, MembershipClass.CORE)
-    if _in_no_minimum_set(closed, full, v, gamma):
-        return VertexClassification(v, RemovalClass.ZERO, MembershipClass.ANTICORE)
-    rest = full & ~(1 << v)
-    removal = _removal(closed, rest, gamma)
-    if removal is RemovalClass.PLUS or (
-        removal is RemovalClass.ZERO
-        and all(_in_no_minimum_set(closed, rest, u, gamma) for u in bits(neighbors))
-    ):
-        membership = MembershipClass.CORE
-    else:
+    inside = avoided = 0
+    for v in vertices:
+        bit = 1 << v
+        neighbors = closed[v] & ~bit
+        if not neighbors:
+            yield VertexClassification(v, RemovalClass.MINUS, MembershipClass.CORE)
+            continue
+        rest = full & ~bit
+        if not inside & bit:
+            picks = _exists_dominating(closed, full, gamma - 1, closed[v])
+            if picks is None:
+                yield VertexClassification(v, RemovalClass.ZERO, MembershipClass.ANTICORE)
+                continue
+            inside |= picks | bit
+            avoided |= rest & ~picks
+        if not avoided & bit and _exists_dominating(closed, rest, gamma) is None:
+            yield VertexClassification(v, RemovalClass.PLUS, MembershipClass.CORE)
+            continue
+        picks = _exists_dominating(closed, rest, gamma - 1)
+        if picks is not None:
+            # the sets D + v and D + u over the neighbors u
+            inside |= picks | closed[v]
+            avoided |= full & ~picks
+            yield VertexClassification(v, RemovalClass.MINUS, MembershipClass.CORONA_ONLY)
+            continue
         membership = MembershipClass.CORONA_ONLY
-    return VertexClassification(v, removal, membership)
+        if not avoided & bit:
+            for u in bits(neighbors):
+                picks = _exists_dominating(closed, rest, gamma - 1, closed[u])
+                if picks is not None:
+                    inside |= picks | (1 << u)
+                    avoided |= full & ~(picks | (1 << u))
+                    break
+            else:
+                membership = MembershipClass.CORE
+        yield VertexClassification(v, RemovalClass.ZERO, membership)
 
 
 def classify_vertex(g: Graph, v: int, gamma: int | None = None) -> VertexClassification:
@@ -160,15 +175,13 @@ def classify_vertex(g: Graph, v: int, gamma: int | None = None) -> VertexClassif
     g._check_vertex(v)
     if gamma is None:
         gamma = gamma_value(g)
-    return _classify_vertex(closed_masks(g), g.full_mask, v, gamma)
+    return next(_structural_rows(closed_masks(g), g.full_mask, gamma, (v,)))
 
 
 def classify_all(g: Graph) -> ClassificationReport:
     """Classify every vertex by the structural route (no set enumeration)."""
     gamma = gamma_value(g)
-    closed = closed_masks(g)
-    full = g.full_mask
-    rows = tuple(_classify_vertex(closed, full, v, gamma) for v in range(g.n))
+    rows = tuple(_structural_rows(closed_masks(g), g.full_mask, gamma, range(g.n)))
     return ClassificationReport(gamma, rows)
 
 
@@ -221,9 +234,9 @@ def classification_masks(
     plus = minus = 0
     for v in range(g.n):
         rest = full & ~(1 << v)
-        if (core >> v) & 1 and not _exists_dominating(closed, rest, gamma):
+        if (core >> v) & 1 and _exists_dominating(closed, rest, gamma) is None:
             plus |= 1 << v
-        elif _exists_dominating(closed, rest, gamma - 1):
+        elif _exists_dominating(closed, rest, gamma - 1) is not None:
             minus |= 1 << v
     return {
         "plus": plus,

@@ -188,13 +188,9 @@ def delete_vertex(g: Graph, v: int) -> Graph:
     """Graph with v removed; vertices above v shift down by one."""
     g._check_vertex(v)
     low = (1 << v) - 1
-    adj = []
-    for u in range(g.n):
-        if u == v:
-            continue
-        a = g.adj[u] & ~(1 << v)
-        adj.append((a & low) | ((a >> 1) & ~low))
-    return _derived(g.n - 1, tuple(adj))
+    # bits above v shift down one; bit v lands at v - 1, inside low, and drops
+    adj = tuple([(a & low) | ((a >> 1) & ~low) for a in g.adj[:v] + g.adj[v + 1 :]])
+    return _derived(g.n - 1, adj)
 
 
 def add_pendant(g: Graph, v: int) -> Graph:

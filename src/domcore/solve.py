@@ -9,11 +9,17 @@ node as soon as that count exceeds the budget or some vertex has no
 dominator left.  Otherwise the same pass has found the pivot, the
 first undominated vertex with the fewest candidate dominators, and the
 node branches on those candidates.  The search has one mode: picks
-come from the vertex set `full`.  The domination number is the first
-budget between the packing bound and a greedy cover that it accepts.
-A vertex outside `full` is never undominated and never picked, so the
-search on G's closed masks with v left out of `full` is the search on
-G - v.
+come from the vertex set `full`.  A probe returns the picks of the
+first set it finds, as a mask, or None; the empty mask answers when
+nothing is left undominated.  A vertex outside `full` is never
+undominated and never picked, so the search on G's closed masks with
+v left out of `full` is the search on G - v.
+
+The domination number is found by descent from a greedy cover of size
+k: probe budget k - 1, and if the probe finds a set, continue from that
+set's size, which may be below k - 1.  The first probe that fails
+proves gamma = k, so no budget below gamma - 1 is ever probed (the
+improving-incumbent bound of branch and bound).
 
 The second search, _minimum_sets, yields every dominating set of a
 given size in lexicographic order, cut by the same pass taken over the
@@ -26,10 +32,11 @@ the packing bound up, at which it yields a set.
 Neither search recurses for its last pick.  A vertex w dominates u iff
 w is in N[u], so the vertices that dominate all of an undominated set
 U are the AND of N[u] over U (_common_dominators).  With one pick left
-the feasibility search asks whether that set is nonempty; with two left
-it tries each candidate w for the pivot and asks the same of what N[w]
-leaves.  _minimum_sets yields the chosen set plus each vertex of that
-set, in increasing order, which keeps its lexicographic order.
+the feasibility search asks whether that set is nonempty and picks its
+lowest vertex; with two left it tries each candidate w for the pivot
+and does the same for what N[w] leaves (w alone if nothing is left).
+_minimum_sets yields the chosen set plus each vertex of that set, in
+increasing order, which keeps its lexicographic order.
 
 The witness of gamma_exact is the first set of _minimum_sets,
 all_minimum_dominating_sets is all of them, core_and_corona
@@ -158,18 +165,26 @@ def _common_dominators(closed: list[int], undominated: int, avail: int) -> int:
     return avail
 
 
-def _exists_dominating(closed: list[int], full: int, budget: int, dominated: int = 0) -> bool:
-    """True if at most `budget` picks from `full` dominate all of `full`."""
+def _exists_dominating(
+    closed: list[int], full: int, budget: int, dominated: int = 0
+) -> int | None:
+    """At most `budget` picks from `full` that dominate what `dominated` leaves of it, or None.
+
+    The picks are the first set the search finds, as a mask; the empty
+    mask answers when nothing is left undominated, so callers test the
+    result with `is not None`.
+    """
     undominated = full & ~dominated
     if not undominated:
-        return True
+        return 0
     if budget <= 0:
-        return False
+        return None
     if budget == 1:
-        return bool(_common_dominators(closed, undominated, full))
+        common = _common_dominators(closed, undominated, full)
+        return common & -common if common else None
     pivot_candidates = _node_scan(closed, undominated, full, budget)
     if pivot_candidates is None:
-        return False
+        return None
     if budget == 2:
         # the second pick must dominate whatever the first leaves
         m = pivot_candidates
@@ -177,33 +192,43 @@ def _exists_dominating(closed: list[int], full: int, budget: int, dominated: int
             low = m & -m
             m ^= low
             left = undominated & ~closed[low.bit_length() - 1]
-            if not left or _common_dominators(closed, left, full):
-                return True
-        return False
+            if not left:
+                return low
+            common = _common_dominators(closed, left, full)
+            if common:
+                return low | (common & -common)
+        return None
     order = sorted(
         bits(pivot_candidates),
         key=lambda w: -(closed[w] & undominated).bit_count(),
     )
     for w in order:
-        if _exists_dominating(closed, full, budget - 1, dominated | closed[w]):
-            return True
-    return False
+        picks = _exists_dominating(closed, full, budget - 1, dominated | closed[w])
+        if picks is not None:
+            return picks | (1 << w)
+    return None
 
 
 def exists_dominating_within(g: Graph, budget: int) -> bool:
     """Feasibility probe: is there a dominating set of size <= budget?"""
-    return budget >= 0 and _exists_dominating(closed_masks(g), g.full_mask, budget)
+    return budget >= 0 and _exists_dominating(closed_masks(g), g.full_mask, budget) is not None
 
 
 def gamma_value(g: Graph) -> int:
-    """Domination number, the least budget between the packing bound and a greedy cover."""
+    """Domination number, by descent from a greedy cover.
+
+    Each probe at one below the best size known either fails, and that
+    size is gamma, or returns a dominating set that may be smaller still.
+    """
     closed = closed_masks(g)
     full = g.full_mask
-    upper = _greedy_cover(closed, full)
-    for k in range(_packing_floor(closed, full), upper):
-        if _exists_dominating(closed, full, k):
-            return k
-    return upper
+    k = _greedy_cover(closed, full)
+    while k:
+        picks = _exists_dominating(closed, full, k - 1)
+        if picks is None:
+            break
+        k = picks.bit_count()
+    return k
 
 
 def _minimum_sets(

@@ -29,8 +29,10 @@ h should be g relabeled by the part map, and neither twin-clique check
 solves h again.  The partition check's blow-up identity proves that h is
 this relabeling, so h has g's gamma.  The core correspondence compares
 h.adj exactly with g's masks relabeled: when they are equal it takes h's
-classes from g's own, relabeled, and otherwise it classifies h from
-scratch, so a forged partition gets the same verdict as a full solve.
+core and anticore from g's own, relabeled, and otherwise it folds h's
+minimum sets from scratch (core_and_corona, the membership half of the
+definitional route), so a forged partition gets the same verdict as a
+full solve.
 _Ctx computes what several checks share once per graph: the minimum
 sets, both classifications, the induced-pattern searches and the class
 tests is_tree, is_chordal, is_bipartite, is_claw_free and is_cograph.
@@ -84,6 +86,7 @@ from .recognize import (
 )
 from .solve import (
     all_minimum_dominating_sets,
+    core_and_corona,
     gamma_bruteforce,
     gamma_exact,
     gamma_tree,
@@ -481,8 +484,8 @@ def _check_tcp_core_correspondence(ctx: _Ctx):
             core_h = mask_of(part[v] for v in bits(ctx.masks["core"]))
             anticore_h = mask_of(part[v] for v in bits(ctx.masks["anticore"]))
         else:
-            masks_h = ctx.once(_reference_masks, h)
-            core_h, anticore_h = masks_h["core"], masks_h["anticore"]
+            core_h, corona_h = ctx.once(core_and_corona, h)
+            anticore_h = h.full_mask & ~corona_h
         for i, clique in enumerate(tcp.cliques):
             always_one = all((s & clique).bit_count() == 1 for s in sets)
             never = all(s & clique == 0 for s in sets)
@@ -492,10 +495,6 @@ def _check_tcp_core_correspondence(ctx: _Ctx):
             if never != bool((anticore_h >> i) & 1):
                 yield f"anticore correspondence fails for part {i} at root {root}"
                 return
-
-
-def _reference_masks(g: Graph) -> dict[str, int]:
-    return classify_by_enumeration(g).masks()
 
 
 @cache

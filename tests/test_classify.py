@@ -233,6 +233,20 @@ def test_plus_probe_runs_on_core_vertices_only(corpus6, monkeypatch):
     assert (len(calls), want) == (812, 812)
 
 
+def test_classify_all_skips_probes_that_found_sets_answer(corpus6, monkeypatch):
+    # a count, not a timing: the structural route folds the minimum sets its
+    # probes find and skips every probe one of them answers; probing each
+    # vertex in full, as it did before the folds, made 2226 calls here
+    calls = []
+    monkeypatch.setattr(
+        "domcore.classify._exists_dominating",
+        lambda *a: calls.append(a) or _exists_dominating(*a),
+    )
+    for _, g in corpus6:
+        classify_all(g)
+    assert len(calls) == 1403 < 2226
+
+
 @given(graphs(0, 12))
 def test_single_vertex_functions_match_classify_all(g):
     rep = classify_all(g)

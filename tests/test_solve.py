@@ -14,11 +14,13 @@ from domcore import (
     gamma_value,
     independence_number,
     independent_domination_number,
+    parse_graph6,
 )
 from domcore.graph import MAX_VERTICES, bits, closed_masks, is_dominating, mask_of
 from domcore.solve import (
     ALL_SETS_MAX,
     _exists_dominating,
+    _greedy_cover,
     _minimum_sets,
     _node_scan,
     _packing_floor,
@@ -215,6 +217,46 @@ def test_exists_dominating_within():
     assert not exists_dominating_within(path(1), -1)
 
 
+def _top_level_probes(monkeypatch):
+    """(budget, picks) of each _exists_dominating call made from outside the
+    search; its own recursion passes `dominated` and is not recorded."""
+    probes = []
+
+    def probe(closed, full, budget, *dominated):
+        picks = _exists_dominating(closed, full, budget, *dominated)
+        if not dominated:
+            probes.append((budget, picks))
+        return picks
+
+    monkeypatch.setattr("domcore.solve._exists_dominating", probe)
+    return probes
+
+
+@given(graphs(0, 14))
+def test_gamma_value_descends_from_the_greedy_cover(g):
+    # the first probe is one below the greedy cover, each later one is one
+    # below the size of the set the last one found, and only the last fails
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        probes = _top_level_probes(monkeypatch)
+        gamma = gamma_value(g)
+    if not g.n:
+        assert (probes, gamma) == ([], 0)
+        return
+    *found, (last_budget, last) = probes
+    assert last is None and None not in [picks for _, picks in found]
+    sizes = [_greedy_cover(closed_masks(g), g.full_mask)] + [p.bit_count() for _, p in found]
+    assert [budget for budget, _ in probes] == [k - 1 for k in sizes]
+    assert gamma == last_budget + 1
+
+
+def test_gamma_value_descends_past_budgets_a_found_set_beats(monkeypatch):
+    # greedy covers this graph with 6; the probe at budget 5 finds 4 picks,
+    # so the next probe is at 3, never at 4
+    probes = _top_level_probes(monkeypatch)
+    assert gamma_value(parse_graph6("MP???h?P`AOb_OaH?")) == 4
+    assert [(b, p if p is None else p.bit_count()) for b, p in probes] == [(5, 4), (3, None)]
+
+
 def _fewest_picks(closed, undominated, pool, cap):
     """Size of a smallest set of pool vertices that dominates undominated, or cap + 1."""
     for size in range(cap + 1):
@@ -234,7 +276,9 @@ def test_exists_dominating_matches_bruteforce(g, delete, rng):
     # the recursive path.  With a vertex v deleted, the search runs on two
     # forms of G - v: masks with bit v cleared, and G's own masks with only
     # v left out of the vertex set, the form classify probes; brute force
-    # on the cleared masks is the reference for both
+    # on the cleared masks is the reference for both.  A set found must be
+    # picks from the vertex set, within the budget, that dominate with
+    # `dominated` all of the vertex set
     closed, full = closed_masks(g), g.full_mask
     forms = [closed]
     if g.n and delete:
@@ -247,7 +291,14 @@ def test_exists_dominating_matches_bruteforce(g, delete, rng):
         for masks in forms:
             for budget in range(5):
                 got = _exists_dominating(masks, full, budget, dominated)
-                assert got == (least <= budget), (masks is closed, dominated, budget)
+                context = (masks is closed, dominated, budget, got)
+                assert (got is not None) == (least <= budget), context
+                if got is not None:
+                    assert not got & ~full and got.bit_count() <= budget, context
+                    covered = dominated
+                    for w in bits(got):
+                        covered |= forms[0][w]
+                    assert not full & ~covered, context
 
 
 @given(graphs(0, 12), st.randoms(use_true_random=False))

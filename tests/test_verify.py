@@ -227,9 +227,9 @@ def test_twin_clique_checks_flag_a_wrong_reduced_graph_at_singleton_roots(monkey
 
 def test_twin_clique_checks_solve_no_reduced_graph_at_singleton_roots(monkeypatch):
     solved = []
-    real_gamma, real_masks = domcore.verify.gamma_exact, domcore.verify._reference_masks
+    real_gamma, real_fold = domcore.verify.gamma_exact, domcore.verify.core_and_corona
     monkeypatch.setattr(domcore.verify, "gamma_exact", lambda h: solved.append(h) or real_gamma(h))
-    monkeypatch.setattr(domcore.verify, "_reference_masks", lambda h: solved.append(h) or real_masks(h))
+    monkeypatch.setattr(domcore.verify, "core_and_corona", lambda h: solved.append(h) or real_fold(h))
     # no two vertices of P5 are twins, so every part at every root is a singleton
     ctx = _Ctx(path(5))
     assert list(_check_tcp(ctx)) == list(_check_tcp_core_correspondence(ctx)) == []
@@ -238,6 +238,24 @@ def test_twin_clique_checks_solve_no_reduced_graph_at_singleton_roots(monkeypatc
     ctx = _Ctx(complete(3))
     assert list(_check_tcp(ctx)) == list(_check_tcp_core_correspondence(ctx)) == []
     assert solved == [build_graph(2, [(0, 1)])] * 2
+
+
+def test_core_correspondence_flags_a_wrong_fold_of_the_reduced_graph(monkeypatch):
+    # the check takes core and anticore of a reduced graph with a twin part
+    # from core_and_corona(h) alone; a fold that drops h's part 0 from the
+    # core must be flagged, and nothing else reads that fold
+    real = domcore.verify.core_and_corona
+
+    def lying(h):
+        core, corona = real(h)
+        return core ^ 1, corona
+
+    monkeypatch.setattr(domcore.verify, "core_and_corona", lying)
+    ctx = _Ctx(complete(3))
+    assert list(_check_tcp_core_correspondence(ctx)) == [
+        "core correspondence fails for part 0 at root 0"
+    ]
+    assert _flagged() == {"twin-clique-core-correspondence"}
 
 
 def test_twin_clique_partition_flags_split_twin_classes(monkeypatch):
