@@ -165,9 +165,7 @@ def _common_dominators(closed: list[int], undominated: int, avail: int) -> int:
     return avail
 
 
-def _exists_dominating(
-    closed: list[int], full: int, budget: int, dominated: int = 0
-) -> int | None:
+def _exists_dominating(closed: list[int], full: int, budget: int, dominated: int = 0) -> int | None:
     """At most `budget` picks from `full` that dominate what `dominated` leaves of it, or None.
 
     The picks are the first set the search finds, as a mask; the empty

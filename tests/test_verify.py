@@ -242,8 +242,8 @@ def test_twin_clique_checks_solve_no_reduced_graph_at_singleton_roots(monkeypatc
 
 def test_core_correspondence_flags_a_wrong_fold_of_the_reduced_graph(monkeypatch):
     # the check takes core and anticore of a reduced graph with a twin part
-    # from core_and_corona(h) alone; a fold that drops h's part 0 from the
-    # core must be flagged, and nothing else reads that fold
+    # from core_and_corona(h) alone; a fold that flips part 0's core bit
+    # must be flagged, and no other check reads that fold
     real = domcore.verify.core_and_corona
 
     def lying(h):
