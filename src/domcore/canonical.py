@@ -190,26 +190,15 @@ def _search(adj: tuple[int, ...], cells: list[int], leaves: _Leaves, first_path:
         _search(adj, child, leaves, first_path and not i)
 
 
-def _run(g: Graph, initial_cells: list[int] | None, generators: bool) -> _Leaves:
+def _run(g: Graph, cells: list[int], generators: bool) -> _Leaves:
     if g.n > CANONICAL_MAX:
         raise GraphError(f"canonical forms are limited to {CANONICAL_MAX} vertices")
     leaves = _Leaves(generators)
     if g.n == 0:
         leaves.best = 0
         return leaves
-    cells = [g.full_mask] if initial_cells is None else list(initial_cells)
     _search(g.adj, cells, leaves, True)
     return leaves
-
-
-def canonical_bits(g: Graph, initial_cells: list[int] | None = None) -> int:
-    """Minimal upper-triangle bit value over the allowed relabelings.
-
-    initial_cells restricts labelings to those respecting the given
-    ordered partition (used for vertex-rooted forms); None means the
-    single full cell.
-    """
-    return _run(g, initial_cells, generators=False).best
 
 
 def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
@@ -226,12 +215,12 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     the list generates the whole group, and it is empty exactly when the
     group is trivial.
     """
-    return _run(g, None, generators=True).generators
+    return _run(g, [g.full_mask], generators=True).generators
 
 
 def canonical_form(g: Graph) -> bytes:
     """Canonical byte string: count byte, then packed triangle bits."""
-    value = canonical_bits(g)
+    value = _run(g, [g.full_mask], generators=False).best
     nbits = g.n * (g.n - 1) // 2
     nbytes = (nbits + 7) // 8
     return bytes([g.n]) + (value << (nbytes * 8 - nbits)).to_bytes(nbytes, "big")
@@ -242,4 +231,4 @@ def rooted_canonical_bits(g: Graph, v: int) -> int:
     g._check_vertex(v)
     rest = g.full_mask & ~(1 << v)
     cells = [1 << v] + ([rest] if rest else [])
-    return canonical_bits(g, cells)
+    return _run(g, cells, generators=False).best

@@ -170,12 +170,10 @@ def _structural_rows(
         yield VertexClassification(v, RemovalClass.ZERO, membership)
 
 
-def classify_vertex(g: Graph, v: int, gamma: int | None = None) -> VertexClassification:
-    """Structural classification of one vertex; gamma, if given, must be gamma(g)."""
+def classify_vertex(g: Graph, v: int) -> VertexClassification:
+    """Structural classification of one vertex."""
     g._check_vertex(v)
-    if gamma is None:
-        gamma = gamma_value(g)
-    return next(_structural_rows(closed_masks(g), g.full_mask, gamma, (v,)))
+    return next(_structural_rows(closed_masks(g), g.full_mask, gamma_value(g), (v,)))
 
 
 def classify_all(g: Graph) -> ClassificationReport:

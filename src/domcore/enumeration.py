@@ -523,6 +523,8 @@ def relabeling_closure_bitmap(graphs, n: int) -> tuple[bytearray, int]:
     indices, so on the bitmap it is a product of exchanges of two index
     bits, done on the same 2**15-bit chunks.  Returns (bitmap, count).
     """
+    if not 1 <= n <= LABELED_MAX:
+        raise GraphError(f"labeled closure oracle covers 1..{LABELED_MAX} vertices")
     pairs = list(combinations(range(n), 2))
     index = {pair: i for i, pair in enumerate(pairs)}
     low, _, present = _index_bit_masks(len(pairs))

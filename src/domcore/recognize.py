@@ -279,13 +279,14 @@ def class_flags(g: Graph) -> dict:
     contains maps each catalog pattern name, in PATTERNS order, to
     whether g contains it as an induced subgraph.
     """
+    contains = {name: contains_induced(g, name) for name in PATTERNS}
     return {
         "chordal": is_chordal(g),
         "bipartite": is_bipartite(g),
         "tree": is_tree(g),
-        "cograph": is_cograph(g),
-        "claw_free": is_claw_free(g),
-        "contains": {name: contains_induced(g, name) for name in PATTERNS},
+        "cograph": not contains["P4"],
+        "claw_free": not contains["claw"],
+        "contains": contains,
     }
 
 

@@ -300,14 +300,9 @@ def evaluate_signatures(g: Graph, sigs: tuple[PartitionSignature, ...]) -> tuple
     return tuple(verdicts)
 
 
-def evaluate_signature(sig: PartitionSignature, g: Graph) -> bool:
-    """evaluate_signatures for one signature."""
-    return evaluate_signatures(g, (sig,))[0]
-
-
 def _witness(sig: PartitionSignature, g: Graph) -> Graph | None:
     """g if it satisfies sig, else None."""
-    return g if evaluate_signature(sig, g) else None
+    return g if evaluate_signatures(g, (sig,))[0] else None
 
 
 def search_signature(

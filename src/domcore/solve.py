@@ -27,7 +27,7 @@ vertices still available.  Given the adjacency masks, it keeps
 later picks out of the neighborhoods of earlier ones and yields only
 independent dominating sets; this is the only place independence is
 written.  The independent domination number is the first size, from
-the packing bound up, at which it yields a set.
+gamma up, at which it yields a set.
 
 Neither search recurses for its last pick.  A vertex w dominates u iff
 w is in N[u], so the vertices that dominate all of an undominated set
@@ -135,19 +135,6 @@ def _node_scan(closed: list[int], undominated: int, avail: int, budget: int) -> 
             fewest = c
             pivot = nb
     return pivot
-
-
-def _packing_floor(closed: list[int], full: int) -> int:
-    """The packing bound of the whole graph: the least budget _node_scan lets through.
-
-    Every vertex of `full` lies in its own closed neighborhood, so none
-    is stranded and the count stops by |full|; on the null graph nothing
-    is undominated and it stops at 0.
-    """
-    k = 0
-    while _node_scan(closed, full, full, k) is None:
-        k += 1
-    return k
 
 
 def _common_dominators(closed: list[int], undominated: int, avail: int) -> int:
@@ -363,18 +350,18 @@ def independence_number(g: Graph) -> int:
 def independent_domination_number(g: Graph) -> DominationReport:
     """Minimum size of an independent dominating set, with witness.
 
-    The first size k, from the packing bound up, at which the
-    independent mode of _minimum_sets yields a set; that set is the
-    lexicographically smallest independent dominating set of size k.
-    Always well defined: every maximal independent set dominates, so
-    the scan stops by k = n.  Each size below the answer is searched in
-    full, so on large sparse graphs this costs more than a feasibility
-    scan would; verify, its one caller in the package, stops at eight
-    vertices.
+    The first size k, from gamma up, at which the independent mode of
+    _minimum_sets yields a set (no size below gamma has a dominating
+    set); that set is the lexicographically smallest independent
+    dominating set of size k.  Always well defined: every maximal
+    independent set dominates, so the scan stops by k = n.  Each size
+    from gamma below the answer is searched in full, so on large sparse
+    graphs this costs more than a feasibility scan would; verify, its
+    one caller in the package, stops at eight vertices.
     """
     closed = closed_masks(g)
     full = g.full_mask
-    for k in range(_packing_floor(closed, full), g.n + 1):
+    for k in range(gamma_value(g), g.n + 1):
         for s in _minimum_sets(closed, full, k, g.adj):
             return DominationReport(k, s)
     raise AssertionError("every maximal independent set dominates")

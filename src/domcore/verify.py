@@ -658,7 +658,6 @@ def verify_corpus(n_max: int, jobs: int = 1, progress=None) -> VerifyReport:
     """
     if not 1 <= n_max <= VERIFY_MAX:
         raise GraphError(f"verification covers n_max 1..{VERIFY_MAX}")
-    checked = [0] * len(PER_GRAPH_CHECKS)
     counts: dict[int, int] = {}
     violations: dict[str, list[tuple[str, str]]] = {
         name: [] for name, _, _ in PER_GRAPH_CHECKS
@@ -680,15 +679,13 @@ def verify_corpus(n_max: int, jobs: int = 1, progress=None) -> VerifyReport:
                     totals[name] += 1
                     if len(violations[name]) < _VIOLATIONS_KEPT:
                         violations[name].append((g6, message))
-            for idx in active:
-                checked[idx] += counts[n]
             if progress is not None:
                 progress(n, counts[n])
 
-    checks = [
-        CheckResult(name, checked[idx], totals[name], tuple(violations[name]))
-        for idx, (name, _, _) in enumerate(PER_GRAPH_CHECKS)
-    ]
+    checks = []
+    for name, _, cap in PER_GRAPH_CHECKS:
+        checked = sum(count for n, count in counts.items() if n <= cap)
+        checks.append(CheckResult(name, checked, totals[name], tuple(violations[name])))
     checks.extend(_corpus_level_checks(counts, labeled))
     return VerifyReport(n_max, sum(counts.values()), tuple(checks))
 

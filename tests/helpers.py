@@ -1,6 +1,8 @@
 """Small graph builders shared across the tests."""
 
+import os
 import random
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -22,8 +24,17 @@ TREE_STREAM_DIGESTS = {
     10: "c28defe1c8dc43b378ba735fc598e70833cdcfc8e3989fa45bc5235dd92ad4e2",
     12: "394a821d58733cbbef0a4126b9c462d6ef6f99d618df5d51916366c0c1d0c564",
 }
+# connected graphs per order, OEIS A001349
+CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 # trees per order, OEIS A000055
 TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551}
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def src_env() -> dict[str, str]:
+    """The environment for a subprocess that imports domcore from src/."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
 
 
 def path(n: int) -> Graph:

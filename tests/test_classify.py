@@ -252,7 +252,6 @@ def test_single_vertex_functions_match_classify_all(g):
     rep = classify_all(g)
     for row in rep.vertices:
         assert classify_vertex(g, row.vertex) == row
-        assert classify_vertex(g, row.vertex, rep.gamma) == row
 
 
 def test_definitional_capacity_guard():

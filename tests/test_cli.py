@@ -1,11 +1,9 @@
 import hashlib
 import io
 import json
-import os
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from pathlib import Path
 
 import pytest
 
@@ -16,7 +14,7 @@ from domcore.enumeration import ENUMERATION_MAX, TREE_ENUMERATION_MAX
 from domcore.search import SEARCH_MAX
 from domcore.solve import ALL_SETS_MAX
 from domcore.verify import PER_GRAPH_CHECKS, VERIFY_MAX
-from helpers import TREE_COUNTS, TREE_STREAM_DIGESTS
+from helpers import CONNECTED_COUNTS, TREE_COUNTS, TREE_STREAM_DIGESTS, src_env
 
 
 # SHA-256 of the concatenated stdout of gamma, classify and recognize, as
@@ -24,7 +22,6 @@ from helpers import TREE_COUNTS, TREE_STREAM_DIGESTS
 GRAPH_INPUT_STDOUT_SHA256 = "b2ebfcb5ded1b7b8cab047232de9c418d24eaaf68210d0b2d439667c1d3096d6"
 # SHA-256 of classify --stdin-g6 JSON stdout over the 112 graphs of enumerate --n 6
 CLASSIFY_STREAM_SHA256 = "5bf2c06071342c46ad3be021a6d8712125eceb695ee298a543e1e4cf55dd1984"
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -194,10 +191,6 @@ def test_search_budget_exit(capsys, tmp_path, monkeypatch):
     assert json.loads(out)["budget_exceeded"] is True
 
 
-# connected graphs per order, n = 1..8
-CONNECTED_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117)
-
-
 @pytest.mark.parametrize(
     "signature, witnesses",
     [
@@ -215,7 +208,7 @@ def test_class_signature_search_pinned(capsys, tmp_path, signature, witnesses):
     assert code == 0
     expected = [
         f"scan\t{n}\t{count}\t{int(n == 8 and bool(witnesses))}\tTrue"
-        for n, count in enumerate(CONNECTED_COUNTS, start=1)
+        for n, count in CONNECTED_COUNTS.items()
     ]
     expected += [f"witness\t8\t{text}" for text in witnesses]
     assert out.splitlines() == expected
@@ -317,7 +310,6 @@ def test_help_exits_zero(capsys):
 
 
 def test_module_entry_points_match_run(capsys):
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
     for argv, want in (
         (["gamma", "--g6", "Cl", "--tsv"], (0, "4\t2\t0,1\n")),
         (["gamma"], (1, "")),  # no input source: usage error
@@ -328,7 +320,7 @@ def test_module_entry_points_match_run(capsys):
                 [sys.executable, "-m", module, *argv],
                 capture_output=True,
                 text=True,
-                env=env,
+                env=src_env(),
                 timeout=60,
             )
             assert (proc.returncode, proc.stdout) == want, module

@@ -5,7 +5,6 @@ import sys
 import time
 from hashlib import sha256
 from itertools import combinations, permutations
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -40,6 +39,7 @@ from domcore.enumeration import (
 from domcore.graph import add_vertex, bits, is_connected, mask_of
 from domcore.recognize import is_tree
 from helpers import (
+    CONNECTED_COUNTS,
     STREAM_DIGESTS,
     TREE_COUNTS,
     TREE_STREAM_DIGESTS,
@@ -50,10 +50,10 @@ from helpers import (
     path,
     relabel,
     relabeled_graphs,
+    src_env,
     star,
 )
 
-CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 LABELED_CONNECTED = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704, 7: 1866256}  # OEIS A001187
 # SHA-256 of the bitmap bytes, pinning the layout: bit mask & 7 of byte
@@ -62,8 +62,6 @@ LABELED_BITMAP_SHA256 = {
     6: "250e7e349b897872e8ab1b4b38f2154713da9507972ee3b5f13be367adbb6501",
     7: "6980dd66999b7c9aeacc9eab3d1b4c04333900458cca00bc17288321d46936ca",
 }
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_stream_counts_match_known_sequence():
@@ -209,6 +207,9 @@ def test_labeled_oracle_errors():
     for n in (0, LABELED_MAX + 1):
         with pytest.raises(GraphError):
             labeled_connected_bitmap(n)
+        # refused before the 2**C(n,2)-bit bitmap is allocated
+        with pytest.raises(GraphError):
+            relabeling_closure_bitmap([], n)
     with pytest.raises(GraphError):
         relabeling_closure_bitmap([build_graph(3, []), build_graph(4, [])], 3)
     with pytest.raises(GraphError):
@@ -256,10 +257,9 @@ def test_ordered_map_raises_when_a_worker_dies():
         "with _ordered_map(2) as ordered_map:\n"
         "    list(ordered_map(os._exit, [3] * 16))\n"
     )
-    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=src_env(),
         capture_output=True,
         text=True,
         timeout=60,

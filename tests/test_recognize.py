@@ -1,14 +1,13 @@
-import os
 import subprocess
 import sys
 from functools import cache
 from itertools import combinations, permutations
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import domcore.recognize
 from domcore import (
     Graph,
     GraphError,
@@ -38,6 +37,7 @@ from helpers import (
     petersen,
     relabel,
     relabeled_graphs,
+    src_env,
     star,
 )
 
@@ -45,8 +45,6 @@ PAW = build_graph(4, [(1, 2), (2, 3), (1, 3), (0, 1)])
 BULL = build_graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4)])
 DIAMOND = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 NET = build_graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _pair_mask(g: Graph, vs) -> int:
@@ -159,14 +157,13 @@ def test_symmetry_conditions_keep_one_automorphism(name):
 
 def test_symmetry_plan_is_not_built_on_import():
     # the benchmark times fresh imports as set-up, so import builds nothing
-    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
     code = (
         "import domcore.recognize as r; "
         "print(r._symmetry_conditions.cache_info().currsize, r._search_plan.cache_info().currsize)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=src_env(),
         capture_output=True,
         text=True,
         check=True,
@@ -234,6 +231,21 @@ def test_class_flags_bundle():
     assert list(d["contains"]) == list(PATTERNS)
     assert d["contains"]["P4"] is True
     assert d["contains"]["claw"] is False
+
+
+def test_class_flags_searches_each_pattern_once(monkeypatch):
+    # the cograph and claw-free flags read the contains dict, so claw and
+    # P4 are not searched a second time
+    calls = []
+    search = domcore.recognize.contains_induced
+    monkeypatch.setattr(
+        domcore.recognize, "contains_induced", lambda g, name: calls.append(name) or search(g, name)
+    )
+    for g in (path(4), star(3), cycle(5), complete(4), petersen()):
+        calls.clear()
+        flags = class_flags(g)
+        assert sorted(calls) == sorted(PATTERNS)
+        assert flags["cograph"] == is_cograph(g) and flags["claw_free"] == is_claw_free(g)
 
 
 def test_twin_clique_partition_paw():

@@ -16,7 +16,6 @@ from domcore.search import (
     SIGNATURES,
     PartitionSignature,
     cubic_bipartite_filter,
-    evaluate_signature,
     evaluate_signatures,
     has_k4,
     line_graph_family_filter,
@@ -98,7 +97,7 @@ def test_prefilter_is_sound(corpus6):
     for _, g in corpus6:
         masks = classification_masks(g)
         for sig in SIGNATURES.values():
-            assert evaluate_signature(sig, g) == sig.evaluate(g, masks)
+            assert evaluate_signatures(g, (sig,))[0] == sig.evaluate(g, masks)
 
 
 def test_cut_vertex_dfs_runs_only_for_a_nonempty_mask(monkeypatch, corpus6):
@@ -154,7 +153,7 @@ def test_signature_verdicts_survive_relabeling(corpus6):
         edges = [(perm[u], perm[v]) for u, v in g.edges()]
         h = build_graph(g.n, edges)
         for sig in SIGNATURES.values():
-            assert evaluate_signature(sig, g) == evaluate_signature(sig, h)
+            assert evaluate_signatures(g, (sig,))[0] == evaluate_signatures(h, (sig,))[0]
 
 
 def test_all_zero_nonempty_core_minimum_order():
@@ -191,7 +190,7 @@ def test_cut_vertex_witnesses_pinned():
     for text in CUT_VERTEX_WITNESSES:
         g = parse_graph6(text)
         assert g.n == MIN_ORDER_CUT_VERTEX_CORE_ZERO
-        assert evaluate_signature(sig, g)
+        assert evaluate_signatures(g, (sig,))[0]
         masks = classification_masks(g)
         hits = masks["core"] & masks["zero"] & cut_vertices(g)
         assert hits != 0
@@ -201,7 +200,7 @@ def test_every_class_witness_pinned():
     sig = SIGNATURES["min-plus-zero-minus-empty-anticore"]
     g = parse_graph6(EVERY_CLASS_WITNESS)
     assert g.n == 9
-    assert evaluate_signature(sig, g)
+    assert evaluate_signatures(g, (sig,))[0]
     masks = classification_masks(g)
     assert masks["anticore"] == 0
     sizes = (
@@ -279,7 +278,7 @@ def test_class_signatures_search_only_their_class(corpus6):
     assert len(classed) == 2
     for _, g in corpus6:
         for sig in classed:
-            assert not evaluate_signature(sig, g) or sig.graph_class(g)
+            assert not evaluate_signatures(g, (sig,))[0] or sig.graph_class(g)
 
 
 def test_graph_class_is_tested_before_gamma(monkeypatch, corpus6):
@@ -290,13 +289,13 @@ def test_graph_class_is_tested_before_gamma(monkeypatch, corpus6):
     outside = [g for _, g in corpus6 if not sig.graph_class(g)]
     monkeypatch.setattr(domcore.search, "gamma_value", no_gamma)
     for g in outside:
-        assert not evaluate_signature(sig, g)
+        assert not evaluate_signatures(g, (sig,))[0]
 
 
 def test_one_step_solves_each_graph_once(monkeypatch, corpus6):
     sigs = tuple(SIGNATURES.values())
     classed = tuple(sig for sig in sigs if sig.graph_class is not None)
-    expected = [tuple(evaluate_signature(sig, g) for sig in sigs) for _, g in corpus6]
+    expected = [tuple(evaluate_signatures(g, (sig,))[0] for sig in sigs) for _, g in corpus6]
     calls = {}
 
     def counting(name, real):

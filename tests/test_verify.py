@@ -1,8 +1,6 @@
-import os
 import subprocess
 import sys
 from math import factorial
-from pathlib import Path
 
 import pytest
 
@@ -21,9 +19,7 @@ from domcore.verify import (
     _Ctx,
     _pattern_table,
 )
-from helpers import complete, cycle, path
-
-SRC = Path(__file__).resolve().parent.parent / "src"
+from helpers import complete, cycle, path, src_env
 
 # |Aut| of each pattern: a pattern on k vertices has k!/|Aut| labeled copies
 AUTOMORPHISMS = {
@@ -97,11 +93,10 @@ def test_pattern_table_holds_every_labeled_copy():
 
 def test_pattern_table_is_not_built_on_import():
     # the benchmark times fresh imports as set-up, so import builds nothing
-    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
     code = "import domcore.verify as v; print(v._pattern_table.cache_info().currsize)"
     out = subprocess.run(
         [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=src_env(),
         capture_output=True,
         text=True,
         check=True,
