@@ -1,9 +1,10 @@
+import hashlib
 import random
 from itertools import permutations
 
 import pytest
 
-from domcore import Graph, GraphError, build_graph, enumerate_connected
+from domcore import Graph, GraphError, build_graph, enumerate_connected, enumerate_trees
 from domcore.canonical import (
     CANONICAL_MAX,
     automorphism_generators,
@@ -11,6 +12,10 @@ from domcore.canonical import (
     rooted_canonical_bits,
 )
 from helpers import complete, cycle, path, petersen, relabel, star
+
+# SHA-256 over one line per graph, taken before the leaf search became a
+# generator; see test_canonical_outputs_pinned
+CANONICAL_PIN = "d1cd6e5be011fd755aeb2d41f3ad08f74c7a107f59aa7ea94e64152abb233737"
 
 
 def _brute_min_form(g: Graph) -> tuple:
@@ -121,3 +126,25 @@ def test_capacity_guard():
         canonical_form(big)
     with pytest.raises(GraphError):
         automorphism_generators(big)
+
+
+def test_canonical_outputs_pinned():
+    # the stream digests fix only which children are accepted; this also
+    # fixes the generator lists, the forms and the rooted bits themselves
+    graphs = [Graph(0, ())]
+    for n in range(1, 8):
+        graphs += enumerate_connected(n)
+    for n in range(1, 11):
+        graphs += enumerate_trees(n)
+    assert len(graphs) == 1198
+    digest = hashlib.sha256()
+    for g in graphs:
+        line = repr(
+            (
+                automorphism_generators(g),
+                canonical_form(g),
+                [rooted_canonical_bits(g, v) for v in range(g.n)],
+            )
+        )
+        digest.update((line + "\n").encode())
+    assert digest.hexdigest() == CANONICAL_PIN
