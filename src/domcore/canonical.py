@@ -19,8 +19,10 @@ The same search also yields generators of the automorphism group
 (automorphism_generators): two leaves with equal labeling value differ
 by an automorphism (McKay & Piperno, "Practical graph isomorphism, II",
 2014), and every adjacent transposition inside a non-singleton cell of
-an unbranched leaf is one.  Taking the first leaf as the base, one
-equal-valued leaf per branch off the first path is enough.
+an unbranched leaf is one.  The search yields its leaves in order, each
+with the id of the branch off the first path that it lies in.  Taking
+the first leaf as the base, one map per branch, to the branch's first
+leaf of base value, is enough.
 
 Intended for the enumeration sizes (n <= 16); beyond that the search
 may be slow, so larger inputs are rejected.
@@ -107,76 +109,19 @@ def _labeling_bits(adj: tuple[int, ...], order: list[int]) -> int:
     return value
 
 
-def _cells_to_order(cells: list[int]) -> list[int]:
-    order = []
-    for cell in cells:
-        for v in bits(cell):
-            order.append(v)
-    return order
+def _leaves(adj: tuple[int, ...], cells: list[int], branch: int | tuple[int, int] = 0):
+    """Yield (branch, cells, order, value) for every leaf below cells.
 
-
-class _Leaves:
-    """What the search keeps of the leaves it visits, first to last.
-
-    best is the least labeling value.  When generators is a list, the
-    first leaf's order is the base: its non-singleton cells add their
-    adjacent transpositions, and a later leaf whose value equals the
-    base value adds the map base order -> that leaf's order if open is
-    set.  The search sets open on entering a branch off the first path,
-    and the first such leaf clears it, so each branch adds one map.
-    """
-
-    __slots__ = ("best", "base_value", "base_order", "generators", "open")
-
-    def __init__(self, generators: bool) -> None:
-        self.best: int | None = None
-        self.base_value: int | None = None
-        self.base_order: list[int] = []
-        self.generators: list[tuple[int, ...]] | None = [] if generators else None
-        self.open = False
-
-    def visit(self, cells: list[int], order: list[int], value: int) -> None:
-        if self.best is None:
-            self.best = self.base_value = value
-            self.base_order = order
-            if self.generators is not None:
-                self.generators.extend(_cell_transpositions(cells, len(order)))
-            return
-        if value < self.best:
-            self.best = value
-        if self.open and self.generators is not None and value == self.base_value:
-            self.open = False
-            perm = [0] * len(order)
-            for v, w in zip(self.base_order, order):
-                perm[v] = w
-            self.generators.append(tuple(perm))
-
-
-def _cell_transpositions(cells: list[int], n: int):
-    """Adjacent transpositions inside each non-singleton cell.
-
-    A leaf's non-singleton cells passed _uniform_cells, so each of these
-    transpositions is an automorphism.
-    """
-    for cell in cells:
-        members = list(bits(cell))
-        for v, w in zip(members, members[1:]):
-            perm = list(range(n))
-            perm[v], perm[w] = w, v
-            yield tuple(perm)
-
-
-def _search(adj: tuple[int, ...], cells: list[int], leaves: _Leaves, first_path: bool) -> None:
-    """Visit every leaf below cells; first_path marks the leftmost path.
-
-    Each child of a first-path node after the first opens a branch, in
-    which the first leaf of base value yields one automorphism.
+    Leaves come in search order.  branch is 0 on the first (leftmost)
+    path; each child after the first of a first-path node starts a
+    branch, named by the index of the cell it splits and its vertex, and
+    every leaf below that child carries the name.
     """
     cells = _refine(adj, cells)
     non_singleton = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
     if non_singleton is None or _uniform_cells(adj, cells):
-        order = _cells_to_order(cells)
-        leaves.visit(cells, order, _labeling_bits(adj, order))
+        order = [v for cell in cells for v in bits(cell)]
+        yield branch, cells, order, _labeling_bits(adj, order)
         return
     target = cells[non_singleton]
     for i, v in enumerate(bits(target)):
@@ -185,26 +130,23 @@ def _search(adj: tuple[int, ...], cells: list[int], leaves: _Leaves, first_path:
             + [1 << v, target ^ (1 << v)]
             + cells[non_singleton + 1 :]
         )
-        if first_path and i:
-            leaves.open = True
-        _search(adj, child, leaves, first_path and not i)
+        yield from _leaves(adj, child, branch or (i and (non_singleton, v)))
 
 
-def _run(g: Graph, cells: list[int], generators: bool) -> _Leaves:
+def _checked_leaves(g: Graph, cells: list[int]):
     if g.n > CANONICAL_MAX:
         raise GraphError(f"canonical forms are limited to {CANONICAL_MAX} vertices")
-    leaves = _Leaves(generators)
-    if g.n == 0:
-        leaves.best = 0
-        return leaves
-    _search(g.adj, cells, leaves, True)
-    return leaves
+    return _leaves(g.adj, cells)
 
 
 def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     """Permutations p (v -> p[v]) that generate the automorphism group.
 
-    Read off the same search that computes the canonical form.  Let
+    Read off the same search that computes the canonical form.  The
+    first leaf is the base: every adjacent transposition inside one of
+    its non-singleton cells is an automorphism (those cells passed
+    _uniform_cells), and each branch records one map, base order -> the
+    order of its first leaf whose value equals the base value.  Let
     b_0, b_1, ... be the vertices individualized on the first path and
     G_d the automorphisms fixing b_0..b_{d-1}.  Every sigma in G_d maps
     the first leaf to a leaf of equal value below the child sigma(b_d)
@@ -215,12 +157,29 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     the list generates the whole group, and it is empty exactly when the
     group is trivial.
     """
-    return _run(g, [g.full_mask], generators=True).generators
+    leaves = _checked_leaves(g, [g.full_mask])
+    _, cells, base_order, base_value = next(leaves)
+    generators = []
+    for cell in cells:
+        members = list(bits(cell))
+        for v, w in zip(members, members[1:]):
+            perm = list(range(g.n))
+            perm[v], perm[w] = w, v
+            generators.append(tuple(perm))
+    recorded = 0  # a branch's leaves are consecutive
+    for branch, _, order, value in leaves:
+        if value == base_value and branch != recorded:
+            recorded = branch
+            perm = [0] * g.n
+            for v, w in zip(base_order, order):
+                perm[v] = w
+            generators.append(tuple(perm))
+    return generators
 
 
 def canonical_form(g: Graph) -> bytes:
     """Canonical byte string: count byte, then packed triangle bits."""
-    value = _run(g, [g.full_mask], generators=False).best
+    value = min(leaf[3] for leaf in _checked_leaves(g, [g.full_mask]))
     nbits = g.n * (g.n - 1) // 2
     nbytes = (nbits + 7) // 8
     return bytes([g.n]) + (value << (nbytes * 8 - nbits)).to_bytes(nbytes, "big")
@@ -229,6 +188,5 @@ def canonical_form(g: Graph) -> bytes:
 def rooted_canonical_bits(g: Graph, v: int) -> int:
     """Canonical bits among labelings that place v first."""
     g._check_vertex(v)
-    rest = g.full_mask & ~(1 << v)
-    cells = [1 << v] + ([rest] if rest else [])
-    return _run(g, cells, generators=False).best
+    # at n = 1 the second cell is empty, which _refine keeps as it is
+    return min(leaf[3] for leaf in _checked_leaves(g, [1 << v, g.full_mask ^ (1 << v)]))

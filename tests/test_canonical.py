@@ -13,8 +13,7 @@ from domcore.canonical import (
 )
 from helpers import complete, cycle, path, petersen, relabel, star
 
-# SHA-256 over one line per graph, taken before the leaf search became a
-# generator; see test_canonical_outputs_pinned
+# SHA-256 over one line per graph; see test_canonical_outputs_pinned
 CANONICAL_PIN = "d1cd6e5be011fd755aeb2d41f3ad08f74c7a107f59aa7ea94e64152abb233737"
 
 
@@ -126,6 +125,8 @@ def test_capacity_guard():
         canonical_form(big)
     with pytest.raises(GraphError):
         automorphism_generators(big)
+    with pytest.raises(GraphError):
+        rooted_canonical_bits(big, 0)
 
 
 def test_canonical_outputs_pinned():
