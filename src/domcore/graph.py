@@ -129,10 +129,14 @@ def _derived(n: int, adj: tuple[int, ...]) -> Graph:
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; duplicate edges collapse silently."""
+    if type(n) is not int:
+        raise GraphError(f"vertex count {n!r} is not an int")
     if not 0 <= n <= MAX_VERTICES:
         raise GraphError(f"vertex count {n} outside 0..{MAX_VERTICES}")
     adj = [0] * n
     for u, v in edges:
+        if type(u) is not int or type(v) is not int:
+            raise GraphError(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge ({u}, {v}) outside 0..{n - 1}")
         if u == v:

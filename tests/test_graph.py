@@ -49,6 +49,10 @@ def test_build_graph_rejects_bad_input():
         build_graph(-1, [])
     with pytest.raises(GraphError):
         build_graph(MAX_VERTICES + 1, [])
+    # Graph's own rule: counts and endpoints are ints, and a bool is not one
+    for n, edges in (("3", []), (3.0, []), (3, [(0, 1.0)]), (3, [(0, True)])):
+        with pytest.raises(GraphError):
+            build_graph(n, edges)
 
 
 def test_graph_validation_rejects_asymmetry():
