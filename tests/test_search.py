@@ -1,4 +1,3 @@
-import os
 import pickle
 import random
 from dataclasses import replace
@@ -9,7 +8,7 @@ from hypothesis import given, strategies as st
 import domcore.search
 from domcore import GraphError, build_graph, parse_graph6, write_graph6
 from domcore.classify import CLASSES, classification_masks, membership_masks
-from domcore.graph import bits, cut_vertices
+from domcore.graph import cut_vertices
 from domcore.solve import core_and_corona
 from domcore.search import (
     SEARCH_MAX,
