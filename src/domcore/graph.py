@@ -134,7 +134,11 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     if not 0 <= n <= MAX_VERTICES:
         raise GraphError(f"vertex count {n} outside 0..{MAX_VERTICES}")
     adj = [0] * n
-    for u, v in edges:
+    for edge in edges:
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
+            raise GraphError(f"edge {edge!r} is not a pair") from None
         if type(u) is not int or type(v) is not int:
             raise GraphError(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
         if not (0 <= u < n and 0 <= v < n):

@@ -53,6 +53,10 @@ def test_build_graph_rejects_bad_input():
     for n, edges in (("3", []), (3.0, []), (3, [(0, 1.0)]), (3, [(0, True)])):
         with pytest.raises(GraphError):
             build_graph(n, edges)
+    # an edge is a pair
+    for edges in ([(0, 1, 2)], [(0,)], [0]):
+        with pytest.raises(GraphError):
+            build_graph(3, edges)
 
 
 def test_graph_validation_rejects_asymmetry():
