@@ -10,10 +10,10 @@ subset-isomorphism oracle, and the plumbing invariants (graph surgery
 round-trips, graph6, canonical relabeling).  Corpus-level checks
 compare the stream's counts with two independent oracles.
 
-Each check caps its own vertex count (brute-force oracles get smaller
-caps), reports how many graphs it examined, and collects the first few
-violations as graph6 strings with messages.  A report passes only if
-every check has zero violations.
+Every per-graph check runs on every graph up to n_max.  Each check
+reports how many graphs it examined and how many violations it found,
+and keeps the first few as graph6 strings with messages.  A report
+passes only if every check has zero violations.
 
 No oracle calls the code it checks.  The pattern oracle looks each
 k-subset's induced edge mask up in a table of every labeled copy of
@@ -176,7 +176,10 @@ def _check_graph_surgery(ctx: _Ctx):
     for v in range(g.n):
         back = mask_of(u - (u > v) for u in bits(g.adj[v]))
         h = add_vertex(delete_vertex(g, v), back)
-        if h.n != g.n or h.adj != _moved_last(g, v):
+        # g relabeled so that v is last and the vertices above it shift down
+        last = [u - (u > v) for u in range(g.n)]
+        last[v] = g.n - 1
+        if h.n != g.n or h.adj != _relabeled(g, last):
             yield f"delete/re-add of {v} is not g with {v} moved last"
         h = add_pendant(g, v)
         if h.n != g.n + 1 or h.adj != (*g.adj[:v], g.adj[v] | leaf, *g.adj[v + 1 :], 1 << v):
@@ -185,23 +188,14 @@ def _check_graph_surgery(ctx: _Ctx):
         yield "edge-list text round-trip changes the graph"
 
 
-def _moved_last(g: Graph, v: int) -> tuple[int, ...]:
-    """Adjacency masks of g relabeled so that v is last and the vertices
-    above it shift down."""
-    low = (1 << v) - 1
-    last = 1 << (g.n - 1)
-
-    def move(a: int) -> int:
-        return (a & low) | (a >> (v + 1) << v) | (last if (a >> v) & 1 else 0)
-
-    return tuple(move(a) for u, a in enumerate(g.adj) if u != v) + (move(g.adj[v]),)
-
-
 def _relabeled(g: Graph, perm) -> tuple[int, ...]:
     """Adjacency masks of the copy of g in which vertex u is perm[u]."""
     adj = [0] * g.n
     for u, a in enumerate(g.adj):
-        adj[perm[u]] = mask_of(perm[w] for w in bits(a))
+        mask = 0
+        for w in bits(a):
+            mask |= 1 << perm[w]
+        adj[perm[u]] = mask
     return tuple(adj)
 
 
@@ -564,33 +558,33 @@ def _check_graph6_roundtrip(ctx: _Ctx):
         yield "graph6 round-trip changes the graph"
 
 
-# (name, per-graph generator, max n this check runs at)
+# (name, per-graph generator)
 PER_GRAPH_CHECKS = (
-    ("graph-surgery", _check_graph_surgery, 8),
-    ("solver-oracle-equivalence", _check_solver_oracle, 8),
-    ("gamma-i-alpha-chain", _check_gamma_chain, 8),
-    ("minimum-set-private-neighbors", _check_private_neighbors_in_sets, 8),
-    ("tree-gamma-agreement", _check_tree_gamma, 8),
-    ("classifier-equivalence", _check_classifier_equivalence, 8),
-    ("membership-remarks", _check_membership_remarks, 8),
-    ("removal-raises-characterization", _check_theorem_plus, 7),
-    ("removal-lowers-characterization", _check_theorem_minus, 7),
-    ("pendant-minimum-sets", _check_pendant_remark, 7),
-    ("simplicial-exclusion", _check_simplicial, 8),
-    ("cut-vertex-clique-lemma", _check_cut_vertex_lemma, 8),
-    ("attachment-clique-lemma", _check_attachment_lemma, 8),
-    ("chordal-core-equals-plus", _check_chordal_core, 8),
-    ("cograph-core-bound", _check_cograph_core, 8),
-    ("claw-p6-free-core-in-plus", _check_claw_p6_free_core, 8),
-    ("claw-bull-free-core-in-plus", _check_claw_bull_free_core, 8),
-    ("claw-free-gamma-equals-i", _check_claw_free_gamma_i, 8),
-    ("bipartite-claw-free-shape", _check_bipartite_claw_free_shape, 8),
-    ("twin-clique-partition", _check_tcp, 8),
-    ("twin-clique-core-correspondence", _check_tcp_core_correspondence, 7),
-    ("pattern-search-oracle", _check_pattern_oracle, 7),
-    ("recognizer-consistency", _check_recognizer_consistency, 8),
-    ("canonical-relabeling-invariance", _check_canonical_relabeling, 8),
-    ("graph6-roundtrip", _check_graph6_roundtrip, 8),
+    ("graph-surgery", _check_graph_surgery),
+    ("solver-oracle-equivalence", _check_solver_oracle),
+    ("gamma-i-alpha-chain", _check_gamma_chain),
+    ("minimum-set-private-neighbors", _check_private_neighbors_in_sets),
+    ("tree-gamma-agreement", _check_tree_gamma),
+    ("classifier-equivalence", _check_classifier_equivalence),
+    ("membership-remarks", _check_membership_remarks),
+    ("removal-raises-characterization", _check_theorem_plus),
+    ("removal-lowers-characterization", _check_theorem_minus),
+    ("pendant-minimum-sets", _check_pendant_remark),
+    ("simplicial-exclusion", _check_simplicial),
+    ("cut-vertex-clique-lemma", _check_cut_vertex_lemma),
+    ("attachment-clique-lemma", _check_attachment_lemma),
+    ("chordal-core-equals-plus", _check_chordal_core),
+    ("cograph-core-bound", _check_cograph_core),
+    ("claw-p6-free-core-in-plus", _check_claw_p6_free_core),
+    ("claw-bull-free-core-in-plus", _check_claw_bull_free_core),
+    ("claw-free-gamma-equals-i", _check_claw_free_gamma_i),
+    ("bipartite-claw-free-shape", _check_bipartite_claw_free_shape),
+    ("twin-clique-partition", _check_tcp),
+    ("twin-clique-core-correspondence", _check_tcp_core_correspondence),
+    ("pattern-search-oracle", _check_pattern_oracle),
+    ("recognizer-consistency", _check_recognizer_consistency),
+    ("canonical-relabeling-invariance", _check_canonical_relabeling),
+    ("graph6-roundtrip", _check_graph6_roundtrip),
 )
 
 
@@ -599,7 +593,7 @@ class CheckResult:
     name: str
     graphs_checked: int
     violation_count: int
-    violations: tuple[tuple[str, str], ...]  # (graph6, message), capped
+    violations: tuple[tuple[str, str], ...]  # (graph6, message), the first few
 
     @property
     def passed(self) -> bool:
@@ -635,16 +629,11 @@ class VerifyReport:
         }
 
 
-def _run_checks_on_graph(active: tuple[int, ...], g: Graph) -> tuple[Graph, list]:
-    """Run PER_GRAPH_CHECKS[i] for each i in active on g; returns
-    (g, violations as (check, graph6, message))."""
+def _run_checks_on_graph(g: Graph) -> tuple[Graph, list]:
+    """Run every check of PER_GRAPH_CHECKS on g; returns (g, violations
+    as (check, graph6, message))."""
     ctx = _Ctx(g)
-    violations = []
-    for idx in active:
-        name, fn, _ = PER_GRAPH_CHECKS[idx]
-        for message in fn(ctx):
-            violations.append((name, ctx.g6, message))
-    return g, violations
+    return g, [(name, ctx.g6, message) for name, fn in PER_GRAPH_CHECKS for message in fn(ctx)]
 
 
 def verify_corpus(n_max: int, jobs: int = 1, progress=None) -> VerifyReport:
@@ -659,35 +648,26 @@ def verify_corpus(n_max: int, jobs: int = 1, progress=None) -> VerifyReport:
     if not 1 <= n_max <= VERIFY_MAX:
         raise GraphError(f"verification covers n_max 1..{VERIFY_MAX}")
     counts: dict[int, int] = {}
-    violations: dict[str, list[tuple[str, str]]] = {
-        name: [] for name, _, _ in PER_GRAPH_CHECKS
-    }
-    totals: dict[str, int] = {name: 0 for name, _, _ in PER_GRAPH_CHECKS}
+    bad: dict[str, list[tuple[str, str]]] = {name: [] for name, _ in PER_GRAPH_CHECKS}
     # the labeled oracles need the graphs themselves; they come back with
     # their check results and are held only for the orders the oracles cover
     labeled: dict[int, list[Graph]] = {}
     with _ordered_map(jobs) as ordered_map:
         for n in range(1, n_max + 1):
-            # the checks that run at order n; the caps apply only here
-            active = tuple(i for i, (_, _, cap) in enumerate(PER_GRAPH_CHECKS) if n <= cap)
             counts[n] = 0
-            for g, viols in map_children(ordered_map, partial(_run_checks_on_graph, active), n):
+            for g, viols in map_children(ordered_map, _run_checks_on_graph, n):
                 counts[n] += 1
                 if n <= LABELED_MAX:
                     labeled.setdefault(n, []).append(g)
                 for name, g6, message in viols:
-                    totals[name] += 1
-                    if len(violations[name]) < _VIOLATIONS_KEPT:
-                        violations[name].append((g6, message))
+                    bad[name].append((g6, message))
             if progress is not None:
                 progress(n, counts[n])
 
-    checks = []
-    for name, _, cap in PER_GRAPH_CHECKS:
-        checked = sum(count for n, count in counts.items() if n <= cap)
-        checks.append(CheckResult(name, checked, totals[name], tuple(violations[name])))
+    total = sum(counts.values())
+    checks = [_result(name, total, bad[name]) for name, _ in PER_GRAPH_CHECKS]
     checks.extend(_corpus_level_checks(counts, labeled))
-    return VerifyReport(n_max, sum(counts.values()), tuple(checks))
+    return VerifyReport(n_max, total, tuple(checks))
 
 
 def _result(name: str, checked: int, bad: list[tuple[str, str]]) -> CheckResult:

@@ -242,7 +242,7 @@ def test_verify_tsv(capsys):
     rows = [line.split("\t") for line in out.splitlines()]
     assert len(rows) == len(PER_GRAPH_CHECKS) + 2 == 27
     assert [row[0] for row in rows[: len(PER_GRAPH_CHECKS)]] == [
-        name for name, _, _ in PER_GRAPH_CHECKS
+        name for name, _ in PER_GRAPH_CHECKS
     ]
     # every per-graph check ran on the 4 connected graphs with n <= 3
     assert {row[1] for row in rows[: len(PER_GRAPH_CHECKS)]} == {"4"}
