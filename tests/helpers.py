@@ -7,7 +7,7 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from domcore import Graph, build_graph, parse_graph6, write_graph6
-from domcore.classify import classification_masks
+from domcore.classify import classification_masks, classify_all, classify_by_enumeration
 from domcore.graph import MAX_VERTICES, connected_components, delete_vertex, mask_of
 from domcore.search import SIGNATURES, evaluate_signatures
 
@@ -119,6 +119,12 @@ def forests(draw, min_n=0, max_n=MAX_VERTICES):
             comp = [comp[u] if c == old else c for c in comp]
             kept.append((u, v))
     return build_graph(g.n, kept)
+
+
+def routes_agree(g: Graph) -> bool:
+    """Whether the structural and the definitional classification of g
+    agree; a module-level function, so a process pool can run it."""
+    return classify_all(g) == classify_by_enumeration(g)
 
 
 # the every-class signature (criterion 5) first, then the cut-vertex one (criterion 6)

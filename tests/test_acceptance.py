@@ -11,12 +11,11 @@ import hashlib
 import json
 import os
 import random
+from functools import partial
 
 import pytest
 
 from domcore import (
-    classify_all,
-    classify_by_enumeration,
     count_connected_graphs,
     enumerate_connected,
     parse_graph6,
@@ -24,6 +23,7 @@ from domcore import (
 )
 from domcore.cli import run
 from domcore.enumeration import (
+    _apply,
     _ordered_map,
     labeled_connected_bitmap,
     map_children,
@@ -32,7 +32,7 @@ from domcore.enumeration import (
 from domcore.search import SIGNATURES, search_signature
 from domcore.solve import gamma_bruteforce, gamma_exact
 from domcore.verify import verify_corpus
-from helpers import CONNECTED_COUNTS, STREAM_DIGESTS, nine_sweep_step, random_graph
+from helpers import CONNECTED_COUNTS, STREAM_DIGESTS, nine_sweep_step, random_graph, routes_agree
 
 # SHA-256 of the compact JSON of verify_corpus(8).to_dict(); any change to a
 # check's name, order, graph count or violations changes it
@@ -118,15 +118,17 @@ def test_criterion_1_solver_oracle_equivalence(corpus8):
 
 
 def test_criterion_2_classifier_equivalence(corpus8):
-    mismatches = 0
-    for _, g in corpus8:
-        if classify_all(g) != classify_by_enumeration(g):
-            mismatches += 1
+    # the random graphs are drawn here, in order.  The workers get the graphs
+    # 16 to an item: _ordered_map sends 8 items per task, and a task of 8
+    # graphs costs about as much to send as to check
     rng = random.Random(20260817)
-    for _ in range(10_000):
-        g = random_graph(rng, rng.randint(9, 16), rng.uniform(0.1, 0.9))
-        if classify_all(g) != classify_by_enumeration(g):
-            mismatches += 1
+    graphs = [g for _, g in corpus8] + [
+        random_graph(rng, rng.randint(9, 16), rng.uniform(0.1, 0.9)) for _ in range(10_000)
+    ]
+    batches = [graphs[i : i + 16] for i in range(0, len(graphs), 16)]
+    check = partial(_apply, routes_agree)  # [routes_agree(g) for g in batch]
+    with _ordered_map(os.cpu_count() or 1) as ordered_map:
+        mismatches = sum(oks.count(False) for oks in ordered_map(check, batches))
     _announce(
         2,
         mismatches == 0,
