@@ -458,17 +458,21 @@ def _children_reference(parent, subsets):
                 yield child
 
 
-def _enumerate_connected_reference(n):
-    if n == 1:
-        yield build_graph(1, [])
-        return
-    for parent in _enumerate_connected_reference(n - 1):
-        yield from _children_reference(parent, range(1, 1 << parent.n))
+def _reference_children(parent):
+    """The children _children_reference keeps from every subset of
+    parent's vertices; a module-level function, so a process pool can run it."""
+    return list(_children_reference(parent, range(1, 1 << parent.n)))
 
 
 def test_stream_matches_per_parent_deduplication():
-    for n in range(1, 9):
-        assert list(enumerate_connected(n)) == list(_enumerate_connected_reference(n)), n
+    # the reference stream of order n is the reference children of the one
+    # of order n - 1, parent by parent; the workers build them
+    reference = [build_graph(1, [])]
+    assert list(enumerate_connected(1)) == reference
+    with _ordered_map(os.cpu_count() or 1) as ordered_map:
+        for n in range(2, 9):
+            reference = [c for cs in ordered_map(_reference_children, reference) for c in cs]
+            assert list(enumerate_connected(n)) == reference, n
 
 
 # the cut vertex 4 has degree 2 and stays a cut vertex when the new
