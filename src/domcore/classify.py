@@ -187,8 +187,8 @@ def classify_by_enumeration(g: Graph) -> ClassificationReport:
     """Classify every vertex straight from the set of all minimum sets.
 
     The reference implementation: membership is the intersection and
-    union over the minimum-set stream (core_and_corona), and removal
-    classes recompute gamma on each deleted graph.
+    union over every minimum dominating set (core_and_corona), and
+    removal classes recompute gamma on each deleted graph.
     """
     if g.n > ALL_SETS_MAX:
         raise GraphError(f"enumeration route is limited to {ALL_SETS_MAX} vertices")
@@ -218,7 +218,7 @@ def classification_masks(
     """Class bitmasks for signature evaluation, by the definitional route.
 
     Keyed by CLASSES, as ClassificationReport.masks().  Membership
-    masks come from folding the minimum-set stream; core_corona, if
+    masks come from folding every minimum set; core_corona, if
     given, must be core_and_corona(g).  Removal masks come from budget
     probes on G - v, and the budget-gamma (PLUS) probe runs
     on core vertices only: a vertex outside the core is avoided by some

@@ -39,10 +39,19 @@ _minimum_sets yields the chosen set plus each vertex of that set, in
 increasing order, which keeps its lexicographic order.
 
 The witness of gamma_exact is the first set of _minimum_sets,
-all_minimum_dominating_sets is all of them, core_and_corona
-folds them, and independent_domination_number takes the first
-independent one; so every witness matches brute-force enumeration
-exactly.
+all_minimum_dominating_sets is all of them, and
+independent_domination_number takes the first independent one; so
+every witness matches brute-force enumeration exactly.
+
+core_and_corona needs no order: an intersection and a union come out
+the same whichever way the sets arrive.  So it folds them by pivot
+branching instead, the rule of the feasibility search.  Every minimum
+set holds a dominator of the pivot, and each node tries the pivot's
+candidates in increasing order, taking each out of the later
+siblings' picks; a set is reached only in the branch of the lowest
+candidate it holds, so each is folded exactly once.  With one pick
+left the common dominators fold in bulk: the union takes them all,
+and the intersection keeps one only when it is alone.
 
 All functions are pure: graphs come in, numbers and bitmask sets come
 out, and no state survives a call.
@@ -296,19 +305,42 @@ def all_minimum_dominating_sets(g: Graph) -> DominationReport:
 def core_and_corona(g: Graph, gamma: int | None = None) -> tuple[int, int]:
     """Masks (intersection, union) over all minimum dominating sets.
 
-    Folds the minimum-set stream, stopping early once the intersection
-    is empty and the union is everything.  gamma, if given, must be
-    gamma(g).
+    Folds each minimum set exactly once, in no particular order: each
+    node branches on the dominators of its pivot, and the later
+    siblings no longer offer the ones tried before.  With one pick
+    left, the common dominators of what is undominated fold in bulk.
+    gamma, if given, must be gamma(g).
     """
     if gamma is None:
         gamma = gamma_value(g)
-    full = g.full_mask
-    core, corona = full, 0
-    for s in _minimum_sets(closed_masks(g), full, gamma):
-        core &= s
-        corona |= s
-        if not core and corona == full:
-            break
+    closed = closed_masks(g)
+    core, corona = g.full_mask, 0
+
+    def rec(undominated: int, avail: int, chosen: int, remaining: int) -> None:
+        nonlocal core, corona
+        if not undominated:
+            # gamma is minimum, so a dominating set has no picks left
+            core &= chosen
+            corona |= chosen
+            return
+        if remaining == 1:
+            last = _common_dominators(closed, undominated, avail)
+            if last:
+                corona |= chosen | last
+                # the sets chosen | w share w only when it is the one dominator
+                core &= chosen | last if last & (last - 1) == 0 else chosen
+            return
+        cand = _node_scan(closed, undominated, avail, remaining)
+        if cand is None:
+            return
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            rec(undominated & ~closed[low.bit_length() - 1], avail, chosen | low, remaining - 1)
+            # a later sibling's sets hold none of the dominators tried before
+            avail ^= low
+
+    rec(g.full_mask, g.full_mask, 0, gamma)
     return (core, corona)
 
 

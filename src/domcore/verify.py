@@ -469,6 +469,8 @@ def _check_tcp_core_correspondence(ctx: _Ctx):
     g = ctx.g
     sets = ctx.report.all_sets
     singletons = [1 << v for v in range(g.n)]
+    # (always_one, never) by part mask: roots share most of their parts
+    verdicts: dict[int, tuple[bool, bool]] = {}
     for root, tcp in enumerate(ctx.tcps):
         h = tcp.reduced
         # the part index of each vertex, when every part is a singleton
@@ -481,8 +483,12 @@ def _check_tcp_core_correspondence(ctx: _Ctx):
             core_h, corona_h = ctx.once(core_and_corona, h)
             anticore_h = h.full_mask & ~corona_h
         for i, clique in enumerate(tcp.cliques):
-            always_one = all((s & clique).bit_count() == 1 for s in sets)
-            never = all(s & clique == 0 for s in sets)
+            if clique not in verdicts:
+                verdicts[clique] = (
+                    all((s & clique).bit_count() == 1 for s in sets),
+                    all(s & clique == 0 for s in sets),
+                )
+            always_one, never = verdicts[clique]
             if always_one != bool((core_h >> i) & 1):
                 yield f"core correspondence fails for part {i} at root {root}"
                 return

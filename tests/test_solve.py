@@ -149,6 +149,32 @@ def test_core_and_corona_is_the_fold_of_all_sets_on_random_graphs(g):
     assert core_and_corona(g) == _fold_all_sets(g)
 
 
+def test_core_and_corona_above_twelve_vertices():
+    # the hypothesis fold stops at 12 vertices; here dense and sparse graphs
+    # of 13 to 24 vertices meet the listed sets, and sparse ones of 30 to 40,
+    # past the listing's cap, meet a fold of the uncapped lexicographic search
+    rng = random.Random(3117)
+    for i in range(64):
+        n = rng.randint(13, 24)
+        g = random_graph(rng, n, rng.uniform(0.1, 0.9) if i % 2 else 2.5 / n)
+        assert core_and_corona(g) == _fold_all_sets(g), i
+    for n in (30, 35, 40):
+        g = random_graph(rng, n, 2.5 / n)
+        core, corona = g.full_mask, 0
+        for s in _minimum_sets(closed_masks(g), g.full_mask, gamma_value(g)):
+            core &= s
+            corona |= s
+        assert core_and_corona(g) == (core, corona), n
+
+
+@given(relabeled_graphs(0, 16))
+def test_core_and_corona_commutes_with_relabeling(case):
+    g, perm = case
+    core, corona = core_and_corona(g)
+    moved = [mask_of(perm[v] for v in bits(m)) for m in (core, corona)]
+    assert core_and_corona(relabel(g, perm)) == tuple(moved)
+
+
 def test_independence_number():
     assert independence_number(cycle(5)) == 2
     assert independence_number(path(4)) == 2
