@@ -22,7 +22,7 @@ through _derived, without validating it again.  So does the reduced
 graph of recognize's twin_clique_partition, the subgraph a valid graph
 induces on a set of its vertices, relabeled.  graph6's parse_graph6
 builds through _derived too: it checks its input text, and sets each
-edge in both directions, off the diagonal, for n <= 62 only.  So a
+edge in both directions, off the diagonal, for n <= 64 only.  So a
 Graph that exists is always well formed.
 """
 
@@ -119,7 +119,7 @@ def _derived(n: int, adj: tuple[int, ...]) -> Graph:
     graph is the subgraph its valid input induces on one vertex per
     part, relabeled by part index, so symmetric and loop-free; and for
     graph6's parse_graph6, which checks its text and sets each edge in
-    both directions, off the diagonal, for n <= 62.
+    both directions, off the diagonal, for n <= 64.
     """
     g = object.__new__(Graph)
     object.__setattr__(g, "n", n)

@@ -1,18 +1,21 @@
-"""Strict reader and writer for the short-form graph6 encoding.
+"""Strict reader and writer for the graph6 encoding.
 
-Covers graphs on 0..62 vertices: one header byte chr(n + 63), then the
-upper triangle of the adjacency matrix in column order ((0,1), (0,2),
-(1,2), (0,3), ...) packed six bits per printable byte, each offset by
-63.  Padding bits in the final byte must be zero; the parser rejects
-bad headers, wrong lengths, out-of-range bytes and nonzero padding
+Covers graphs on 0..64 vertices, every order a Graph can have.  The
+header is one byte chr(n + 63) for n <= 62, and for n = 63 or 64 the
+byte "~" followed by n in three bytes of six bits each, high bits
+first.  Then comes the upper triangle of the adjacency matrix in column
+order ((0,1), (0,2), (1,2), (0,3), ...) packed six bits per printable
+byte, each offset by 63.  Padding bits in the final byte must be zero;
+the parser rejects bad headers, a long header for n <= 62 (not the
+canonical form), wrong lengths, out-of-range bytes and nonzero padding
 rather than guessing.
 """
 
 from __future__ import annotations
 
-from .graph import Graph, GraphError, _derived
+from .graph import MAX_VERTICES, Graph, GraphError, _derived
 
-MAX_GRAPH6_VERTICES = 62
+MAX_GRAPH6_VERTICES = MAX_VERTICES
 
 
 class Graph6Error(GraphError):
@@ -25,9 +28,10 @@ def _data_length(n: int) -> int:
 
 def write_graph6(g: Graph) -> str:
     """Encode a graph as a graph6 string (no trailing newline)."""
-    if g.n > MAX_GRAPH6_VERTICES:
-        raise Graph6Error(f"graph6 short form only covers n <= {MAX_GRAPH6_VERTICES}")
-    out = [chr(g.n + 63)]
+    if g.n <= 62:
+        out = [chr(g.n + 63)]
+    else:
+        out = ["~", chr((g.n >> 12) + 63), chr((g.n >> 6 & 63) + 63), chr((g.n & 63) + 63)]
     group = 0
     filled = 0
     for col in range(1, g.n):
@@ -55,16 +59,26 @@ def parse_graph6(text: str) -> Graph:
             raise Graph6Error(f"byte {code!r} at position {i} outside graph6 range")
         values.append(code - 63)
     n = values[0]
-    if n > MAX_GRAPH6_VERTICES:
-        raise Graph6Error("multi-byte vertex counts are not supported")
-    expected = 1 + _data_length(n)
+    header = 1
+    if n == 63:
+        if values[1:2] == [63]:
+            raise Graph6Error(f"the 8-byte graph6 header is for n far above {MAX_GRAPH6_VERTICES}")
+        if len(values) < 4:
+            raise Graph6Error("truncated graph6 long header")
+        n = values[1] << 12 | values[2] << 6 | values[3]
+        if n <= 62:
+            raise Graph6Error(f"long graph6 header for n={n}, which has a one-byte header")
+        if n > MAX_GRAPH6_VERTICES:
+            raise Graph6Error(f"graph6 string for n={n} exceeds {MAX_GRAPH6_VERTICES} vertices")
+        header = 4
+    expected = header + _data_length(n)
     if len(values) != expected:
         raise Graph6Error(
             f"graph6 string for n={n} must be {expected} bytes, got {len(values)}"
         )
     adj = [0] * n
     bit_index = 0
-    data = values[1:]
+    data = values[header:]
     for col in range(1, n):
         for row in range(col):
             group = data[bit_index // 6]

@@ -1,19 +1,38 @@
 """Exact solvers for domination and independence numbers.
 
-Two searches do the work.  The feasibility search asks whether at most
-k picks dominate every vertex.  Each node makes one pass over the
-undominated vertices (_node_scan).  The pass counts the packing bound:
-undominated vertices whose closed neighborhoods within the vertex set
-are pairwise disjoint, each needing its own dominator.  It cuts the
-node as soon as that count exceeds the budget or some vertex has no
-dominator left.  Otherwise the same pass has found the pivot, the
-first undominated vertex with the fewest candidate dominators, and the
-node branches on those candidates.  The search has one mode: picks
-come from the vertex set `full`.  A probe returns the picks of the
-first set it finds, as a mask, or None; the empty mask answers when
-nothing is left undominated.  A vertex outside `full` is never
-undominated and never picked, so the search on G's closed masks with
-v left out of `full` is the search on G - v.
+Two searches do the work, both cut by one pass over the undominated
+vertices (_node_scan).  The pass counts the packing bound: undominated
+vertices whose closed neighborhoods within the vertices still
+available are pairwise disjoint, each needing its own dominator.  It
+cuts the node as soon as that count exceeds the picks left or some
+vertex has no dominator left.  Otherwise the same pass has found the
+pivot, the first undominated vertex with the fewest candidate
+dominators.
+
+The pivot walk (_pivot_walk) looks for sets of at most k picks that
+dominate.  Every such set holds a dominator of the pivot, and each
+node tries the pivot's candidates in increasing order, taking each out
+of the later siblings' picks, so a set is met only in the branch of
+the lowest candidate it holds, and never twice.  A branch ends once
+nothing is left undominated, so each dominating set of at most k picks
+has a subset the walk meets; at k = gamma the walk meets every minimum
+set, each exactly once.  The walk does not recurse
+for its last pick: a vertex w dominates u iff w is in N[u], so the
+vertices that dominate all of an undominated set U are the AND of N[u]
+over U (_common_dominators), and the walk hands the sets `chosen | w`
+over those w to its caller as one family.  The caller's function may
+stop the walk by returning a value.  Two callers share it:
+
+- A feasibility probe (_exists_dominating) stops at the first family
+  and answers with its set of lowest last pick, as a mask, or None; the
+  empty mask answers when nothing is left undominated.  Picks come from
+  the vertex set `full`.  A vertex outside `full` is never undominated
+  and never picked, so the probe on G's closed masks with v left out of
+  `full` is the probe on G - v.
+- core_and_corona folds every family at size gamma, in no particular
+  order, since an intersection and a union come out the same whichever
+  way the sets arrive: the union takes the whole family, and the
+  intersection keeps its last pick only when it is alone.
 
 The domination number is found by descent from a greedy cover of size
 k: probe budget k - 1, and if the probe finds a set, continue from that
@@ -21,37 +40,17 @@ set's size, which may be below k - 1.  The first probe that fails
 proves gamma = k, so no budget below gamma - 1 is ever probed (the
 improving-incumbent bound of branch and bound).
 
-The second search, _minimum_sets, yields every dominating set of a
-given size in lexicographic order, cut by the same pass taken over the
-vertices still available.  Given the adjacency masks, it keeps
-later picks out of the neighborhoods of earlier ones and yields only
-independent dominating sets; this is the only place independence is
-written.  The independent domination number is the first size, from
-gamma up, at which it yields a set.
-
-Neither search recurses for its last pick.  A vertex w dominates u iff
-w is in N[u], so the vertices that dominate all of an undominated set
-U are the AND of N[u] over U (_common_dominators).  With one pick left
-the feasibility search asks whether that set is nonempty and picks its
-lowest vertex; with two left it tries each candidate w for the pivot
-and does the same for what N[w] leaves (w alone if nothing is left).
-_minimum_sets yields the chosen set plus each vertex of that set, in
-increasing order, which keeps its lexicographic order.
-
-The witness of gamma_exact is the first set of _minimum_sets,
+The lexicographic listing, _minimum_sets, yields every dominating set
+of a given size in lexicographic order, cut by the same pass.  With
+one pick left it yields the chosen set plus each common dominator, in
+increasing order, which keeps the order.  Given the adjacency masks,
+it keeps later picks out of the neighborhoods of earlier ones and
+yields only independent dominating sets; this is the only place
+independence is written.  The witness of gamma_exact is its first set,
 all_minimum_dominating_sets is all of them, and
-independent_domination_number takes the first independent one; so
-every witness matches brute-force enumeration exactly.
-
-core_and_corona needs no order: an intersection and a union come out
-the same whichever way the sets arrive.  So it folds them by pivot
-branching instead, the rule of the feasibility search.  Every minimum
-set holds a dominator of the pivot, and each node tries the pivot's
-candidates in increasing order, taking each out of the later
-siblings' picks; a set is reached only in the branch of the lowest
-candidate it holds, so each is folded exactly once.  With one pick
-left the common dominators fold in bulk: the union takes them all,
-and the intersection keeps one only when it is alone.
+independent_domination_number takes the first independent one at the
+first size, from gamma up, that has one; so every witness matches
+brute-force enumeration exactly.
 
 All functions are pure: graphs come in, numbers and bitmask sets come
 out, and no state survives a call.
@@ -61,7 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .graph import (
     MAX_VERTICES,
@@ -161,46 +160,58 @@ def _common_dominators(closed: list[int], undominated: int, avail: int) -> int:
     return avail
 
 
+def _pivot_walk(
+    closed: list[int],
+    undominated: int,
+    avail: int,
+    chosen: int,
+    remaining: int,
+    found: Callable[[int, int], int | None],
+) -> int | None:
+    """Hand `found` the ways to dominate `undominated` with up to `remaining` picks from `avail`.
+
+    The picks are added to `chosen`, and the sets come in families: a
+    call `found(chosen, last)` stands for the sets `chosen | w` over the
+    vertices w of `last`, or `chosen` alone when `last` is 0 and nothing
+    is left undominated.  Each node branches on its pivot's candidates
+    in increasing order and takes each out of `avail` for the later
+    siblings, so no set is met twice, and every set that dominates has
+    a subset that is met.  Returns the first value other than None that
+    `found` returns, or None.
+    """
+    if not undominated:
+        return found(chosen, 0)
+    if remaining == 1:
+        last = _common_dominators(closed, undominated, avail)
+        return found(chosen, last) if last else None
+    cand = _node_scan(closed, undominated, avail, remaining)
+    if cand is None:
+        return None
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        left = undominated & ~closed[low.bit_length() - 1]
+        result = _pivot_walk(closed, left, avail, chosen | low, remaining - 1, found)
+        if result is not None:
+            return result
+        # a later sibling's sets hold none of the dominators tried before
+        avail ^= low
+    return None
+
+
+def _first_set(chosen: int, last: int) -> int:
+    """A probe's answer: the first family's set with the lowest last pick."""
+    return chosen | (last & -last)
+
+
 def _exists_dominating(closed: list[int], full: int, budget: int, dominated: int = 0) -> int | None:
     """At most `budget` picks from `full` that dominate what `dominated` leaves of it, or None.
 
-    The picks are the first set the search finds, as a mask; the empty
-    mask answers when nothing is left undominated, so callers test the
-    result with `is not None`.
+    The picks are the first set the pivot walk meets, as a mask; the
+    empty mask answers when nothing is left undominated, so callers
+    test the result with `is not None`.
     """
-    undominated = full & ~dominated
-    if not undominated:
-        return 0
-    if budget <= 0:
-        return None
-    if budget == 1:
-        common = _common_dominators(closed, undominated, full)
-        return common & -common if common else None
-    pivot_candidates = _node_scan(closed, undominated, full, budget)
-    if pivot_candidates is None:
-        return None
-    if budget == 2:
-        # the second pick must dominate whatever the first leaves
-        m = pivot_candidates
-        while m:
-            low = m & -m
-            m ^= low
-            left = undominated & ~closed[low.bit_length() - 1]
-            if not left:
-                return low
-            common = _common_dominators(closed, left, full)
-            if common:
-                return low | (common & -common)
-        return None
-    order = sorted(
-        bits(pivot_candidates),
-        key=lambda w: -(closed[w] & undominated).bit_count(),
-    )
-    for w in order:
-        picks = _exists_dominating(closed, full, budget - 1, dominated | closed[w])
-        if picks is not None:
-            return picks | (1 << w)
-    return None
+    return _pivot_walk(closed, full & ~dominated, full, 0, budget, _first_set)
 
 
 def exists_dominating_within(g: Graph, budget: int) -> bool:
@@ -305,43 +316,21 @@ def all_minimum_dominating_sets(g: Graph) -> DominationReport:
 def core_and_corona(g: Graph, gamma: int | None = None) -> tuple[int, int]:
     """Masks (intersection, union) over all minimum dominating sets.
 
-    Folds each minimum set exactly once, in no particular order: each
-    node branches on the dominators of its pivot, and the later
-    siblings no longer offer the ones tried before.  With one pick
-    left, the common dominators of what is undominated fold in bulk.
-    gamma, if given, must be gamma(g).
+    Folds each family the pivot walk meets at size gamma, in no
+    particular order.  gamma, if given, must be gamma(g).
     """
     if gamma is None:
         gamma = gamma_value(g)
-    closed = closed_masks(g)
-    core, corona = g.full_mask, 0
+    full = g.full_mask
+    folded = [full, 0]  # core, corona
 
-    def rec(undominated: int, avail: int, chosen: int, remaining: int) -> None:
-        nonlocal core, corona
-        if not undominated:
-            # gamma is minimum, so a dominating set has no picks left
-            core &= chosen
-            corona |= chosen
-            return
-        if remaining == 1:
-            last = _common_dominators(closed, undominated, avail)
-            if last:
-                corona |= chosen | last
-                # the sets chosen | w share w only when it is the one dominator
-                core &= chosen | last if last & (last - 1) == 0 else chosen
-            return
-        cand = _node_scan(closed, undominated, avail, remaining)
-        if cand is None:
-            return
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            rec(undominated & ~closed[low.bit_length() - 1], avail, chosen | low, remaining - 1)
-            # a later sibling's sets hold none of the dominators tried before
-            avail ^= low
+    def fold(chosen: int, last: int) -> None:
+        # the sets chosen | w share w only when it is the one dominator
+        folded[0] &= chosen | last if last & (last - 1) == 0 else chosen
+        folded[1] |= chosen | last
 
-    rec(g.full_mask, g.full_mask, 0, gamma)
-    return (core, corona)
+    _pivot_walk(closed_masks(g), full, full, 0, gamma, fold)
+    return (folded[0], folded[1])
 
 
 def independence_number(g: Graph) -> int:

@@ -250,8 +250,11 @@ MALFORMED_GRAPH6 = (
     "",
     " ",
     "\t",
-    "~??",  # multi-byte count prefix
-    "~~~~~~",
+    "~??",  # truncated long header
+    "~~~~~~",  # 8-byte header
+    "~??}" + "?" * 316,  # long header for n = 62, which has the short form
+    "~?@@" + "?" * 347,  # long header for n = 65
+    "~??~" + "?" * 325,  # n = 63, body one byte short
     "B",  # missing body
     "Cl~",  # trailing byte
     "ClCl",

@@ -35,15 +35,35 @@ def test_roundtrip_max_size():
     assert parse_graph6(write_graph6(g)) == g
 
 
-def test_write_rejects_oversized():
-    with pytest.raises(Graph6Error):
-        write_graph6(build_graph(63, []))
+def test_roundtrip_long_header():
+    # n = 63 and 64 take "~" and n in three 6-bit bytes, high bits first
+    for n, header in ((63, "~??~"), (64, "~?@?")):
+        assert write_graph6(build_graph(n, [])) == header + "?" * _data_length(n)
+        g = build_graph(n, [(0, n - 1), (1, 62), (30, 31)])
+        text = write_graph6(g)
+        assert text.startswith(header) and parse_graph6(text) == g
+
+
+def test_parse_rejects_bad_long_headers():
+    body = "?" * _data_length(63)
+    for bad, reason in (
+        ("~", "truncated"),
+        ("~??", "truncated"),
+        ("~??}" + "?" * _data_length(62), "one-byte header"),  # n = 62 has the short form
+        ("~???", "one-byte header"),  # n = 0
+        ("~?@@" + body, "exceeds 64"),  # n = 65
+        ("~~??????~" + body, "8-byte"),  # n = 63 in the 8-byte form
+        ("~~", "8-byte"),
+        ("~??~" + body[1:], "must be 330 bytes"),  # n = 63, body one byte short
+    ):
+        with pytest.raises(Graph6Error, match=reason):
+            parse_graph6(bad)
 
 
 def test_parse_rejects_malformed():
     for bad in (
         "",  # empty
-        "~??",  # multi-byte vertex count
+        "~??",  # truncated long header
         "B",  # truncated body
         "Bww",  # trailing bytes
         "A" + chr(62),  # body byte below range
@@ -69,14 +89,21 @@ def test_strip_is_not_applied():
 
 
 def _well_formed(text):
-    """Independent reading of the short-form rules parse_graph6 enforces."""
+    """Independent reading of the graph6 rules parse_graph6 enforces."""
     if not text or not all(63 <= ord(ch) <= 126 for ch in text):
         return False
-    n = ord(text[0]) - 63
-    if n > MAX_GRAPH6_VERTICES or len(text) != 1 + _data_length(n):
+    header, n = 1, ord(text[0]) - 63
+    if n == 63:
+        # long header: n in three 6-bit bytes, only for the orders above 62
+        if len(text) < 4:
+            return False
+        header, n = 4, int("".join(f"{ord(ch) - 63:06b}" for ch in text[1:4]), 2)
+        if not 62 < n <= MAX_GRAPH6_VERTICES:
+            return False
+    if len(text) != header + _data_length(n):
         return False
     pad = -(n * (n - 1) // 2) % 6
-    return len(text) == 1 or (ord(text[-1]) - 63) & ((1 << pad) - 1) == 0
+    return len(text) == header or (ord(text[-1]) - 63) & ((1 << pad) - 1) == 0
 
 
 # bodies of the right length for their header, which parse unless the
@@ -85,7 +112,9 @@ def _well_formed(text):
 _sized_texts = st.integers(0, MAX_GRAPH6_VERTICES).flatmap(
     lambda n: st.lists(
         st.integers(63, 126), min_size=_data_length(n), max_size=_data_length(n)
-    ).map(lambda body: chr(n + 63) + "".join(map(chr, body)))
+    ).map(
+        lambda body: {63: "~??~", 64: "~?@?"}.get(n, chr(n + 63)) + "".join(map(chr, body))
+    )
 )
 _free_texts = st.text(st.characters(min_codepoint=60, max_codepoint=127), max_size=8)
 

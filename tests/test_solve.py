@@ -23,6 +23,7 @@ from domcore.solve import (
     _greedy_cover,
     _minimum_sets,
     _node_scan,
+    _pivot_walk,
     exists_dominating_within,
     gamma_bruteforce,
     gamma_tree,
@@ -243,8 +244,8 @@ def test_exists_dominating_within():
 
 
 def _top_level_probes(monkeypatch):
-    """(budget, picks) of each _exists_dominating call made from outside the
-    search; its own recursion passes `dominated` and is not recorded."""
+    """(budget, picks) of each _exists_dominating call that passes no
+    `dominated`, as gamma_value's probes do."""
     probes = []
 
     def probe(closed, full, budget, *dominated):
@@ -275,11 +276,11 @@ def test_gamma_value_descends_from_the_greedy_cover(g):
 
 
 def test_gamma_value_descends_past_budgets_a_found_set_beats(monkeypatch):
-    # greedy covers this graph with 6; the probe at budget 5 finds 4 picks,
-    # so the next probe is at 3, never at 4
+    # greedy covers this graph with 5; the probe at budget 4 finds 3 picks,
+    # so the next probe is at 2, never at 3
     probes = _top_level_probes(monkeypatch)
-    assert gamma_value(parse_graph6("MP???h?P`AOb_OaH?")) == 4
-    assert [(b, p if p is None else p.bit_count()) for b, p in probes] == [(5, 4), (3, None)]
+    assert gamma_value(parse_graph6("HcUR?OC")) == 3
+    assert [(b, p if p is None else p.bit_count()) for b, p in probes] == [(4, 3), (2, None)]
 
 
 def _fewest_picks(closed, undominated, pool, cap):
@@ -297,8 +298,8 @@ def _fewest_picks(closed, undominated, pool, cap):
 @settings(max_examples=300)
 @given(graphs(0, 10), st.booleans(), st.randoms(use_true_random=False))
 def test_exists_dominating_matches_bruteforce(g, delete, rng):
-    # budgets 0..4 reach the closed-form last picks (budgets 1 and 2) and
-    # the recursive path.  With a vertex v deleted, the search runs on two
+    # budgets 0..4 reach the walk's bulk last pick (budget 1) and its
+    # branching above it.  With a vertex v deleted, the search runs on two
     # forms of G - v: masks with bit v cleared, and G's own masks with only
     # v left out of the vertex set, the form classify probes; brute force
     # on the cleared masks is the reference for both.  A set found must be
@@ -324,6 +325,25 @@ def test_exists_dominating_matches_bruteforce(g, delete, rng):
                     for w in bits(got):
                         covered |= forms[0][w]
                     assert not full & ~covered, context
+
+
+@given(graphs(0, 12), st.booleans(), st.randoms(use_true_random=False))
+def test_pivot_walk_meets_each_minimum_set_once(g, leave_out, rng):
+    # union and intersection do not notice a set folded twice, so the
+    # families the walk hands out are expanded and counted here: at
+    # remaining = gamma they must list every minimum dominating set with
+    # its picks from avail exactly once
+    closed, full = closed_masks(g), g.full_mask
+    gamma = gamma_bruteforce(g).gamma
+    avail = full & ~(1 << rng.randrange(g.n)) if g.n and leave_out else full
+    met = []
+
+    def found(chosen, last):
+        met.extend([chosen | (1 << w) for w in bits(last)] if last else [chosen])
+
+    assert _pivot_walk(closed, full, avail, 0, gamma, found) is None
+    want = [mask_of(c) for c in combinations(bits(avail), gamma)]
+    assert sorted(met) == sorted(s for s in want if is_dominating(g, s))
 
 
 @given(graphs(0, 12), st.randoms(use_true_random=False))
