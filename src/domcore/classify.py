@@ -5,20 +5,20 @@ minimum dominating set), ANTICORE (in none), or CORONA_ONLY (in some
 but not all).  Orthogonally, removing a vertex moves the domination
 number up (PLUS), not at all (ZERO), or down (MINUS).
 
-Two routes compute the same classification.  The definitional route
-enumerates every minimum dominating set and reads membership off the
-intersection and union; it is the reference.  The structural route
-never enumerates and never builds a graph: it runs feasibility probes
-on closed-neighborhood masks.  Deleting v takes only v out of the
-vertex set: the probes run on G's own masks, where a vertex outside
-the vertex set is never undominated and never picked, so no mask is
-copied and no index shifts.  The removal class needs only the sign of
-the change, so two probes on G - v (at budgets gamma and gamma - 1)
-give it.  A vertex u lies in no minimum set exactly when no set of
-gamma - 1 vertices dominates what N[u] leaves undominated (the pendant
-argument: a pendant at u raises gamma iff u is in no minimum set).
-Core membership reduces to the removal class plus that anticore probe
-on each neighbor in G - v.
+Two routes compute the same classification on every graph.  The
+definitional route, the reference, folds every minimum dominating set
+into their intersection and union (core_and_corona, which lists none)
+and reads membership off them.  The structural route never builds a
+graph: it runs feasibility probes on closed-neighborhood masks.
+Deleting v takes only v out of the vertex set: the probes run on G's
+own masks, where a vertex outside the vertex set is never undominated
+and never picked, so no mask is copied and no index shifts.  The
+removal class needs only the sign of the change, so two probes on
+G - v (at budgets gamma and gamma - 1) give it.  A vertex u lies in no
+minimum set exactly when no set of gamma - 1 vertices dominates what
+N[u] leaves undominated (the pendant argument: a pendant at u raises
+gamma iff u is in no minimum set).  Core membership reduces to the
+removal class plus that anticore probe on each neighbor in G - v.
 
 The structural route probes in this order: an isolated vertex is
 (MINUS, CORE) with no probe; otherwise the anticore probe runs first,
@@ -64,14 +64,12 @@ from typing import Iterable, Iterator
 
 from .graph import (
     Graph,
-    GraphError,
     add_pendant,  # noqa: F401 -- not called here; bench/tracing.py binds this name
     bits,
     closed_masks,
     delete_vertex,
 )
 from .solve import (
-    ALL_SETS_MAX,
     _exists_dominating,
     all_minimum_dominating_sets,  # noqa: F401 -- not called here; bench/tracing.py binds this name
     core_and_corona,
@@ -184,14 +182,12 @@ def classify_all(g: Graph) -> ClassificationReport:
 
 
 def classify_by_enumeration(g: Graph) -> ClassificationReport:
-    """Classify every vertex straight from the set of all minimum sets.
+    """Classify every vertex by the definitional route.
 
     The reference implementation: membership is the intersection and
-    union over every minimum dominating set (core_and_corona), and
-    removal classes recompute gamma on each deleted graph.
+    union over every minimum dominating set, folded by core_and_corona,
+    and removal classes recompute gamma on each deleted graph.
     """
-    if g.n > ALL_SETS_MAX:
-        raise GraphError(f"enumeration route is limited to {ALL_SETS_MAX} vertices")
     gamma = gamma_value(g)
     core, corona = core_and_corona(g, gamma)
     rows = []

@@ -29,7 +29,6 @@ from .graph import Graph, GraphError, bits, parse_edge_list
 from .graph6 import parse_graph6, write_graph6
 from .recognize import class_flags
 from .search import (
-    SEARCH_MAX,
     SIGNATURES,
     search_signature,
     witness_directory,
@@ -155,8 +154,8 @@ def _cmd_search(args) -> int:
     if args.signature not in SIGNATURES:
         known = ", ".join(sorted(SIGNATURES))
         return _fail_usage(f"unknown signature {args.signature!r}; known: {known}")
-    if not 1 <= args.nmax <= SEARCH_MAX:
-        return _fail_usage(f"--nmax must be between 1 and {SEARCH_MAX}")
+    if not 1 <= args.nmax <= ENUMERATION_MAX:
+        return _fail_usage(f"--nmax must be between 1 and {ENUMERATION_MAX}")
     if args.jobs < 1:
         return _fail_usage("--jobs must be at least 1")
     if args.limit is not None and args.limit < 1:
@@ -259,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--nmax",
         type=int,
         required=True,
-        help=f"largest order scanned, at most {SEARCH_MAX}",
+        help=f"largest order scanned, at most {ENUMERATION_MAX}",
     )
     p.add_argument(
         "--full",
@@ -302,7 +301,7 @@ def run(argv=None) -> int:
     except BrokenExecutor as exc:
         print(f"worker error: {exc}", file=sys.stderr)
         return EXIT_WORKER
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from .graph import MAX_VERTICES, Graph, GraphError, _derived
 
-MAX_GRAPH6_VERTICES = MAX_VERTICES
-
 
 class Graph6Error(GraphError):
     """Raised for malformed graph6 text or out-of-range graphs."""
@@ -62,14 +60,14 @@ def parse_graph6(text: str) -> Graph:
     header = 1
     if n == 63:
         if values[1:2] == [63]:
-            raise Graph6Error(f"the 8-byte graph6 header is for n far above {MAX_GRAPH6_VERTICES}")
+            raise Graph6Error(f"the 8-byte graph6 header is for n far above {MAX_VERTICES}")
         if len(values) < 4:
             raise Graph6Error("truncated graph6 long header")
         n = values[1] << 12 | values[2] << 6 | values[3]
         if n <= 62:
             raise Graph6Error(f"long graph6 header for n={n}, which has a one-byte header")
-        if n > MAX_GRAPH6_VERTICES:
-            raise Graph6Error(f"graph6 string for n={n} exceeds {MAX_GRAPH6_VERTICES} vertices")
+        if n > MAX_VERTICES:
+            raise Graph6Error(f"graph6 string for n={n} exceeds {MAX_VERTICES} vertices")
         header = 4
     expected = header + _data_length(n)
     if len(values) != expected:

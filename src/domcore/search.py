@@ -53,6 +53,7 @@ from itertools import islice
 
 from .classify import CLASSES, classification_masks, membership_masks
 from .enumeration import (
+    ENUMERATION_MAX,
     _ordered_map,
     enumerate_connected,  # noqa: F401 -- not called here; bench/tracing.py binds this name
     map_children,
@@ -225,7 +226,6 @@ SIGNATURES: dict[str, PartitionSignature] = {
     )
 }
 
-SEARCH_MAX = 10
 # marks the end of a result stream, since None is a result (no witness)
 _END = object()
 
@@ -328,8 +328,8 @@ def search_signature(
     cap, one parent's children (jobs = 1) or 2 * workers chunks of parents
     (jobs > 1; unstarted ones are cancelled) may be evaluated and discarded.
     """
-    if not 1 <= n_max <= SEARCH_MAX:
-        raise GraphError(f"search covers n_max 1..{SEARCH_MAX}")
+    if not 1 <= n_max <= ENUMERATION_MAX:
+        raise GraphError(f"search covers n_max 1..{ENUMERATION_MAX}")
     witness = partial(_witness, sig)
     scans: list[OrderScan] = []
     witnesses: list[tuple[int, Graph]] = []

@@ -25,14 +25,14 @@ permuting g's adjacency masks, never through add_vertex, delete_vertex
 or add_pendant, and surgery compares n and adj field by field.
 
 At a root where every twin-clique part is a singleton, the reduced graph
-h should be g relabeled by the part map, and neither twin-clique check
-solves h again.  The partition check's blow-up identity proves that h is
-this relabeling, so h has g's gamma.  The core correspondence compares
-h.adj exactly with g's masks relabeled: when they are equal it takes h's
-core and anticore from g's own, relabeled, and otherwise it folds h's
-minimum sets from scratch (core_and_corona, the membership half of the
-definitional route), so a forged partition gets the same verdict as a
-full solve.
+h should be g with the root moved to vertex 0 and the vertices below it
+shifted up, and neither twin-clique check solves h again.  The partition
+check's blow-up identity proves that h is this relabeling, so h has g's
+gamma.  The core correspondence compares h.adj exactly with g's masks so
+shifted, one shift per mask: when they are equal it takes h's core and
+anticore from g's own, shifted, and otherwise it folds h's minimum sets
+from scratch (core_and_corona, the membership half of the definitional
+route), so a forged partition gets the same verdict as a full solve.
 _Ctx computes what several checks share once per graph: the minimum
 sets, both classifications, the induced-pattern searches and the class
 tests is_tree, is_chordal, is_bipartite, is_claw_free and is_cograph.
@@ -465,20 +465,26 @@ def _check_tcp(ctx: _Ctx):
             return
 
 
+def _root_first(mask: int, root: int) -> int:
+    """mask with root moved to vertex 0 and the vertices below it shifted up."""
+    below = (1 << root) - 1
+    return (mask & below) << 1 | (mask >> root) & 1 | mask & ~(below | 1 << root)
+
+
 def _check_tcp_core_correspondence(ctx: _Ctx):
     g = ctx.g
     sets = ctx.report.all_sets
-    singletons = [1 << v for v in range(g.n)]
     # (always_one, never) by part mask: roots share most of their parts
     verdicts: dict[int, tuple[bool, bool]] = {}
     for root, tcp in enumerate(ctx.tcps):
         h = tcp.reduced
-        # the part index of each vertex, when every part is a singleton
-        part = {c.bit_length() - 1: i for i, c in enumerate(tcp.cliques)}
-        if sorted(tcp.cliques) == singletons and h.adj == _relabeled(g, part):
-            # h is g relabeled by the part map, so its classes are g's, relabeled
-            core_h = mask_of(part[v] for v in bits(ctx.masks["core"]))
-            anticore_h = mask_of(part[v] for v in bits(ctx.masks["anticore"]))
+        # the vertices in part order, when the parts are singletons, root first
+        order = (root, *range(root), *range(root + 1, g.n))
+        if tcp.cliques == tuple(1 << v for v in order) and h.adj == tuple(
+            _root_first(g.adj[v], root) for v in order
+        ):
+            # h is g with the root moved first, so its classes are g's, moved
+            core_h, anticore_h = (_root_first(ctx.masks[c], root) for c in ("core", "anticore"))
         else:
             core_h, corona_h = ctx.once(core_and_corona, h)
             anticore_h = h.full_mask & ~corona_h

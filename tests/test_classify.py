@@ -182,11 +182,20 @@ def test_structural_equals_definitional_random():
 
 
 def test_structural_equals_definitional_above_sixteen_vertices():
-    # criterion 2 draws at most 16 vertices; both routes accept up to 24
+    # criterion 2 draws at most 16 vertices; here dense graphs of 17 to 24,
+    # then the first 40 sparse graphs of CI's classify-sparse row (25 to 40
+    # vertices) and the 8 dense ones of its classify-long-header row (63 and
+    # 64), drawn as the workflow's RANDOM_G6 draws them
     rng = random.Random(1724)
     for n in range(17, 25):
         for _ in range(3):
             g = random_graph(rng, n, rng.uniform(0.1, 0.9))
+            assert classify_all(g) == classify_by_enumeration(g), write_graph6(g)
+    for count, lo, hi, dense in ((40, 25, 40, False), (8, 63, 64, True)):
+        rng = random.Random(27)
+        for _ in range(count):
+            n = rng.randint(lo, hi)
+            g = random_graph(rng, n, rng.uniform(0.1, 0.9) if dense else 2.5 / n)
             assert classify_all(g) == classify_by_enumeration(g), write_graph6(g)
 
 
@@ -252,11 +261,6 @@ def test_single_vertex_functions_match_classify_all(g):
     rep = classify_all(g)
     for row in rep.vertices:
         assert classify_vertex(g, row.vertex) == row
-
-
-def test_definitional_capacity_guard():
-    with pytest.raises(GraphError):
-        classify_by_enumeration(build_graph(25, [(0, 1)]))
 
 
 @given(relabeled_graphs(0, 12))

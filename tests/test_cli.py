@@ -11,7 +11,6 @@ from domcore import parse_graph6
 from domcore.canonical import CANONICAL_MAX
 from domcore.cli import EXIT_WORKER, run
 from domcore.enumeration import ENUMERATION_MAX, TREE_ENUMERATION_MAX
-from domcore.search import SEARCH_MAX
 from domcore.solve import ALL_SETS_MAX
 from domcore.verify import PER_GRAPH_CHECKS, VERIFY_MAX
 from helpers import CONNECTED_COUNTS, TREE_COUNTS, TREE_STREAM_DIGESTS, src_env
@@ -280,6 +279,11 @@ def test_input_errors(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("not an edge list")
     assert run_cli(capsys, "gamma", "--edges", str(bad))[0] == 2
+    # bytes that are not UTF-8 are malformed input too, not a crash
+    bad.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, "gamma", "--edges", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: ")
 
 
 def test_help_exits_zero(capsys):
@@ -287,7 +291,7 @@ def test_help_exits_zero(capsys):
     # each order option names its limit; argparse wraps help lines
     for argv, limits in (
         (("verify", "--help"), [f"at most {VERIFY_MAX}"]),
-        (("search", "--help"), [f"at most {SEARCH_MAX}"]),
+        (("search", "--help"), [f"at most {ENUMERATION_MAX}"]),
         (
             ("enumerate", "--help"),
             [
@@ -306,7 +310,7 @@ def test_help_exits_zero(capsys):
     # limit: connected enumeration and search stop at their order limit,
     # verify adds at most one vertex to a graph, and gamma, classify and
     # recognize take neither canonical forms nor all minimum sets
-    assert max(ENUMERATION_MAX, SEARCH_MAX, VERIFY_MAX + 1) < min(CANONICAL_MAX, ALL_SETS_MAX)
+    assert max(ENUMERATION_MAX, VERIFY_MAX + 1) < min(CANONICAL_MAX, ALL_SETS_MAX)
 
 
 def test_module_entry_points_match_run(capsys):

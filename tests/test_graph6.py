@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from domcore import Graph, Graph6Error, build_graph, parse_graph6, write_graph6
-from domcore.graph6 import MAX_GRAPH6_VERTICES, _data_length
+from domcore.graph import MAX_VERTICES
+from domcore.graph6 import _data_length
 from helpers import complete, cycle, graphs, path
 
 
@@ -25,13 +26,13 @@ def test_roundtrip_various():
         assert parse_graph6(write_graph6(g)) == g
 
 
-@given(graphs(0, MAX_GRAPH6_VERTICES))
+@given(graphs(0, MAX_VERTICES))
 def test_roundtrip_random_graphs(g):
     assert parse_graph6(write_graph6(g)) == g
 
 
 def test_roundtrip_max_size():
-    g = build_graph(MAX_GRAPH6_VERTICES, [(0, 61), (30, 31)])
+    g = build_graph(MAX_VERTICES, [(0, 61), (30, 31)])
     assert parse_graph6(write_graph6(g)) == g
 
 
@@ -98,7 +99,7 @@ def _well_formed(text):
         if len(text) < 4:
             return False
         header, n = 4, int("".join(f"{ord(ch) - 63:06b}" for ch in text[1:4]), 2)
-        if not 62 < n <= MAX_GRAPH6_VERTICES:
+        if not 62 < n <= MAX_VERTICES:
             return False
     if len(text) != header + _data_length(n):
         return False
@@ -109,7 +110,7 @@ def _well_formed(text):
 # bodies of the right length for their header, which parse unless the
 # random last byte sets a padding bit, plus free text over a slightly
 # wider alphabet than graph6's for the other errors
-_sized_texts = st.integers(0, MAX_GRAPH6_VERTICES).flatmap(
+_sized_texts = st.integers(0, MAX_VERTICES).flatmap(
     lambda n: st.lists(
         st.integers(63, 126), min_size=_data_length(n), max_size=_data_length(n)
     ).map(
@@ -132,7 +133,7 @@ def test_parsed_graphs_pass_the_validating_constructor(text):
     assert write_graph6(h) == text
 
 
-@given(graphs(0, MAX_GRAPH6_VERTICES))
+@given(graphs(0, MAX_VERTICES))
 def test_written_graphs_parse_to_valid_graphs(g):
     h = parse_graph6(write_graph6(g))
     assert Graph(h.n, h.adj) == h == g

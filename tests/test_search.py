@@ -8,10 +8,10 @@ from hypothesis import given, strategies as st
 import domcore.search
 from domcore import GraphError, build_graph, parse_graph6, write_graph6
 from domcore.classify import CLASSES, classification_masks, membership_masks
+from domcore.enumeration import ENUMERATION_MAX
 from domcore.graph import cut_vertices
 from domcore.solve import core_and_corona
 from domcore.search import (
-    SEARCH_MAX,
     SIGNATURES,
     PartitionSignature,
     cubic_bipartite_filter,
@@ -337,7 +337,7 @@ def test_has_k4_and_filters():
 
 def test_search_bounds():
     with pytest.raises(GraphError):
-        search_signature(SEARCH_MAX + 1, SIGNATURES["all-zero-nonempty-core"])
+        search_signature(ENUMERATION_MAX + 1, SIGNATURES["all-zero-nonempty-core"])
     with pytest.raises(GraphError):
         PartitionSignature(name="bad", description="", graph_class=42)
 
