@@ -21,6 +21,7 @@ from domcore import (
     is_tree,
     twin_clique_partition,
 )
+from domcore.graph import bits, mask_of
 from domcore.recognize import (
     _ORDERS,
     PATTERNS,
@@ -186,6 +187,66 @@ def test_chordal_matches_hole_freeness(corpus6):
     for _, g in corpus6:
         holes = any(contains_induced(g, c) for c in ("C4", "C5", "C6"))
         assert is_chordal(g) == (not holes)
+
+
+def _has_hole(g: Graph) -> bool:
+    """Some vertex set of size at least 4 induces a connected 2-regular
+    subgraph, a chordless cycle."""
+    for s in range(1 << g.n):
+        if s.bit_count() < 4 or any((g.adj[v] & s).bit_count() != 2 for v in bits(s)):
+            continue
+        reached = s & -s
+        while True:
+            grown = reached | (s & mask_of(u for v in bits(reached) for u in bits(g.adj[v])))
+            if grown == reached:
+                break
+            reached = grown
+        if reached == s:
+            return True
+    return False
+
+
+@st.composite
+def _k_trees(draw, max_n):
+    """(k, edges) of a random k-tree, 1 <= k <= 4, on vertices 0..n-1 in
+    the order they were added: K_{k+1}, then each new vertex joined to
+    every vertex of a k-clique already there."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k + 1, max_n))
+    edges = list(combinations(range(k + 1), 2))
+    cliques = [frozenset(range(k + 1)) - {v} for v in range(k + 1)]
+    for v in range(k + 1, n):
+        base = draw(st.sampled_from(cliques))
+        edges.extend((u, v) for u in base)
+        cliques.extend(base - {u} | {v} for u in base)
+    return k, edges
+
+
+@settings(max_examples=300)
+@given(st.one_of(graphs(0, 10), _planted_graphs(10)))
+def test_chordal_matches_hole_search(g):
+    assert is_chordal(g) == (not _has_hole(g))
+
+
+@given(relabeled_graphs(0, 64))
+def test_chordal_commutes_with_relabeling(case):
+    g, perm = case
+    assert is_chordal(relabel(g, perm)) == is_chordal(g)
+
+
+@given(_k_trees(64), st.integers(4, 7), st.data())
+def test_k_trees_are_chordal_until_a_hole_joins(tree, length, data):
+    k, edges = tree
+    n = 1 + max(v for e in edges for v in e)
+    g = build_graph(n, edges)
+    assert is_chordal(relabel(g, data.draw(st.permutations(range(n)))))
+    # the first m vertices of the construction are a k-tree too; a
+    # chordless cycle on m..m+length-1 hangs from it by one edge
+    m = min(n, 64 - length)
+    ring = [(m + i, m + (i + 1) % length) for i in range(length)]
+    join = (data.draw(st.integers(0, m - 1)), m + data.draw(st.integers(0, length - 1)))
+    h = build_graph(m + length, [e for e in edges if e[1] < m] + ring + [join])
+    assert not is_chordal(relabel(h, data.draw(st.permutations(range(h.n)))))
 
 
 def test_max_cardinality_search_is_permutation():
