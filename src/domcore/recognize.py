@@ -17,10 +17,11 @@ is found once instead of |Aut(h)| times.  Each condition is one mask
 cut on the candidates.  The conditions are computed on a pattern's
 first use, not at import.
 
-Chordality uses maximum cardinality search: take the produced order,
-check that each vertex's earlier neighbors minus the latest one are all
-adjacent to that latest one.  The order is a perfect elimination order
-iff the graph is chordal, and the check is what certifies it.
+A graph is chordal iff deleting simplicial vertices (those whose
+neighbors are pairwise adjacent) one at a time empties it (Dirac 1961;
+Fulkerson and Gross, "Incidence matrices and interval graphs", 1965):
+every induced subgraph of a chordal graph is chordal and has a
+simplicial vertex, and no vertex of a chordless cycle is simplicial.
 
 A graph is bipartite iff no edge lies inside one of the breadth-first
 layers (graph.bfs_layers) of a component.
@@ -194,48 +195,22 @@ def is_tree(g: Graph) -> bool:
     return g.n >= 1 and g.edge_count() == g.n - 1 and is_connected(g)
 
 
-def max_cardinality_search(g: Graph) -> list[int]:
-    """Visit order that greedily maximizes visited-neighbor counts.
-
-    Ties break toward the smallest vertex index, so the order is
-    deterministic.
-    """
-    weights = [0] * g.n
-    visited = 0
-    order = []
-    for _ in range(g.n):
-        best = -1
-        best_w = -1
-        for v in range(g.n):
-            if not (visited >> v) & 1 and weights[v] > best_w:
-                best = v
-                best_w = weights[v]
-        order.append(best)
-        visited |= 1 << best
-        for u in bits(g.adj[best] & ~visited):
-            weights[u] += 1
-    return order
-
-
 def is_chordal(g: Graph) -> bool:
     """Every cycle of length at least four has a chord.
 
-    Runs maximum cardinality search and certifies the reversed order as
-    a perfect elimination order: for each vertex, its earlier-visited
-    neighbors minus the most recent one must all be adjacent to that
-    most recent one.
+    While vertices are left, deletes the first one whose remaining
+    neighbors are pairwise adjacent; g is chordal iff that empties it.
     """
-    order = max_cardinality_search(g)
-    position = {v: i for i, v in enumerate(order)}
-    placed = 0
-    for v in order:
-        earlier = g.adj[v] & placed
-        placed |= 1 << v
-        if not earlier:
-            continue
-        latest = max(bits(earlier), key=position.__getitem__)
-        rest = earlier & ~(1 << latest)
-        if rest & ~g.adj[latest]:
+    adj = g.adj
+    left = g.full_mask
+    while left:
+        for v in bits(left):
+            nbrs = adj[v] & left
+            # u itself is the one neighbor in nbrs that adj[u] lacks
+            if all(nbrs & ~adj[u] == 1 << u for u in bits(nbrs)):
+                left ^= 1 << v
+                break
+        else:
             return False
     return True
 
@@ -298,7 +273,6 @@ __all__ = [
     "is_bipartite",
     "is_tree",
     "is_chordal",
-    "max_cardinality_search",
     "TwinCliquePartition",
     "twin_clique_partition",
     "class_flags",

@@ -22,12 +22,7 @@ from domcore import (
     twin_clique_partition,
 )
 from domcore.graph import bits, mask_of
-from domcore.recognize import (
-    _ORDERS,
-    PATTERNS,
-    _symmetry_conditions,
-    max_cardinality_search,
-)
+from domcore.recognize import _ORDERS, PATTERNS, _symmetry_conditions
 from domcore.solve import gamma_value
 from helpers import (
     complete,
@@ -247,11 +242,6 @@ def test_k_trees_are_chordal_until_a_hole_joins(tree, length, data):
     join = (data.draw(st.integers(0, m - 1)), m + data.draw(st.integers(0, length - 1)))
     h = build_graph(m + length, [e for e in edges if e[1] < m] + ring + [join])
     assert not is_chordal(relabel(h, data.draw(st.permutations(range(h.n)))))
-
-
-def test_max_cardinality_search_is_permutation():
-    order = max_cardinality_search(cycle(5))
-    assert sorted(order) == list(range(5))
 
 
 def test_is_cograph():
