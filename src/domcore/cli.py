@@ -52,26 +52,20 @@ def _fail_usage(message: str) -> int:
     return EXIT_USAGE
 
 
-def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
-
-
-def _print_json_line(obj) -> None:
-    print(json.dumps(obj))
-
-
-def _read_single(args) -> Graph:
-    if args.g6 is not None:
-        return parse_graph6(args.g6)
-    with open(args.edges) as fh:
-        return parse_edge_list(fh.read())
-
-
-def _stdin_graphs():
-    for line in sys.stdin:
-        text = line.strip()
-        if text:
-            yield text, parse_graph6(text)
+def _inputs(args):
+    """(graph6 text, graph) per input graph: each nonblank stdin line in
+    turn with --stdin-g6, else (None, the graph of --g6 or --edges)."""
+    if args.stdin_g6:
+        for line in sys.stdin:
+            text = line.strip()
+            if text:
+                yield text, parse_graph6(text)
+    elif args.g6 is not None:
+        yield None, parse_graph6(args.g6)
+    else:
+        with open(args.edges) as fh:
+            edges = fh.read()
+        yield None, parse_edge_list(edges)
 
 
 def _gamma_payload(g: Graph) -> dict:
@@ -109,23 +103,19 @@ def _recognize_rows(payload: dict, prefix: str):
 
 def _cmd_graph(args) -> int:
     """gamma, classify and recognize: args.payload(g) per input graph,
-    printed as JSON or as the TSV rows of args.rows(payload, prefix)."""
-    if args.stdin_g6:
-        for text, g in _stdin_graphs():
-            payload = args.payload(g)
-            if args.tsv:
-                for row in args.rows(payload, text):
-                    print(row)
-            else:
-                _print_json_line({"graph6": text, **payload})
-        return EXIT_OK
-    g = _read_single(args)
-    payload = args.payload(g)
-    if args.tsv:
-        for row in args.rows(payload, str(g.n)):
-            print(row)
-    else:
-        _print_json(payload)
+    printed as JSON or as the TSV rows of args.rows(payload, prefix).
+    A stream line's prefix is its graph6 text, a single graph's is n; a
+    stream prints one JSON line per graph, graph6 first, a single graph
+    indented JSON."""
+    for text, g in _inputs(args):
+        payload = args.payload(g)
+        if args.tsv:
+            for row in args.rows(payload, str(g.n) if text is None else text):
+                print(row)
+        elif text is None:
+            print(json.dumps(payload, indent=2))
+        else:
+            print(json.dumps({"graph6": text, **payload}))
     return EXIT_OK
 
 
@@ -139,14 +129,14 @@ def _cmd_enumerate(args) -> int:
         if args.tsv:
             print(f"{args.n}\t{count}")
         else:
-            _print_json({"n": args.n, "count": count})
+            print(json.dumps({"n": args.n, "count": count}, indent=2))
         return EXIT_OK
     for g in stream:
         text = write_graph6(g)
         if args.tsv:
             print(f"{args.n}\t{text}")
         else:
-            _print_json_line({"n": args.n, "graph6": text})
+            print(json.dumps({"n": args.n, "graph6": text}))
     return EXIT_OK
 
 
@@ -181,7 +171,7 @@ def _cmd_search(args) -> int:
         for w in payload["witnesses"]:
             print(f"witness\t{w['n']}\t{w['graph6']}")
     else:
-        _print_json(payload)
+        print(json.dumps(payload, indent=2))
     return EXIT_BUDGET if result.budget_exceeded else EXIT_OK
 
 
@@ -200,7 +190,7 @@ def _cmd_verify(args) -> int:
                 f"\t{check['violations']}\t{status}"
             )
     else:
-        _print_json(payload)
+        print(json.dumps(payload, indent=2))
     return EXIT_OK if report.all_pass else EXIT_VIOLATIONS
 
 
@@ -293,15 +283,13 @@ def run(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
-    except GraphError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except BrokenPipeError:
         return EXIT_OK
     except BrokenExecutor as exc:
         print(f"worker error: {exc}", file=sys.stderr)
         return EXIT_WORKER
-    except (OSError, UnicodeDecodeError) as exc:
+    # after BrokenPipeError, which is an OSError
+    except (GraphError, OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
