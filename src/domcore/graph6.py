@@ -54,7 +54,16 @@ def parse_graph6(text: str) -> Graph:
     for i, ch in enumerate(text):
         code = ord(ch)
         if not 63 <= code <= 126:
-            raise Graph6Error(f"byte {code!r} at position {i} outside graph6 range")
+            if code < 0x80:
+                found = f"byte {code}"
+            else:
+                # the input's bytes: UTF-8, where a surrogate escape
+                # (U+DC80..U+DCFF) is one byte that was not UTF-8, and any
+                # other lone surrogate passes as its UTF-8 form
+                escape = "surrogateescape" if 0xDC80 <= code <= 0xDCFF else "surrogatepass"
+                raw = ch.encode("utf-8", escape)
+                found = ("byte " if len(raw) == 1 else "bytes ") + " ".join(f"{b:#04x}" for b in raw)
+            raise Graph6Error(f"{found} at position {i} outside graph6 range")
         values.append(code - 63)
     n = values[0]
     header = 1

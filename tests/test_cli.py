@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -154,6 +155,20 @@ def test_stdin_malformed_exits_two(capsys, monkeypatch):
                 assert "input error" in err
                 assert out == before
                 assert len(out.splitlines()) >= k - good[:k].count("")
+
+
+def test_stdin_bytes_that_are_not_utf8_are_named():
+    # with no locale set, stdin decodes with surrogateescape, so 0xff
+    # reaches the parser as U+DCFF; the error names the byte, not U+DCFF
+    proc = subprocess.run(
+        [sys.executable, "-m", "domcore", "gamma", "--stdin-g6", "--tsv"],
+        input=b"Cl\n\xff\xfe\n",
+        capture_output=True,
+        env={"PATH": os.environ["PATH"], "PYTHONPATH": src_env()["PYTHONPATH"]},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, b"Cl\t2\t0,1\n")
+    assert proc.stderr.startswith(b"input error: byte 0xff at position 0 ")
 
 
 def test_search_command(tmp_path, capsys):

@@ -77,6 +77,19 @@ def test_parse_rejects_malformed():
             parse_graph6(bad)
 
 
+def test_range_error_names_the_input_bytes():
+    # ASCII by its code; past ASCII by the bytes it was read from: a
+    # surrogate escape is the one byte that was not UTF-8, é two of UTF-8
+    for text, found in (
+        ("A" + chr(62), "byte 62 at position 1"),
+        ("\udcff", "byte 0xff at position 0"),
+        ("é", "bytes 0xc3 0xa9 at position 0"),
+        ("A\ud800", "bytes 0xed 0xa0 0x80 at position 1"),
+    ):
+        with pytest.raises(Graph6Error, match=f"^{found} outside graph6 range$"):
+            parse_graph6(text)
+
+
 def test_parse_rejects_nonzero_padding():
     # K1 plus padding noise: n = 3 needs 3 bits, rest must be zero
     # 'Bw' is K3; flip a padding bit by using a byte with low bits set
