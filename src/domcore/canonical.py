@@ -78,22 +78,15 @@ def _uniform_cells(adj: tuple[int, ...], cells: list[int]) -> bool:
     for cell in cells:
         if cell & (cell - 1) == 0:
             continue
-        seen_inside = None
-        seen_outside = None
+        first = adj[(cell & -cell).bit_length() - 1]
+        outside = first & ~cell
+        # a clique if the first member sees into the cell, else independent
+        rest = cell if first & cell else 0
         m = cell
         while m:
             low = m & -m
-            v = low.bit_length() - 1
             m ^= low
-            inside = adj[v] & cell
-            inside_kind = 0 if inside == 0 else (1 if inside == cell ^ low else 2)
-            outside = adj[v] & ~cell
-            if seen_inside is None:
-                seen_inside = inside_kind
-                seen_outside = outside
-            elif inside_kind != seen_inside or outside != seen_outside:
-                return False
-            if inside_kind == 2:
+            if adj[low.bit_length() - 1] != outside | (rest & ~low):
                 return False
     return True
 

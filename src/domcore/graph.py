@@ -7,8 +7,11 @@ which makes neighborhood unions, domination tests and subset filtering
 single AND/OR operations regardless of degree.
 
 Every breadth-first traversal is bfs_layers, the distance layers of a
-root's component as masks; distance_shell, connected_components,
-recognize.is_bipartite and solve.gamma_tree all read them.
+root's component as masks.  component_layers is the one walk over
+components: it yields the layers of each component of an induced
+subgraph, rooted at its least vertex.  connected_components,
+recognize.is_bipartite and solve.gamma_tree read it; only
+cut_vertices walks the components on its own, by depth-first search.
 
 Graphs are frozen dataclasses and every operation returns a new graph;
 nothing here mutates.  Validity (an int vertex count, a tuple of int
@@ -106,6 +109,8 @@ class Graph:
                     yield (u, v)
 
     def _check_vertex(self, v: int) -> None:
+        if type(v) is not int:
+            raise GraphError(f"vertex {v!r} is not an int")
         if not 0 <= v < self.n:
             raise GraphError(f"vertex {v} outside 0..{self.n - 1}")
 
@@ -161,11 +166,13 @@ def bfs_layers(g: Graph, root: int, within: int | None = None) -> list[int]:
 
     Layer k is the mask of vertices at distance exactly k from root;
     layer 0 is {root}, and the last layer is the last nonempty one.
-    root must lie in `within`.
+    A root outside `within` raises GraphError.
     """
     g._check_vertex(root)
     if within is None:
         within = g.full_mask
+    elif not (within >> root) & 1:
+        raise GraphError(f"root {root} is not in the vertex mask")
     adj = g.adj
     layer = 1 << root
     seen = layer
@@ -180,16 +187,20 @@ def bfs_layers(g: Graph, root: int, within: int | None = None) -> list[int]:
     return layers
 
 
-def distance_shell(g: Graph, v: int, k: int) -> int:
-    """Mask of vertices at graph distance exactly k from v.
-
-    Shell 0 is {v}; unreachable distances give the empty mask.
+def component_layers(g: Graph, within: int | None = None) -> Iterator[list[int]]:
+    """The bfs_layers of each component of the subgraph induced by
+    `within` (default: every vertex), rooted at the component's least
+    vertex, in increasing order of that vertex.
     """
-    g._check_vertex(v)
-    if k < 0:
-        raise GraphError(f"negative distance {k}")
-    layers = bfs_layers(g, v)
-    return layers[k] if k < len(layers) else 0
+    if within is None:
+        within = g.full_mask
+    elif within & ~g.full_mask:
+        raise GraphError("vertex mask has bits outside the vertex range")
+    while within:
+        layers = bfs_layers(g, (within & -within).bit_length() - 1, within)
+        yield layers
+        for layer in layers:
+            within ^= layer
 
 
 def delete_vertex(g: Graph, v: int) -> Graph:
@@ -255,23 +266,8 @@ def connected_components(g: Graph, within: int | None = None) -> list[int]:
 
     `within` defaults to every vertex.
     """
-    if within is None:
-        within = g.full_mask
-    elif within & ~g.full_mask:
-        raise GraphError("vertex mask has bits outside the vertex range")
-    comps = []
-    while within:
-        comp = 0
-        for layer in bfs_layers(g, (within & -within).bit_length() - 1, within):
-            comp |= layer
-        comps.append(comp)
-        within &= ~comp
-    return comps
-
-
-def is_connected(g: Graph) -> bool:
-    """True for the empty graph and for graphs with one component."""
-    return len(connected_components(g)) <= 1
+    # a component's layers are disjoint, so their sum is their union
+    return [sum(layers) for layers in component_layers(g, within)]
 
 
 def cut_vertices(g: Graph) -> int:

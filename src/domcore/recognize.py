@@ -24,7 +24,7 @@ every induced subgraph of a chordal graph is chordal and has a
 simplicial vertex, and no vertex of a chordless cycle is simplicial.
 
 A graph is bipartite iff no edge lies inside one of the breadth-first
-layers (graph.bfs_layers) of a component.
+layers of a component (graph.component_layers).
 
 The twin clique partition groups, for a chosen root, the remaining
 vertices by exact closed-neighborhood equality; each group induces a
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
 
-from .graph import Graph, GraphError, _derived, bfs_layers, bits, build_graph, is_connected, mask_of
+from .graph import Graph, GraphError, _derived, bits, build_graph, component_layers, connected_components, mask_of
 
 _PATTERN_EDGES: dict[str, tuple[int, list[tuple[int, int]]]] = {
     "claw": (4, [(0, 1), (0, 2), (0, 3)]),
@@ -180,19 +180,17 @@ def is_bipartite(g: Graph) -> bool:
     odd cycle.
     """
     adj = g.adj
-    remaining = g.full_mask
-    while remaining:
-        for layer in bfs_layers(g, (remaining & -remaining).bit_length() - 1):
+    for layers in component_layers(g):
+        for layer in layers:
             for v in bits(layer):
                 if adj[v] & layer:
                     return False
-            remaining &= ~layer
     return True
 
 
 def is_tree(g: Graph) -> bool:
     """Connected and acyclic; the empty graph does not count."""
-    return g.n >= 1 and g.edge_count() == g.n - 1 and is_connected(g)
+    return g.n >= 1 and g.edge_count() == g.n - 1 and len(connected_components(g)) == 1
 
 
 def is_chordal(g: Graph) -> bool:

@@ -67,8 +67,8 @@ from .graph import (
     Graph,
     GraphError,
     bits,
-    bfs_layers,
     closed_masks,
+    component_layers,
     is_dominating,
 )
 
@@ -403,11 +403,9 @@ def gamma_tree(g: Graph) -> int:
     needs = [0] * g.n
     total = 0
     components = 0
-    remaining = g.full_mask
-    while remaining:
-        root = (remaining & -remaining).bit_length() - 1
+    for layers in component_layers(g):
         below = 0
-        for layer in reversed(bfs_layers(g, root)):
+        for layer in reversed(layers):
             for v in bits(layer):
                 best_in = 1
                 sum_covered = 0
@@ -421,7 +419,7 @@ def gamma_tree(g: Graph) -> int:
                 needs[v] = sum_covered
                 covered[v] = sum_covered + extra
             below = layer
-            remaining &= ~layer
+        root = layers[0].bit_length() - 1
         total += min(in_cost[root], covered[root])
         components += 1
     # a graph is a forest iff it has n minus its component count edges

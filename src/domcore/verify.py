@@ -61,12 +61,12 @@ from .graph import (
     GraphError,
     add_pendant,
     add_vertex,
+    bfs_layers,
     bits,
     closed_masks,
     connected_components,
     cut_vertices,
     delete_vertex,
-    distance_shell,
     format_edge_list,
     is_dominating,
     mask_of,
@@ -156,9 +156,10 @@ class _Ctx:
 def _check_graph_surgery(ctx: _Ctx):
     g = ctx.g
     for v in range(g.n):
-        if distance_shell(g, v, 0) != 1 << v:
+        shells = bfs_layers(g, v) + [0]  # an isolated vertex has no layer 1
+        if shells[0] != 1 << v:
             yield f"distance shell 0 of {v} is not the vertex itself"
-        if distance_shell(g, v, 1) != g.adj[v]:
+        if shells[1] != g.adj[v]:
             yield f"distance shell 1 of {v} differs from its neighborhood"
     if not is_dominating(g, g.full_mask):
         yield "full vertex set fails to dominate"

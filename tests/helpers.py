@@ -1,8 +1,15 @@
-"""Small graph builders shared across the tests."""
+"""Small graph builders shared across the tests.
+
+Run as a script, ``python tests/helpers.py COUNT LO HI dense|sparse``
+prints seeded_graphs(COUNT, LO, HI, ...) as graph6, one per line: the
+inputs of CI's stdout-digest rows.
+"""
 
 import os
 import random
+import sys
 from pathlib import Path
+from typing import Iterator
 
 from hypothesis import strategies as st
 
@@ -72,6 +79,16 @@ def relabel(g: Graph, perm) -> Graph:
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     """G(n, p): each pair an edge with probability p, drawn from rng in pair order."""
     return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def seeded_graphs(count: int, lo: int, hi: int, dense: bool) -> Iterator[Graph]:
+    """count graphs from one random.Random(27): each draws n in lo..hi,
+    then p (uniform in [0.1, 0.9] if dense, else 2.5 / n), then its pairs
+    through random_graph."""
+    rng = random.Random(27)
+    for _ in range(count):
+        n = rng.randint(lo, hi)
+        yield random_graph(rng, n, rng.uniform(0.1, 0.9) if dense else 2.5 / n)
 
 
 def cut_vertices_bruteforce(g: Graph) -> int:
@@ -153,3 +170,9 @@ def nine_sweep_step(g: Graph):
         masks = classification_masks(g)
         sizes = (masks["plus"].bit_count(), masks["zero"].bit_count(), masks["minus"].bit_count())
     return text, parse_graph6(text) == g, sizes, cut_witness
+
+
+if __name__ == "__main__":
+    count, lo, hi, density = sys.argv[1:]
+    for g in seeded_graphs(int(count), int(lo), int(hi), {"dense": True, "sparse": False}[density]):
+        print(write_graph6(g))

@@ -127,6 +127,8 @@ def test_capacity_guard():
         automorphism_generators(big)
     with pytest.raises(GraphError):
         rooted_canonical_bits(big, 0)
+    with pytest.raises(GraphError, match="not an int"):
+        rooted_canonical_bits(path(3), 1.0)
 
 
 def test_canonical_outputs_pinned():

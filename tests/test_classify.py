@@ -23,6 +23,7 @@ from helpers import (
     random_graph,
     relabel,
     relabeled_graphs,
+    seeded_graphs,
     star,
 )
 
@@ -39,6 +40,8 @@ def test_removal_class_examples():
     assert classify_vertex(K1, 0).removal is RemovalClass.MINUS
     with pytest.raises(GraphError):
         classify_vertex(path(3), 3)
+    with pytest.raises(GraphError, match="not an int"):
+        classify_vertex(path(3), True)
 
 
 def test_in_anticore_examples():
@@ -185,18 +188,14 @@ def test_structural_equals_definitional_above_sixteen_vertices():
     # criterion 2 draws at most 16 vertices; here dense graphs of 17 to 24,
     # then the first 40 sparse graphs of CI's classify-sparse row (25 to 40
     # vertices) and the 8 dense ones of its classify-long-header row (63 and
-    # 64), drawn as the workflow's RANDOM_G6 draws them
+    # 64), from the generator that CI's producers run
     rng = random.Random(1724)
     for n in range(17, 25):
         for _ in range(3):
             g = random_graph(rng, n, rng.uniform(0.1, 0.9))
             assert classify_all(g) == classify_by_enumeration(g), write_graph6(g)
-    for count, lo, hi, dense in ((40, 25, 40, False), (8, 63, 64, True)):
-        rng = random.Random(27)
-        for _ in range(count):
-            n = rng.randint(lo, hi)
-            g = random_graph(rng, n, rng.uniform(0.1, 0.9) if dense else 2.5 / n)
-            assert classify_all(g) == classify_by_enumeration(g), write_graph6(g)
+    for g in [*seeded_graphs(40, 25, 40, False), *seeded_graphs(8, 63, 64, True)]:
+        assert classify_all(g) == classify_by_enumeration(g), write_graph6(g)
 
 
 @given(graphs(0, 12))

@@ -7,11 +7,10 @@ from domcore.graph import (
     bfs_layers,
     bits,
     closed_masks,
+    component_layers,
     connected_components,
     cut_vertices,
-    distance_shell,
     format_edge_list,
-    is_connected,
     is_dominating,
     mask_of,
     private_neighbors,
@@ -33,6 +32,8 @@ def test_build_graph_basics():
     assert g.degree(1) == 2
     assert g.edge_count() == 2
     assert sorted(g.edges()) == [(0, 1), (1, 2)]
+    with pytest.raises(GraphError, match="not an int"):
+        g.has_edge(0, 1.0)
 
 
 def test_build_graph_deduplicates():
@@ -98,15 +99,6 @@ def test_closed_neighborhood():
     assert closed_masks(build_graph(0, [])) == []
 
 
-def test_distance_shell():
-    g = path(4)
-    assert distance_shell(g, 0, 0) == 0b0001
-    assert distance_shell(g, 0, 1) == 0b0010
-    assert distance_shell(g, 0, 2) == 0b0100
-    assert distance_shell(g, 0, 3) == 0b1000
-    assert distance_shell(g, 0, 4) == 0
-
-
 def _distances(g: Graph, within: int) -> list[list[float]]:
     """All-pairs distances in the subgraph induced by `within` (Floyd-Warshall)."""
     inf = float("inf")
@@ -125,11 +117,18 @@ def test_layers_match_bruteforce_distances(g, data):
     part = _distances(g, within)
     for root in range(g.n):
         shells = [mask_of(v for v in range(g.n) if full[root][v] == k) for k in range(g.n + 1)]
-        assert [distance_shell(g, root, k) for k in range(g.n + 1)] == shells
         assert bfs_layers(g, root) == [s for s in shells if s]
         if (within >> root) & 1:
             want = [mask_of(v for v in bits(within) if part[root][v] == k) for k in range(g.n)]
             assert bfs_layers(g, root, within) == [s for s in want if s]
+
+
+def test_bfs_layers_rejects_bad_roots():
+    with pytest.raises(GraphError, match="not an int"):
+        bfs_layers(path(3), 0.0)
+    # the root's component must lie inside the induced subgraph
+    with pytest.raises(GraphError, match="not in the vertex mask"):
+        bfs_layers(path(3), 0, within=0b110)
 
 
 def test_delete_vertex_compacts():
@@ -140,6 +139,8 @@ def test_delete_vertex_compacts():
     assert sorted(h.edges()) == [(0, 1), (0, 3), (2, 3)]
     with pytest.raises(GraphError):
         delete_vertex(g, 5)
+    with pytest.raises(GraphError, match="not an int"):
+        delete_vertex(g, True)
 
 
 def test_add_pendant_and_add_vertex():
@@ -155,6 +156,8 @@ def test_add_pendant_and_add_vertex():
         add_vertex(g, 0b100)  # vertex 2 does not exist yet
     with pytest.raises(GraphError):
         add_pendant(g, -1)
+    with pytest.raises(GraphError, match="not an int"):
+        add_pendant(g, True)
 
 
 def test_is_dominating():
@@ -174,15 +177,16 @@ def test_private_neighbors():
     assert private_neighbors(g, 0, 0b101) == 0b001
     with pytest.raises(GraphError):
         private_neighbors(g, 1, 0b101)  # u not in S
+    with pytest.raises(GraphError, match="not an int"):
+        private_neighbors(g, 1.0, 0b010)
 
 
 def test_connected_components_ordering():
     g = build_graph(5, [(3, 4), (0, 1)])
     comps = connected_components(g)
     assert comps == [0b00011, 0b00100, 0b11000]
-    assert not is_connected(g)
-    assert is_connected(path(4))
-    assert is_connected(build_graph(0, []))
+    assert len(connected_components(path(4))) == 1
+    assert connected_components(build_graph(0, [])) == []
     # within: components of the induced subgraph, still by smallest vertex
     assert connected_components(path(5), within=0b11011) == [0b00011, 0b11000]
     assert connected_components(cycle(6), within=0b110110) == [0b000110, 0b110000]
@@ -199,6 +203,25 @@ def test_components_within_match_induced_subgraph(g, data):
     induced = build_graph(len(kept), edges)
     want = [mask_of(kept[i] for i in bits(c)) for c in connected_components(induced)]
     assert connected_components(g, within) == want
+
+
+@given(graphs(0, 16), st.data())
+def test_component_layers_partition_within(g, data):
+    within = data.draw(st.integers(0, g.full_mask))
+    comps = list(component_layers(g, within))
+    roots = [layers[0].bit_length() - 1 for layers in comps]
+    assert all(a < b for a, b in zip(roots, roots[1:]))
+    union = 0
+    for root, layers in zip(roots, comps):
+        assert layers == bfs_layers(g, root, within)
+        comp = sum(layers)
+        assert comp & -comp == 1 << root  # rooted at the least vertex
+        for layer in layers:
+            assert not union & layer
+            union |= layer
+    assert union == within
+    with pytest.raises(GraphError):
+        list(component_layers(g, within | 1 << data.draw(st.integers(g.n, MAX_VERTICES))))
 
 
 def test_cut_vertices():

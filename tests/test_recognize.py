@@ -307,6 +307,8 @@ def test_twin_clique_partition_paw():
     # N[1] = {0,1,2,3}, N[2] = {1,2,3}, so they stay separate
     assert len(tcp.cliques) == 4
     assert gamma_value(tcp.reduced) == gamma_value(PAW)
+    with pytest.raises(GraphError, match="not an int"):
+        twin_clique_partition(PAW, 0.0)
 
 
 def test_twin_clique_partition_complete():
