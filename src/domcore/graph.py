@@ -114,6 +114,13 @@ class Graph:
         if not 0 <= v < self.n:
             raise GraphError(f"vertex {v} outside 0..{self.n - 1}")
 
+    def _check_mask(self, mask: int, what: str) -> None:
+        # bool is an int subclass, but True is no vertex set
+        if type(mask) is not int:
+            raise GraphError(f"{what} mask {mask!r} is not an int")
+        if mask & ~self.full_mask:
+            raise GraphError(f"{what} mask has bits outside the vertex range")
+
 
 def _derived(n: int, adj: tuple[int, ...]) -> Graph:
     """Graph built from a valid graph's data, without validating it again.
@@ -171,8 +178,10 @@ def bfs_layers(g: Graph, root: int, within: int | None = None) -> list[int]:
     g._check_vertex(root)
     if within is None:
         within = g.full_mask
-    elif not (within >> root) & 1:
-        raise GraphError(f"root {root} is not in the vertex mask")
+    else:
+        g._check_mask(within, "vertex")
+        if not (within >> root) & 1:
+            raise GraphError(f"root {root} is not in the vertex mask")
     adj = g.adj
     layer = 1 << root
     seen = layer
@@ -194,8 +203,8 @@ def component_layers(g: Graph, within: int | None = None) -> Iterator[list[int]]
     """
     if within is None:
         within = g.full_mask
-    elif within & ~g.full_mask:
-        raise GraphError("vertex mask has bits outside the vertex range")
+    else:
+        g._check_mask(within, "vertex")
     while within:
         layers = bfs_layers(g, (within & -within).bit_length() - 1, within)
         yield layers
@@ -225,8 +234,7 @@ def add_pendant(g: Graph, v: int) -> Graph:
 
 def add_vertex(g: Graph, neighbors: int) -> Graph:
     """Attach a new vertex (index n) adjacent to the masked vertices."""
-    if neighbors & ~g.full_mask:
-        raise GraphError("neighbor mask has bits outside the vertex range")
+    g._check_mask(neighbors, "neighbor")
     if g.n >= MAX_VERTICES:
         raise GraphError(f"cannot exceed {MAX_VERTICES} vertices")
     adj = [a | (1 << g.n) if (neighbors >> v) & 1 else a for v, a in enumerate(g.adj)]
@@ -236,8 +244,7 @@ def add_vertex(g: Graph, neighbors: int) -> Graph:
 
 def is_dominating(g: Graph, s: int) -> bool:
     """True if every vertex is in s or adjacent to a vertex of s."""
-    if s & ~g.full_mask:
-        raise GraphError("set mask has bits outside the vertex range")
+    g._check_mask(s, "set")
     covered = s
     for v in bits(s):
         covered |= g.adj[v]
@@ -250,8 +257,7 @@ def private_neighbors(g: Graph, u: int, s: int) -> int:
     u must belong to s.  A vertex may be its own private neighbor.
     """
     g._check_vertex(u)
-    if s & ~g.full_mask:
-        raise GraphError("set mask has bits outside the vertex range")
+    g._check_mask(s, "set")
     if not (s >> u) & 1:
         raise GraphError(f"vertex {u} is not in the given set")
     others = s & ~(1 << u)

@@ -1,27 +1,30 @@
 """Exact solvers for domination and independence numbers.
 
-Two searches do the work, both cut by one pass over the undominated
-vertices (_node_scan).  The pass counts the packing bound: undominated
-vertices whose closed neighborhoods within the vertices still
-available are pairwise disjoint, each needing its own dominator.  It
-cuts the node as soon as that count exceeds the picks left or some
-vertex has no dominator left.  Otherwise the same pass has found the
-pivot, the first undominated vertex with the fewest candidate
-dominators.
+One search does the work: the pivot walk (_pivot_walk), cut by one pass
+over the undominated vertices (_node_scan).  The pass counts the
+packing bound: undominated vertices whose closed neighborhoods within
+the vertices still available are pairwise disjoint, each needing its
+own dominator.  It cuts the node as soon as that count exceeds the
+picks left or some vertex has no dominator left.  Otherwise the same
+pass has found the pivot, the first undominated vertex with the fewest
+candidate dominators.
 
-The pivot walk (_pivot_walk) looks for sets of at most k picks that
-dominate.  Every such set holds a dominator of the pivot, and each
-node tries the pivot's candidates in increasing order, taking each out
-of the later siblings' picks, so a set is met only in the branch of
-the lowest candidate it holds, and never twice.  A branch ends once
-nothing is left undominated, so each dominating set of at most k picks
-has a subset the walk meets; at k = gamma the walk meets every minimum
-set, each exactly once.  The walk does not recurse
-for its last pick: a vertex w dominates u iff w is in N[u], so the
-vertices that dominate all of an undominated set U are the AND of N[u]
-over U (_common_dominators), and the walk hands the sets `chosen | w`
-over those w to its caller as one family.  The caller's function may
-stop the walk by returning a value.  Two callers share it:
+The walk looks for sets of at most k picks that dominate.  Every such
+set holds a dominator of the pivot, and each node tries the pivot's
+candidates in increasing order, taking each out of the later siblings'
+picks, so a set is met only in the branch of the lowest candidate it
+holds, and never twice.  A branch ends once nothing is left
+undominated, so each dominating set of at most k picks has a subset
+the walk meets; at k = gamma the walk meets every minimum set, each
+exactly once.  In its independent mode each pick's closed neighborhood
+is also taken out of the picks of its descendants; an independent set
+that dominates has no proper subset that dominates, so this mode meets
+every independent dominating set of at most k picks, each once, and no
+other set.  The walk does not recurse for its last pick: a vertex w
+dominates u iff w is in N[u], so the vertices that dominate all of an
+undominated set U are the AND of N[u] over U (_common_dominators), and
+the walk hands the sets `chosen | w` over those w to its caller as one
+family.  The caller's function may stop the walk by returning a value.
 
 - A feasibility probe (_exists_dominating) stops at the first family
   and answers with its set of lowest last pick, as a mask, or None; the
@@ -29,28 +32,24 @@ stop the walk by returning a value.  Two callers share it:
   the vertex set `full`.  A vertex outside `full` is never undominated
   and never picked, so the probe on G's closed masks with v left out of
   `full` is the probe on G - v.
+- The domination number is found by descent from a greedy cover of
+  size k: probe budget k - 1, and if the probe finds a set, continue
+  from that set's size, which may be below k - 1.  The first probe
+  that fails proves gamma = k, so no budget below gamma - 1 is ever
+  probed (the improving-incumbent bound of branch and bound).  The
+  independent domination number is the first budget, from gamma up, at
+  which a probe in the independent mode finds a set.
+- A witness is fixed one vertex at a time by prefix probes
+  (_least_set): each pick is the least vertex above the last one after
+  which the walk still finds the remaining picks among the vertices
+  above it.  No set of fewer picks dominates, so the witness is the
+  lexicographically least optimum set, the first one brute-force
+  enumeration finds.
 - core_and_corona folds every family at size gamma, in no particular
   order, since an intersection and a union come out the same whichever
   way the sets arrive: the union takes the whole family, and the
   intersection keeps its last pick only when it is alone.
-
-The domination number is found by descent from a greedy cover of size
-k: probe budget k - 1, and if the probe finds a set, continue from that
-set's size, which may be below k - 1.  The first probe that fails
-proves gamma = k, so no budget below gamma - 1 is ever probed (the
-improving-incumbent bound of branch and bound).
-
-The lexicographic listing, _minimum_sets, yields every dominating set
-of a given size in lexicographic order, cut by the same pass.  With
-one pick left it yields the chosen set plus each common dominator, in
-increasing order, which keeps the order.  Given the adjacency masks,
-it keeps later picks out of the neighborhoods of earlier ones and
-yields only independent dominating sets; this is the only place
-independence is written.  The witness of gamma_exact is its first set,
-all_minimum_dominating_sets is all of them, and
-independent_domination_number takes the first independent one at the
-first size, from gamma up, that has one; so every witness matches
-brute-force enumeration exactly.
+  all_minimum_dominating_sets expands every family and sorts the sets.
 
 All functions are pure: graphs come in, numbers and bitmask sets come
 out, and no state survives a call.
@@ -60,7 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterator
+from typing import Callable
 
 from .graph import (
     MAX_VERTICES,
@@ -167,6 +166,7 @@ def _pivot_walk(
     chosen: int,
     remaining: int,
     found: Callable[[int, int], int | None],
+    independent: bool = False,
 ) -> int | None:
     """Hand `found` the ways to dominate `undominated` with up to `remaining` picks from `avail`.
 
@@ -176,8 +176,10 @@ def _pivot_walk(
     is left undominated.  Each node branches on its pivot's candidates
     in increasing order and takes each out of `avail` for the later
     siblings, so no set is met twice, and every set that dominates has
-    a subset that is met.  Returns the first value other than None that
-    `found` returns, or None.
+    a subset that is met.  When `independent` is set, each pick's closed
+    neighborhood is also taken out of `avail` for its descendants, so
+    the sets met are independent.  Returns the first value other than
+    None that `found` returns, or None.
     """
     if not undominated:
         return found(chosen, 0)
@@ -190,8 +192,11 @@ def _pivot_walk(
     while cand:
         low = cand & -cand
         cand ^= low
-        left = undominated & ~closed[low.bit_length() - 1]
-        result = _pivot_walk(closed, left, avail, chosen | low, remaining - 1, found)
+        nb = closed[low.bit_length() - 1]
+        below = avail & ~nb if independent else avail
+        result = _pivot_walk(
+            closed, undominated & ~nb, below, chosen | low, remaining - 1, found, independent
+        )
         if result is not None:
             return result
         # a later sibling's sets hold none of the dominators tried before
@@ -236,51 +241,37 @@ def gamma_value(g: Graph) -> int:
     return k
 
 
-def _minimum_sets(
-    closed: list[int], full: int, size: int, independent_adj: tuple[int, ...] | None = None
-) -> Iterator[int]:
-    """Every dominating set of exactly `size` vertices, in lexicographic order.
+def _least_set(closed: list[int], full: int, size: int, independent: bool = False) -> int:
+    """The lexicographically least set of `size` picks that the walk meets.
 
-    Vertex sets compare as their sorted index sequences, matching the
-    order itertools.combinations produces.  With independent_adj given,
-    only independent sets are yielded.  Complete by construction: a
-    branch is cut only when too few vertices are left to pick from or
-    the packing bound over the vertices still available exceeds the
-    picks left.
+    Sets compare as their sorted index sequences, as
+    itertools.combinations orders them.  Each pick is the least vertex v
+    above the last for which the walk, in the same mode, finds the picks
+    still to make among the vertices it may take after v.  The caller
+    passes the least size at which such a set exists, so every step
+    finds its pick.
     """
-
-    def rec(avail: int, dominated: int, chosen: int, remaining: int) -> Iterator[int]:
-        if remaining == 0:
-            if dominated == full:
-                yield chosen
-            return
-        if remaining == 1:
-            last = _common_dominators(closed, full & ~dominated, avail)
-            while last:
-                low = last & -last
-                last ^= low
-                yield chosen | low
-            return
-        if avail.bit_count() < remaining:
-            return
-        if _node_scan(closed, full & ~dominated, avail, remaining) is None:
-            return
-        rest = avail
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            w = low.bit_length() - 1
-            # later picks come from above w, independent of w if asked
-            after = rest & ~independent_adj[w] if independent_adj is not None else rest
-            yield from rec(after, dominated | closed[w], chosen | low, remaining - 1)
-
-    return rec(full, 0, 0, size)
+    chosen = dominated = 0
+    above = full
+    for left in range(size - 1, -1, -1):
+        for v in bits(above):
+            nb = closed[v]
+            after = above >> (v + 1) << (v + 1)
+            if independent:
+                after &= ~nb
+            rest = full & ~(dominated | nb)
+            if _pivot_walk(closed, rest, after, 0, left, _first_set, independent) is not None:
+                break
+        chosen |= 1 << v
+        dominated |= nb
+        above = after
+    return chosen
 
 
 def gamma_exact(g: Graph) -> DominationReport:
     """Domination number with the lexicographically smallest witness."""
     value = gamma_value(g)
-    return DominationReport(value, next(_minimum_sets(closed_masks(g), g.full_mask, value)))
+    return DominationReport(value, _least_set(closed_masks(g), g.full_mask, value))
 
 
 def gamma_bruteforce(g: Graph) -> DominationReport:
@@ -309,8 +300,16 @@ def all_minimum_dominating_sets(g: Graph) -> DominationReport:
     if g.n > ALL_SETS_MAX:
         raise GraphError(f"exhaustive set listing is limited to {ALL_SETS_MAX} vertices")
     value = gamma_value(g)
-    found = tuple(_minimum_sets(closed_masks(g), g.full_mask, value))
-    return DominationReport(value, found[0], found)
+    full = g.full_mask
+    found: list[int] = []
+
+    def expand(chosen: int, last: int) -> None:
+        found.extend([chosen | (1 << w) for w in bits(last)] if last else [chosen])
+
+    # the walk meets each minimum set once; order them as combinations would
+    _pivot_walk(closed_masks(g), full, full, 0, value, expand)
+    found.sort(key=lambda s: tuple(bits(s)))
+    return DominationReport(value, found[0], tuple(found))
 
 
 def core_and_corona(g: Graph, gamma: int | None = None) -> tuple[int, int]:
@@ -371,20 +370,18 @@ def independence_number(g: Graph) -> int:
 def independent_domination_number(g: Graph) -> DominationReport:
     """Minimum size of an independent dominating set, with witness.
 
-    The first size k, from gamma up, at which the independent mode of
-    _minimum_sets yields a set (no size below gamma has a dominating
-    set); that set is the lexicographically smallest independent
-    dominating set of size k.  Always well defined: every maximal
-    independent set dominates, so the scan stops by k = n.  Each size
-    from gamma below the answer is searched in full, so on large sparse
-    graphs this costs more than a feasibility scan would; verify, its
-    one caller in the package, stops at eight vertices.
+    The first budget k, from gamma up, at which a probe in the
+    independent mode of the walk finds a set (no size below gamma has a
+    dominating set); the witness is the lexicographically smallest
+    independent dominating set of size k, fixed by prefix probes in the
+    same mode.  Always well defined: every maximal independent set
+    dominates, so the scan stops by k = n.
     """
     closed = closed_masks(g)
     full = g.full_mask
     for k in range(gamma_value(g), g.n + 1):
-        for s in _minimum_sets(closed, full, k, g.adj):
-            return DominationReport(k, s)
+        if _pivot_walk(closed, full, full, 0, k, _first_set, True) is not None:
+            return DominationReport(k, _least_set(closed, full, k, True))
     raise AssertionError("every maximal independent set dominates")
 
 

@@ -129,6 +129,12 @@ def test_bfs_layers_rejects_bad_roots():
     # the root's component must lie inside the induced subgraph
     with pytest.raises(GraphError, match="not in the vertex mask"):
         bfs_layers(path(3), 0, within=0b110)
+    with pytest.raises(GraphError, match="vertex mask has bits outside the vertex range"):
+        bfs_layers(path(3), 0, within=0b1111)
+    with pytest.raises(GraphError, match="vertex mask 7.0 is not an int"):
+        bfs_layers(path(3), 0, within=7.0)
+    with pytest.raises(GraphError, match="vertex mask True is not an int"):
+        bfs_layers(path(3), 0, within=True)
 
 
 def test_delete_vertex_compacts():
@@ -154,6 +160,10 @@ def test_add_pendant_and_add_vertex():
     assert h.degree(2) == 2
     with pytest.raises(GraphError):
         add_vertex(g, 0b100)  # vertex 2 does not exist yet
+    with pytest.raises(GraphError, match="neighbor mask 1.0 is not an int"):
+        add_vertex(g, 1.0)
+    with pytest.raises(GraphError, match="neighbor mask True is not an int"):
+        add_vertex(g, True)
     with pytest.raises(GraphError):
         add_pendant(g, -1)
     with pytest.raises(GraphError, match="not an int"):
@@ -167,6 +177,11 @@ def test_is_dominating():
     assert is_dominating(g, g.full_mask)
     with pytest.raises(GraphError):
         is_dominating(g, 1 << g.n)
+    # True would otherwise read as the mask 1, which dominates the star
+    with pytest.raises(GraphError, match="set mask 1.0 is not an int"):
+        is_dominating(g, 1.0)
+    with pytest.raises(GraphError, match="set mask True is not an int"):
+        is_dominating(g, True)
 
 
 def test_private_neighbors():
@@ -179,6 +194,10 @@ def test_private_neighbors():
         private_neighbors(g, 1, 0b101)  # u not in S
     with pytest.raises(GraphError, match="not an int"):
         private_neighbors(g, 1.0, 0b010)
+    with pytest.raises(GraphError, match="set mask 2.0 is not an int"):
+        private_neighbors(g, 1, 2.0)
+    with pytest.raises(GraphError, match="set mask True is not an int"):
+        private_neighbors(g, 0, True)
 
 
 def test_connected_components_ordering():
@@ -193,6 +212,10 @@ def test_connected_components_ordering():
     assert connected_components(g, within=0) == []
     with pytest.raises(GraphError):
         connected_components(g, within=1 << 5)
+    with pytest.raises(GraphError, match="vertex mask 3.0 is not an int"):
+        connected_components(g, within=3.0)
+    with pytest.raises(GraphError, match="vertex mask True is not an int"):
+        connected_components(g, within=True)
 
 
 @given(graphs(0, 16), st.data())

@@ -20,8 +20,8 @@ from domcore.graph import MAX_VERTICES, bits, closed_masks, is_dominating, mask_
 from domcore.solve import (
     ALL_SETS_MAX,
     _exists_dominating,
+    _first_set,
     _greedy_cover,
-    _minimum_sets,
     _node_scan,
     _pivot_walk,
     exists_dominating_within,
@@ -82,15 +82,33 @@ def test_solver_matches_bruteforce(corpus6):
         assert fast.witness == slow.witness
 
 
+def _is_independent(g, s):
+    return all(not g.adj[v] & s for v in bits(s))
+
+
+def _first_independent_dominating(g):
+    """The first independent dominating set in combinations order."""
+    return next(
+        s
+        for size in range(g.n + 1)
+        for s in map(mask_of, combinations(range(g.n), size))
+        if _is_independent(g, s) and is_dominating(g, s)
+    )
+
+
 def test_solver_matches_bruteforce_above_twelve_vertices():
     # the hypothesis and corpus checks stop at 12 and 8 vertices, where the
-    # recursive search rarely runs; gamma runs from 1 to 9 on these graphs
+    # recursive search rarely runs; gamma runs from 1 to 9 on these graphs,
+    # and i(G) runs the independent prefix probes as deep
     rng = random.Random(1318)
     for i in range(100):
         g = random_graph(rng, rng.randint(13, 18), 0.1 + 0.8 * i / 99)
         fast = gamma_exact(g)
         slow = gamma_bruteforce(g)
         assert (fast.gamma, fast.witness) == (slow.gamma, slow.witness), i
+        rep = independent_domination_number(g)
+        want = _first_independent_dominating(g)
+        assert (rep.gamma, rep.witness) == (want.bit_count(), want), i
 
 
 def test_all_minimum_dominating_sets():
@@ -146,6 +164,14 @@ def test_core_and_corona_is_the_fold_of_all_sets(corpus6):
 
 
 @given(graphs(0, 12))
+def test_all_minimum_dominating_sets_match_bruteforce(g):
+    # the dominating gamma-subsets, in the order combinations produces them
+    gamma = gamma_bruteforce(g).gamma
+    want = [mask_of(c) for c in combinations(range(g.n), gamma)]
+    assert all_minimum_dominating_sets(g).all_sets == tuple(s for s in want if is_dominating(g, s))
+
+
+@given(graphs(0, 12))
 def test_core_and_corona_is_the_fold_of_all_sets_on_random_graphs(g):
     assert core_and_corona(g) == _fold_all_sets(g)
 
@@ -153,7 +179,9 @@ def test_core_and_corona_is_the_fold_of_all_sets_on_random_graphs(g):
 def test_core_and_corona_above_twelve_vertices():
     # the hypothesis fold stops at 12 vertices; here dense and sparse graphs
     # of 13 to 24 vertices meet the listed sets, and sparse ones of 30 to 40,
-    # past the listing's cap, meet a fold of the uncapped lexicographic search
+    # past the listing's cap, meet one probe per vertex: v is in some minimum
+    # set iff gamma - 1 picks dominate what N[v] leaves, and v is missing from
+    # some minimum set iff gamma picks without v dominate
     rng = random.Random(3117)
     for i in range(64):
         n = rng.randint(13, 24)
@@ -161,10 +189,13 @@ def test_core_and_corona_above_twelve_vertices():
         assert core_and_corona(g) == _fold_all_sets(g), i
     for n in (30, 35, 40):
         g = random_graph(rng, n, 2.5 / n)
-        core, corona = g.full_mask, 0
-        for s in _minimum_sets(closed_masks(g), g.full_mask, gamma_value(g)):
-            core &= s
-            corona |= s
+        closed, full, gamma = closed_masks(g), g.full_mask, gamma_value(g)
+        core = corona = 0
+        for v in range(n):
+            if _exists_dominating(closed, full, gamma - 1, closed[v]) is not None:
+                corona |= 1 << v
+            if _pivot_walk(closed, full, full & ~(1 << v), 0, gamma, _first_set) is None:
+                core |= 1 << v
         assert core_and_corona(g) == (core, corona), n
 
 
@@ -327,12 +358,13 @@ def test_exists_dominating_matches_bruteforce(g, delete, rng):
                     assert not full & ~covered, context
 
 
-@given(graphs(0, 12), st.booleans(), st.randoms(use_true_random=False))
-def test_pivot_walk_meets_each_minimum_set_once(g, leave_out, rng):
+@given(graphs(0, 12), st.booleans(), st.booleans(), st.randoms(use_true_random=False))
+def test_pivot_walk_meets_each_minimum_set_once(g, leave_out, independent, rng):
     # union and intersection do not notice a set folded twice, so the
     # families the walk hands out are expanded and counted here: at
     # remaining = gamma they must list every minimum dominating set with
-    # its picks from avail exactly once
+    # its picks from avail exactly once, and in the independent mode at
+    # remaining = i(G) every independent dominating set of that size
     closed, full = closed_masks(g), g.full_mask
     gamma = gamma_bruteforce(g).gamma
     avail = full & ~(1 << rng.randrange(g.n)) if g.n and leave_out else full
@@ -344,6 +376,13 @@ def test_pivot_walk_meets_each_minimum_set_once(g, leave_out, rng):
     assert _pivot_walk(closed, full, avail, 0, gamma, found) is None
     want = [mask_of(c) for c in combinations(bits(avail), gamma)]
     assert sorted(met) == sorted(s for s in want if is_dominating(g, s))
+    if independent:
+        size = _first_independent_dominating(g).bit_count()
+        met.clear()
+        assert _pivot_walk(closed, full, avail, 0, size, found, True) is None
+        want = [mask_of(c) for c in combinations(bits(avail), size)]
+        want = [s for s in want if _is_independent(g, s) and is_dominating(g, s)]
+        assert sorted(met) == sorted(want)
 
 
 @given(graphs(0, 12), st.randoms(use_true_random=False))
@@ -393,19 +432,6 @@ def test_node_scan_matches_plain_bound_and_pivot(g, rng):
             assert (got is None) == exceeds, (undominated, avail, budget)
             if not exceeds:
                 assert got == pivot, (undominated, avail, budget)
-
-
-@given(graphs(0, 12))
-def test_minimum_sets_match_bruteforce(g):
-    # every size, not just gamma: the generator lists all dominating sets
-    # of the size it is given, in the order combinations produces them
-    closed = closed_masks(g)
-    for size in range(g.n + 1):
-        want = [mask_of(c) for c in combinations(range(g.n), size)]
-        want = [s for s in want if is_dominating(g, s)]
-        assert list(_minimum_sets(closed, g.full_mask, size)) == want
-        independent = [s for s in want if all(not g.adj[v] & s for v in bits(s))]
-        assert list(_minimum_sets(closed, g.full_mask, size, g.adj)) == independent
 
 
 @given(relabeled_graphs(0, 16))
