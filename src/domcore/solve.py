@@ -259,8 +259,8 @@ def _least_set(closed: list[int], full: int, size: int, independent: bool = Fals
             after = above >> (v + 1) << (v + 1)
             if independent:
                 after &= ~nb
-            rest = full & ~(dominated | nb)
-            if _pivot_walk(closed, rest, after, 0, left, _first_set, independent) is not None:
+            undominated = full & ~(dominated | nb)
+            if _pivot_walk(closed, undominated, after, 0, left, _first_set, independent) is not None:
                 break
         chosen |= 1 << v
         dominated |= nb
