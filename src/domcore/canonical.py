@@ -50,13 +50,10 @@ def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
                 new_cells.append(cell)
                 continue
             groups: dict[tuple[int, ...], int] = {}
-            m = cell
-            while m:
-                low = m & -m
-                a = adj[low.bit_length() - 1]
-                m ^= low
+            for v in bits(cell):
+                a = adj[v]
                 key = tuple([(a & c).bit_count() for c in cells])
-                groups[key] = groups.get(key, 0) | low
+                groups[key] = groups.get(key, 0) | 1 << v
             if len(groups) == 1:
                 new_cells.append(cell)
             else:
@@ -82,11 +79,8 @@ def _uniform_cells(adj: tuple[int, ...], cells: list[int]) -> bool:
         outside = first & ~cell
         # a clique if the first member sees into the cell, else independent
         rest = cell if first & cell else 0
-        m = cell
-        while m:
-            low = m & -m
-            m ^= low
-            if adj[low.bit_length() - 1] != outside | (rest & ~low):
+        for v in bits(cell):
+            if adj[v] != outside | (rest & ~(1 << v)):
                 return False
     return True
 
@@ -154,7 +148,7 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     _, cells, base_order, base_value = next(leaves)
     generators = []
     for cell in cells:
-        members = list(bits(cell))
+        members = bits(cell)
         for v, w in zip(members, members[1:]):
             perm = list(range(g.n))
             perm[v], perm[w] = w, v

@@ -99,23 +99,12 @@ _PARENT_CHUNK = 8
 NULL_GRAPH = Graph(0, ())
 
 
-def _neighbor_degrees(deg: list[int], nbrs: int) -> list[int]:
-    """The degrees of the vertices of mask nbrs, sorted."""
-    out = []
-    while nbrs:
-        low = nbrs & -nbrs
-        out.append(deg[low.bit_length() - 1])
-        nbrs ^= low
-    out.sort()
-    return out
-
-
 def _is_canonical_child(g: Graph, new: int) -> bool:
     """Accept g iff the just-added vertex sits in the deletion orbit."""
     adj = g.adj
     deg = [a.bit_count() for a in adj]
     new_deg = deg[new]
-    new_nbrs = _neighbor_degrees(deg, adj[new])
+    new_nbrs = sorted([deg[u] for u in bits(adj[new])])
     # the cheap invariant is (degree, sorted neighbor degrees); neighbor
     # degrees are only sorted for vertices that tie on degree
     rivals = ties = 0
@@ -126,7 +115,7 @@ def _is_canonical_child(g: Graph, new: int) -> bool:
         if d < new_deg:
             rivals |= 1 << v
             continue
-        nbrs = _neighbor_degrees(deg, adj[v])
+        nbrs = sorted([deg[u] for u in bits(adj[v])])
         if nbrs < new_nbrs:
             rivals |= 1 << v
         elif nbrs == new_nbrs:

@@ -4,7 +4,11 @@ Vertices are integers 0..n-1 and every vertex set in this package is a
 plain Python int used as a bitmask (bit v set means vertex v is in the
 set).  Adjacency is stored as one open-neighborhood mask per vertex,
 which makes neighborhood unions, domination tests and subset filtering
-single AND/OR operations regardless of degree.
+single AND/OR operations regardless of degree.  Every loop over a
+mask's vertices is `for v in bits(mask)`: bits returns the tuple of set
+positions, one byte-table lookup per byte, with only the low byte's
+table built at import and each wider one on first need; a negative
+mask raises GraphError.
 
 Every breadth-first traversal is bfs_layers, the distance layers of a
 root's component as masks.  component_layers is the one walk over
@@ -42,12 +46,40 @@ class GraphError(ValueError):
     """Raised for invalid construction data or out-of-range arguments."""
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Iterate over the set bit positions of a mask in increasing order."""
+def _byte_table(k: int) -> list[tuple[int, ...]]:
+    """Entry b is the tuple of set bit positions of b << 8k, increasing."""
+    table = [()]
+    for i in range(8 * k, 8 * k + 8):
+        table += [t + (i,) for t in table]  # entry b + 2**(i - 8k) is entry b, then i
+    return table
+
+
+_BYTE_TABLES = [_byte_table(0)]  # table k is for the byte at offset 8k
+
+
+def bits(mask: int) -> tuple[int, ...]:
+    """The set bit positions of a mask as a tuple, in increasing order.
+
+    One table lookup per byte.  A byte's table above the low one is
+    built the first time a mask reaches it.  A negative mask, which has
+    infinitely many set bits, raises GraphError.
+    """
+    if 0 <= mask < 256:
+        return _BYTE_TABLES[0][mask]
+    if mask < 0:
+        raise GraphError(f"mask {mask} is negative")
+    tables = _BYTE_TABLES
+    while len(tables) << 3 < mask.bit_length():
+        k = len(tables)
+        # slot k only ever holds _byte_table(k): a racing writer stores an equal table
+        tables[k : k + 1] = [_byte_table(k)]
+    out = ()
+    k = 0
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        out += tables[k][mask & 255]
+        mask >>= 8
+        k += 1
+    return out
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -205,7 +237,7 @@ def component_layers(g: Graph, within: int | None = None) -> Iterator[list[int]]
         within = g.full_mask
     else:
         g._check_mask(within, "vertex")
-    while within:
+    while within:  # own bit loop: each pass takes out a whole component
         layers = bfs_layers(g, (within & -within).bit_length() - 1, within)
         yield layers
         for layer in layers:
@@ -291,7 +323,7 @@ def cut_vertices(g: Graph) -> int:
     unvisited = g.full_mask
     clock = 0
     result = 0
-    while unvisited:
+    while unvisited:  # own bit loop: the search below also takes bits out of unvisited
         bit = unvisited & -unvisited
         unvisited ^= bit
         root = bit.bit_length() - 1

@@ -149,14 +149,11 @@ def contains_induced(g: Graph, pattern: str) -> bool:
         for j in above:
             # only the bits above images[j]
             cand &= -(2 << images[j])
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            w = low.bit_length() - 1
+        for w in bits(cand):
             if adj[w].bit_count() < need:
                 continue
             images[i] = w
-            if rec(i + 1, used | low):
+            if rec(i + 1, used | 1 << w):
                 return True
         return False
 
@@ -230,20 +227,17 @@ class TwinCliquePartition:
 def twin_clique_partition(g: Graph, root: int) -> TwinCliquePartition:
     g._check_vertex(root)
     groups: dict[int, int] = {}
-    for v in range(g.n):
-        if v == root:
-            continue
+    for v in bits(g.full_mask ^ 1 << root):
         key = g.adj[v] | (1 << v)
         groups[key] = groups.get(key, 0) | (1 << v)
     # v ascends, so the groups come in order of their least member
     cliques = (1 << root, *groups.values())
-    reps = [(c & -c).bit_length() - 1 for c in cliques]
+    part = {(c & -c).bit_length() - 1: j for j, c in enumerate(cliques)}
+    reps = mask_of(part)
     # the subgraph g induces on the representatives, relabeled by part:
     # well formed whenever g is (see graph._derived)
-    adj = tuple(
-        mask_of(j for j, r in enumerate(reps) if (g.adj[rep] >> r) & 1) for rep in reps
-    )
-    return TwinCliquePartition(root, cliques, _derived(len(reps), adj))
+    adj = tuple(mask_of(part[u] for u in bits(g.adj[rep] & reps)) for rep in part)
+    return TwinCliquePartition(root, cliques, _derived(len(part), adj))
 
 
 def class_flags(g: Graph) -> dict:

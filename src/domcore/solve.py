@@ -124,11 +124,8 @@ def _node_scan(closed: list[int], undominated: int, avail: int, budget: int) -> 
     blocked = 0
     pivot = 0
     fewest = MAX_VERTICES + 1
-    m = undominated
-    while m:
-        low = m & -m
-        m ^= low
-        nb = closed[low.bit_length() - 1] & avail
+    for u in bits(undominated):
+        nb = closed[u] & avail
         if not nb & blocked:
             # an empty nb is disjoint from everything: no dominator left
             if not nb:
@@ -151,11 +148,10 @@ def _common_dominators(closed: list[int], undominated: int, avail: int) -> int:
     so this is `avail` ANDed with N[u] over the undominated vertices.
     With nothing undominated it is all of `avail`.
     """
-    m = undominated
-    while m and avail:
-        low = m & -m
-        m ^= low
-        avail &= closed[low.bit_length() - 1]
+    for u in bits(undominated):
+        avail &= closed[u]
+        if not avail:  # often after a few vertices on dense graphs
+            break
     return avail
 
 
@@ -189,18 +185,16 @@ def _pivot_walk(
     cand = _node_scan(closed, undominated, avail, remaining)
     if cand is None:
         return None
-    while cand:
-        low = cand & -cand
-        cand ^= low
-        nb = closed[low.bit_length() - 1]
+    for w in bits(cand):
+        nb = closed[w]
         below = avail & ~nb if independent else avail
         result = _pivot_walk(
-            closed, undominated & ~nb, below, chosen | low, remaining - 1, found, independent
+            closed, undominated & ~nb, below, chosen | 1 << w, remaining - 1, found, independent
         )
         if result is not None:
             return result
         # a later sibling's sets hold none of the dominators tried before
-        avail ^= low
+        avail ^= 1 << w
     return None
 
 
@@ -308,7 +302,7 @@ def all_minimum_dominating_sets(g: Graph) -> DominationReport:
 
     # the walk meets each minimum set once; order them as combinations would
     _pivot_walk(closed_masks(g), full, full, 0, value, expand)
-    found.sort(key=lambda s: tuple(bits(s)))
+    found.sort(key=bits)
     return DominationReport(value, found[0], tuple(found))
 
 
@@ -338,23 +332,17 @@ def independence_number(g: Graph) -> int:
 
     def rec(candidates: int) -> int:
         best = 0
-        while candidates:
+        for v in bits(candidates):
             # degree-0 candidates always join the set
-            low = candidates & -candidates
-            v = low.bit_length() - 1
             if adj[v] & candidates:
                 break
             best += 1
-            candidates ^= low
+            candidates ^= 1 << v
         if not candidates:
             return best
         pivot = -1
         pivot_deg = -1
-        m = candidates
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
+        for v in bits(candidates):
             d = (adj[v] & candidates).bit_count()
             if d > pivot_deg:
                 pivot_deg = d

@@ -267,7 +267,7 @@ def _check_theorem_plus(ctx: _Ctx):
     for v in range(g.n):
         outside = g.full_mask & ~ctx.closed[v]
         exists_avoiding = False
-        for combo in combinations(list(bits(outside)), gamma):
+        for combo in combinations(bits(outside), gamma):
             s = mask_of(combo)
             covered = s
             for u in combo:

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -51,3 +52,57 @@ def _unused_imports(path: Path) -> list[str]:
 def test_no_unused_top_level_imports():
     paths = sorted((ROOT / "src" / "domcore").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     assert [name for path in paths for name in _unused_imports(path)] == []
+
+
+# an intended hand-written lowest-bit loop says why on its while line
+OWN_LOOP_MARKER = "# own bit loop:"
+
+
+def _lowest_bit_loops(source: str) -> list[int]:
+    """Lines of while loops that walk a mask's bits by hand.
+
+    Such a loop takes x & -x of a name x in its test and does x ^= ...;
+    graph.bits is the one kernel for visiting a mask's bits.  A loop
+    whose while line carries OWN_LOOP_MARKER and a reason is exempt.
+    """
+    lines = source.splitlines()
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.While):
+            continue
+        tested = {n.id for n in ast.walk(node.test) if isinstance(n, ast.Name)}
+        body = [n for stmt in node.body for n in ast.walk(stmt)]
+        lowest = {
+            n.left.id
+            for n in body
+            if isinstance(n, ast.BinOp)
+            and isinstance(n.op, ast.BitAnd)
+            and isinstance(n.left, ast.Name)
+            and isinstance(n.right, ast.UnaryOp)
+            and isinstance(n.right.op, ast.USub)
+            and isinstance(n.right.operand, ast.Name)
+            and n.right.operand.id == n.left.id
+        }
+        cleared = {
+            n.target.id
+            for n in body
+            if isinstance(n, ast.AugAssign) and isinstance(n.op, ast.BitXor) and isinstance(n.target, ast.Name)
+        }
+        if tested & lowest & cleared and not re.search(re.escape(OWN_LOOP_MARKER) + r"\s*\S", lines[node.lineno - 1]):
+            found.append(node.lineno)
+    return found
+
+
+def test_lowest_bit_scan_flags_a_copy_unless_marked_with_a_reason():
+    copy = "while m:\n    low = m & -m\n    f(low)\n    m ^= low\n"
+    assert _lowest_bit_loops(copy) == [1]
+    assert _lowest_bit_loops("def f(m):\n    x = 0\n    " + copy.replace("\n", "\n    ")) == [3]
+    assert _lowest_bit_loops(copy.replace("while m:", f"while m:  {OWN_LOOP_MARKER}")) == [1]
+    assert _lowest_bit_loops(copy.replace("while m:", f"while m:  {OWN_LOOP_MARKER} it also drops bits")) == []
+    # a loop that only draws the lowest bit of its test variable
+    assert _lowest_bit_loops("while m:\n    m = f(m & -m)\n") == []
+
+
+def test_mask_bits_are_visited_through_graph_bits():
+    paths = sorted((ROOT / "src" / "domcore").glob("*.py"))
+    assert [f"{p.relative_to(ROOT)}:{line}" for p in paths for line in _lowest_bit_loops(p.read_text())] == []

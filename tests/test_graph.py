@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -15,7 +18,7 @@ from domcore.graph import (
     mask_of,
     private_neighbors,
 )
-from helpers import complete, cut_vertices_bruteforce, cycle, graphs, path, star
+from helpers import complete, cut_vertices_bruteforce, cycle, graphs, path, src_env, star
 
 
 def _revalidated(g: Graph) -> Graph:
@@ -87,9 +90,40 @@ def test_capacity_boundary():
 
 
 def test_bits_and_mask_of():
-    assert list(bits(0b10110)) == [1, 2, 4]
+    assert bits(0b10110) == (1, 2, 4)
     assert mask_of([0, 3]) == 0b1001
     assert mask_of([]) == 0
+
+
+def _positions(mask: int) -> tuple[int, ...]:
+    return tuple(i for i in range(64) if mask >> i & 1)
+
+
+@given(st.integers(0, 64).flatmap(lambda width: st.integers(0, (1 << width) - 1)))
+def test_bits_lists_the_set_positions(mask):
+    assert bits(mask) == _positions(mask)
+
+
+@pytest.mark.parametrize(
+    "mask", [(1 << 8 * k) - 1 for k in range(9)] + [1 << 8 * k for k in range(8)] + [1 << 63]
+)
+def test_bits_at_byte_boundaries(mask):
+    assert bits(mask) == _positions(mask)
+
+
+@pytest.mark.parametrize("first", [(1 << 64) - 1, 1 << 56, 1 << 8])
+def test_bits_builds_the_tables_up_to_the_first_wide_mask(first):
+    # a fresh process, so `first` is the first mask to need a wide table
+    masks = [first, (1 << 64) - 1, 1 << 63, 0x1FF00, 0xFF_0000_0000_00FF]
+    code = f"from domcore.graph import bits; print([bits(m) for m in {masks}])"
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, check=True)
+    assert proc.stdout == f"{[_positions(m) for m in masks]}\n"
+
+
+@pytest.mark.parametrize("mask", [-1, -2, -255, -256, -257, -(1 << 63), -(1 << 64)])
+def test_bits_rejects_negative_masks(mask):
+    with pytest.raises(GraphError, match="negative"):
+        bits(mask)
 
 
 def test_closed_neighborhood():
