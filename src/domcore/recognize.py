@@ -17,6 +17,18 @@ is found once instead of |Aut(h)| times.  Each condition is one mask
 cut on the candidates.  The conditions are computed on a pattern's
 first use, not at import.
 
+catalog_contains answers every catalog pattern in one pass.  Induced
+containment is monotone: an induced copy of P6 holds an induced P5, so
+a graph without an induced P5 has no P6, P7, C6 or C7 either.  The pass
+searches a pattern only after the catalog patterns induced in it, and
+only if all of them were found; otherwise it answers False without a
+search.  Absent patterns are the costly searches, since they explore
+every embedding.  The table _SUB_PATTERNS lists, for each pattern, the
+catalog patterns induced in it that no other listed one already implies:
+bull > {paw, P4}, net > {bull}, P5 > {P4}, P6 > {P5}, P7 > {P6},
+C5 > {P4}, C6 > {P5}, C7 > {P6}.  claw, diamond, paw, P4 and C4 hold no
+other catalog pattern.
+
 A graph is chordal iff deleting simplicial vertices (those whose
 neighbors are pairwise adjacent) one at a time empties it (Dirac 1961;
 Fulkerson and Gross, "Incidence matrices and interval graphs", 1965):
@@ -54,6 +66,22 @@ _PATTERN_EDGES: dict[str, tuple[int, list[tuple[int, int]]]] = {
     "C5": (5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
     "C6": (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]),
     "C7": (7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0)]),
+}
+
+# Catalog patterns induced in each pattern; the other ones induced in it
+# follow by chains.  A graph without one of them has no copy of the
+# pattern.  The table is written out, since deriving it would build
+# search plans at import; tests/test_recognize.py checks that it is
+# sound and that every catalog containment follows from it.
+_SUB_PATTERNS: dict[str, tuple[str, ...]] = {
+    "bull": ("paw", "P4"),
+    "net": ("bull",),
+    "P5": ("P4",),
+    "P6": ("P5",),
+    "P7": ("P6",),
+    "C5": ("P4",),
+    "C6": ("P5",),
+    "C7": ("P6",),
 }
 
 PATTERNS: dict[str, Graph] = {
@@ -160,6 +188,24 @@ def contains_induced(g: Graph, pattern: str) -> bool:
     return rec(0, 0)
 
 
+def catalog_contains(g: Graph) -> dict[str, bool]:
+    """contains_induced(g, name) for every catalog pattern, in PATTERNS order.
+
+    A pattern is searched only after its sub-patterns (_SUB_PATTERNS),
+    and only if g contains all of them; otherwise its answer is False.
+    """
+    found: dict[str, bool] = {}
+    return {name: _contains_gated(g, name, found) for name in PATTERNS}
+
+
+def _contains_gated(g: Graph, name: str, found: dict[str, bool]) -> bool:
+    """found[name], searched first if missing, after name's sub-patterns."""
+    if name not in found:
+        subs = _SUB_PATTERNS.get(name, ())
+        found[name] = all(_contains_gated(g, sub, found) for sub in subs) and contains_induced(g, name)
+    return found[name]
+
+
 def is_claw_free(g: Graph) -> bool:
     """No induced star on three leaves."""
     return not contains_induced(g, "claw")
@@ -244,9 +290,9 @@ def class_flags(g: Graph) -> dict:
     """Recognition summary of g as a JSON-ready dict.
 
     contains maps each catalog pattern name, in PATTERNS order, to
-    whether g contains it as an induced subgraph.
+    whether g contains it as an induced subgraph (catalog_contains).
     """
-    contains = {name: contains_induced(g, name) for name in PATTERNS}
+    contains = catalog_contains(g)
     return {
         "chordal": is_chordal(g),
         "bipartite": is_bipartite(g),
@@ -260,6 +306,7 @@ def class_flags(g: Graph) -> dict:
 __all__ = [
     "PATTERNS",
     "contains_induced",
+    "catalog_contains",
     "is_claw_free",
     "is_cograph",
     "is_bipartite",

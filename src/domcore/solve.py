@@ -146,13 +146,21 @@ def _common_dominators(closed: list[int], undominated: int, avail: int) -> int:
 
     w dominates u iff w is in N[u], since closed masks are symmetric,
     so this is `avail` ANDed with N[u] over the undominated vertices.
-    With nothing undominated it is all of `avail`.
+    With nothing undominated it is all of `avail`.  The AND often
+    empties after a few vertices on dense graphs, so the mask is walked
+    a byte at a time, never turned into one tuple of all its vertices,
+    and the walk stops as soon as the AND is empty.
     """
-    for u in bits(undominated):
-        avail &= closed[u]
-        if not avail:  # often after a few vertices on dense graphs
-            break
-    return avail
+    base = 0
+    while True:
+        for u in bits(undominated & 255):
+            avail &= closed[base + u]
+            if not avail:
+                return 0
+        undominated >>= 8
+        if not undominated:
+            return avail
+        base += 8
 
 
 def _pivot_walk(

@@ -34,8 +34,11 @@ anticore from g's own, shifted, and otherwise it folds h's minimum sets
 from scratch (core_and_corona, the membership half of the definitional
 route), so a forged partition gets the same verdict as a full solve.
 _Ctx computes what several checks share once per graph: the minimum
-sets, both classifications, the induced-pattern searches and the class
-tests is_tree, is_chordal, is_bipartite, is_claw_free and is_cograph.
+sets, both classifications, the class tests is_tree, is_chordal,
+is_bipartite, is_claw_free and is_cograph, and the answers of the whole
+pattern catalog, from one catalog_contains pass that skips a pattern
+once a pattern induced in it is absent.  The pattern oracle checks all
+of those answers against its own table.
 """
 
 from __future__ import annotations
@@ -76,7 +79,8 @@ from .graph import (
 from .graph6 import parse_graph6, write_graph6
 from .recognize import (
     PATTERNS,
-    contains_induced,
+    catalog_contains,
+    contains_induced,  # noqa: F401 -- not called here; bench/tracing.py binds this name
     is_bipartite,
     is_chordal,
     is_claw_free,
@@ -148,9 +152,14 @@ class _Ctx:
             self._once[key] = fn(*args)
         return self._once[key]
 
+    @cached_property
+    def catalog(self) -> dict[str, bool]:
+        """catalog_contains(g): every pattern's answer, from one pass."""
+        return catalog_contains(self.g)
+
     def contains(self, pattern: str) -> bool:
-        """contains_induced(g, pattern), shared by the checks that read it."""
-        return self.once(contains_induced, self.g, pattern)
+        """contains_induced(g, pattern), read from the catalog pass."""
+        return self.catalog[pattern]
 
 
 def _check_graph_surgery(ctx: _Ctx):

@@ -22,7 +22,7 @@ from domcore import (
     twin_clique_partition,
 )
 from domcore.graph import bits, mask_of
-from domcore.recognize import _ORDERS, PATTERNS, _symmetry_conditions
+from domcore.recognize import _ORDERS, _SUB_PATTERNS, PATTERNS, _symmetry_conditions, catalog_contains
 from domcore.solve import gamma_value
 from helpers import (
     complete,
@@ -131,6 +131,34 @@ def test_paths_and_holes():
 def test_contains_induced_matches_bruteforce(g):
     for name in PATTERNS:
         assert contains_induced(g, name) == _contains_bruteforce(g, name), name
+
+
+@given(st.one_of(graphs(0, 10), _planted_graphs(10)))
+def test_catalog_pass_matches_each_search(g):
+    got = catalog_contains(g)
+    assert list(got) == list(PATTERNS)
+    for name in PATTERNS:
+        assert got[name] == contains_induced(g, name) == _contains_bruteforce(g, name), name
+
+
+def test_sub_patterns_are_induced_in_their_pattern():
+    for big, subs in _SUB_PATTERNS.items():
+        for sub in subs:
+            assert _contains_bruteforce(PATTERNS[big], sub), (big, sub)
+
+
+def test_sub_pattern_table_implies_every_catalog_containment():
+    # a pattern added to the catalog cannot leave the table stale: the
+    # chains of the table reach exactly the other patterns induced in it
+    for big, h in PATTERNS.items():
+        implied = set()
+        todo = list(_SUB_PATTERNS.get(big, ()))
+        while todo:
+            sub = todo.pop()
+            if sub not in implied:
+                implied.add(sub)
+                todo.extend(_SUB_PATTERNS.get(sub, ()))
+        assert implied == {small for small in PATTERNS if small != big and _contains_bruteforce(h, small)}, big
 
 
 @pytest.mark.parametrize("name", list(PATTERNS))
@@ -286,7 +314,8 @@ def test_class_flags_bundle():
 
 def test_class_flags_searches_each_pattern_once(monkeypatch):
     # the cograph and claw-free flags read the contains dict, so claw and
-    # P4 are not searched a second time
+    # P4 are not searched a second time; a pattern is searched after its
+    # listed sub-patterns, and only if all of them were found
     calls = []
     search = domcore.recognize.contains_induced
     monkeypatch.setattr(
@@ -295,8 +324,17 @@ def test_class_flags_searches_each_pattern_once(monkeypatch):
     for g in (path(4), star(3), cycle(5), complete(4), petersen()):
         calls.clear()
         flags = class_flags(g)
-        assert sorted(calls) == sorted(PATTERNS)
+        contains = flags["contains"]
+        assert len(calls) == len(set(calls))
+        skipped = {name for name, subs in _SUB_PATTERNS.items() if not all(contains[sub] for sub in subs)}
+        assert set(calls) == set(PATTERNS) - skipped
+        for i, name in enumerate(calls):
+            assert set(_SUB_PATTERNS.get(name, ())) <= set(calls[:i]), name
         assert flags["cograph"] == is_cograph(g) and flags["claw_free"] == is_claw_free(g)
+    # K4 has no induced P4 and no paw, so nothing that needs them is searched
+    calls.clear()
+    class_flags(complete(4))
+    assert sorted(calls) == sorted(["claw", "diamond", "paw", "P4", "C4"])
 
 
 def test_twin_clique_partition_paw():

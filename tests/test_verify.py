@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+import domcore.recognize
 import domcore.verify
 from domcore import DominationReport, Graph, GraphError, build_graph, verify_corpus
 from domcore.recognize import PATTERNS, TwinCliquePartition
@@ -109,11 +110,21 @@ def _flagged(n_max: int = 5) -> set[str]:
 
 
 def test_pattern_oracle_flags_a_wrong_pattern_search(monkeypatch):
-    real = domcore.verify.contains_induced
+    # verify reads every pattern through recognize's catalog pass
+    real = domcore.recognize.contains_induced
     monkeypatch.setattr(
-        domcore.verify, "contains_induced", lambda g, name: real(g, name) != (name == "C5")
+        domcore.recognize, "contains_induced", lambda g, name: real(g, name) != (name == "C5")
     )
     assert "pattern-search-oracle" in _flagged()
+
+
+def test_pattern_oracle_flags_a_wrong_sub_pattern_entry(monkeypatch):
+    # C4 has no induced P5, so a table that says it needs one makes the
+    # catalog pass skip C4 and answer False on every graph that holds it
+    monkeypatch.setitem(domcore.recognize._SUB_PATTERNS, "C4", ("P5",))
+    result = {c.name: c for c in verify_corpus(6).checks}["pattern-search-oracle"]
+    assert result.violation_count > 0
+    assert {message for _, message in result.violations} == {"pattern search disagrees with oracle on C4"}
 
 
 def test_gamma_i_checks_flag_a_forged_independent_domination_number(monkeypatch):
@@ -329,8 +340,7 @@ def test_recognizer_consistency_flags_a_hole_free_seven_vertex_cycle():
     # wrong at n = 7, the largest order the hole test covers
     g = cycle(7)
     ctx = _Ctx(g)
-    for pattern in ("C4", "C5", "C6", "C7", "P4"):
-        ctx._once[(domcore.verify.contains_induced, (g, pattern))] = False
+    ctx.catalog = dict.fromkeys(PATTERNS, False)
     assert list(_check_recognizer_consistency(ctx)) == [
         "cograph flag disagrees with induced P4 search",
         "non-chordal small graph without any induced hole",
