@@ -39,6 +39,13 @@ family.  The caller's function may stop the walk by returning a value.
   probed (the improving-incumbent bound of branch and bound).  The
   independent domination number is the first budget, from gamma up, at
   which a probe in the independent mode finds a set.
+- The independence number is the size of the largest set the walk
+  meets in the independent mode with budget n.  A largest independent
+  set is maximal, so it dominates, and it has at most n vertices, so
+  the walk meets it.  The sets met are the maximal independent sets,
+  each once; a graph has at most 3^(n/3) of them (Moon and Moser,
+  1965), and they arrive in families, so the walk calls back at most
+  that often.
 - A witness is fixed one vertex at a time by prefix probes
   (_least_set): each pick is the least vertex above the last one after
   which the walk still finds the remaining picks among the vertices
@@ -335,32 +342,21 @@ def core_and_corona(g: Graph, gamma: int | None = None) -> tuple[int, int]:
 
 
 def independence_number(g: Graph) -> int:
-    """Size of a largest independent set."""
-    adj = g.adj
+    """Size of a largest independent set.
 
-    def rec(candidates: int) -> int:
-        best = 0
-        for v in bits(candidates):
-            # degree-0 candidates always join the set
-            if adj[v] & candidates:
-                break
-            best += 1
-            candidates ^= 1 << v
-        if not candidates:
-            return best
-        pivot = -1
-        pivot_deg = -1
-        for v in bits(candidates):
-            d = (adj[v] & candidates).bit_count()
-            if d > pivot_deg:
-                pivot_deg = d
-                pivot = v
-        bit = 1 << pivot
-        with_pivot = 1 + rec(candidates & ~(adj[pivot] | bit))
-        without_pivot = rec(candidates ^ bit)
-        return best + max(with_pivot, without_pivot)
+    A largest independent set is maximal, so it dominates: it is one of
+    the independent dominating sets the walk's independent mode meets
+    with budget n, each once.  The answer is the largest set met.
+    """
+    full = g.full_mask
+    largest = [0]
 
-    return rec(g.full_mask)
+    def widen(chosen: int, last: int) -> None:
+        # every set of a family has the same size
+        largest[0] = max(largest[0], chosen.bit_count() + (last != 0))
+
+    _pivot_walk(closed_masks(g), full, full, 0, g.n, widen, True)
+    return largest[0]
 
 
 def independent_domination_number(g: Graph) -> DominationReport:

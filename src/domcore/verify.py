@@ -11,9 +11,11 @@ round-trips, graph6, canonical relabeling).  Corpus-level checks
 compare the stream's counts with two independent oracles.
 
 Every per-graph check runs on every graph up to n_max.  Each check
-reports how many graphs it examined and how many violations it found,
-and keeps the first few as graph6 strings with messages.  A report
-passes only if every check has zero violations.
+reports the graphs it ran on and how many violations it found, and
+keeps the first few as graph6 strings with messages.  For a per-graph
+check that is the corpus total, whether or not the check's premise
+held on a graph; the labeled oracle reports the labeled graphs it
+covered.  A report passes only if every check has zero violations.
 
 No oracle calls the code it checks.  The pattern oracle looks each
 k-subset's induced edge mask up in a table of every labeled copy of

@@ -106,3 +106,30 @@ def test_lowest_bit_scan_flags_a_copy_unless_marked_with_a_reason():
 def test_mask_bits_are_visited_through_graph_bits():
     paths = sorted((ROOT / "src" / "domcore").glob("*.py"))
     assert [f"{p.relative_to(ROOT)}:{line}" for p in paths for line in _lowest_bit_loops(p.read_text())] == []
+
+
+# the one search in solve.py; every other function there is loop-only
+ONE_SEARCH = "_pivot_walk"
+
+
+def _recursive_functions(source: str) -> list[str]:
+    """Functions, nested ones included, that call themselves by name, other than ONE_SEARCH."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.FunctionDef) or node.name == ONE_SEARCH:
+            continue
+        body = [n for stmt in node.body for n in ast.walk(stmt)]
+        if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == node.name for n in body):
+            found.append(f"{node.lineno} {node.name}")
+    return found
+
+
+def test_recursion_scan_flags_a_nested_helper_but_not_the_walk():
+    nested = "def alpha(g):\n    def rec(c):\n        return rec(c - 1) if c else 0\n    return rec(g)\n"
+    assert _recursive_functions(nested) == ["2 rec"]
+    assert _recursive_functions(nested.replace("rec", ONE_SEARCH)) == []
+    assert _recursive_functions("def f(x):\n    return g(x)\n") == []
+
+
+def test_solve_has_one_search():
+    assert _recursive_functions((ROOT / "src" / "domcore" / "solve.py").read_text()) == []

@@ -216,6 +216,31 @@ def test_independence_number():
     assert independence_number(build_graph(6, [])) == 6
 
 
+@given(graphs(0, 12))
+def test_independence_number_matches_bruteforce(g):
+    # the largest size, scanned from the top down, with an independent subset
+    want = next(
+        size
+        for size in range(g.n, -1, -1)
+        for s in map(mask_of, combinations(range(g.n), size))
+        if all(not g.adj[v] & s for v in bits(s))
+    )
+    assert independence_number(g) == want
+
+
+@given(graphs(0, 10), graphs(0, 10))
+def test_independence_number_adds_over_a_disjoint_union(a, b):
+    shifted = [(u + a.n, v + a.n) for u, v in b.edges()]
+    union = build_graph(a.n + b.n, list(a.edges()) + shifted)
+    assert independence_number(union) == independence_number(a) + independence_number(b)
+
+
+@given(relabeled_graphs(0, 20))
+def test_independence_number_commutes_with_relabeling(case):
+    g, perm = case
+    assert independence_number(relabel(g, perm)) == independence_number(g)
+
+
 def test_independent_domination():
     # K(3,3) is the classic separation: gamma = 2 but i = 3
     rep = independent_domination_number(complete_bipartite(3, 3))

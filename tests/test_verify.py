@@ -138,6 +138,13 @@ def test_gamma_i_checks_flag_a_forged_independent_domination_number(monkeypatch)
     assert {"gamma-i-alpha-chain", "claw-free-gamma-equals-i"} <= _flagged(5)
 
 
+def test_gamma_i_alpha_chain_flags_a_forged_independence_number(monkeypatch):
+    # alpha and i come from the same walk, so the chain must still catch a wrong alpha
+    real = domcore.verify.independence_number
+    monkeypatch.setattr(domcore.verify, "independence_number", lambda g: real(g) - 1)
+    assert _flagged(5) == {"gamma-i-alpha-chain"}
+
+
 def test_graph_surgery_flags_a_dropped_edge(monkeypatch):
     real = domcore.verify.add_vertex
     # the new vertex loses its edge to the lowest neighbor
