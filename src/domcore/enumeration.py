@@ -47,8 +47,10 @@ Children of different parents are never isomorphic, since deleting the
 canonical vertex gives back the parent, so each isomorphism class
 appears exactly once globally.  The augmentation is rooted at the null
 graph, whose one child is K1.  Since a parent's children depend on
-nothing else, map_children evaluates a function on the stream of one
-order with each parent as the work unit of a process pool.
+nothing else, map_children evaluates a function on the children of one
+order's stream with each parent as the work unit of a process pool, and
+a caller that keeps the graphs of order n hands them back as the
+parents of order n + 1, one order's output being the next one's input.
 
 Trees share the augmentation, with the one-vertex subsets in place of
 the prefiltered ones: a tree plus a leaf is a tree, and the non-cut
@@ -304,24 +306,30 @@ def _map_children(fn, parent: Graph) -> list:
     return [fn(child) for child in _children(parent, _connected_subsets(parent))]
 
 
-def map_children(ordered_map, fn, n: int):
-    """Yield fn(g) for every g of enumerate_connected(n), in stream order.
+def map_children(ordered_map, fn, parents):
+    """Yield fn(g) for every accepted connected child g of parents, in order.
 
-    They are the accepted children of the stream of order n - 1 (the
-    null graph for n = 1), and a parent's children depend only on the
-    parent.  So parents, not graphs, are the work unit: each worker of
-    ordered_map (from _ordered_map) builds the children of the parents
-    it is sent and applies fn to them there, and only parents and fn's
-    results cross between processes.  Results come in parent order,
-    each parent's in child order, whatever the map.
+    parents is the stream of order n - 1 in stream order ([NULL_GRAPH]
+    for n = 1), so the children are enumerate_connected(n) in stream
+    order: a parent's children depend only on the parent.  So parents,
+    not graphs, are the work unit: each worker of ordered_map (from
+    _ordered_map) builds the children of the parents it is sent and
+    applies fn to them there, and only parents and fn's results cross
+    between processes.  Results come in parent order, each parent's in
+    child order, whatever the map.
+
+    The caller holds the parents.  search_signature and verify_corpus
+    keep the graphs that fn sends back for order n as the parents of
+    order n + 1, so the main process never enumerates, and holds one
+    order's graphs at a time (at most the 261080 of order 9, about
+    72 MB, while a search runs order 10).  parents may also be a lazy
+    stream, such as enumerate_connected(n - 1), which the main process
+    then builds.
 
     A consumer that stops early may leave evaluated and unread one
     parent's children with the builtin map, or with the pool at most
     2 * workers chunks; chunks not yet started are cancelled.
     """
-    if not 1 <= n <= ENUMERATION_MAX:
-        raise GraphError(f"enumeration covers 1..{ENUMERATION_MAX} vertices")
-    parents = _augment(n - 1, _connected_subsets)
     return chain.from_iterable(ordered_map(partial(_map_children, fn), parents))
 
 

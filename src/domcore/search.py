@@ -34,13 +34,18 @@ n = 8).  Budgets (graph-count caps) are reported in the result, and a
 scan that reaches its ceiling without a witness is an explicit
 "exhausted" outcome rather than a silent pass.
 
-With jobs > 1 one process pool serves the whole call.  The parent
-enumerates only the graphs one vertex smaller and sends them to the
-workers in chunks, at most two per worker unread, cancelling those not
-started when the scan stops.  The workers evaluate those graphs' children
-(enumeration.map_children), whose results are read in stream order, so
-the result does not depend on jobs.  The signature is pickled with each
-chunk, so its graph_class must then be a module-level function.
+The search grows the stream order by order, and the caller holds the
+parents: the graphs of order n, read back with their verdicts, are the
+parents of order n + 1 (enumeration.map_children), so each graph is
+expanded once per call and the main process never enumerates.  It holds
+one order's graphs at a time: the graphs of the last order come back
+only when they are witnesses.  With jobs > 1 one process pool serves
+the whole call.  The parent sends the parents to the workers in chunks,
+at most two per worker unread, cancelling those not started when the
+scan stops; the workers build and judge the children, whose results are
+read in stream order, so the result does not depend on jobs.  The
+signature is pickled with each chunk, so its graph_class must then be a
+module-level function.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ from itertools import islice
 from .classify import CLASSES, classification_masks, membership_masks
 from .enumeration import (
     ENUMERATION_MAX,
+    NULL_GRAPH,
     _ordered_map,
     enumerate_connected,  # noqa: F401 -- not called here; bench/tracing.py binds this name
     map_children,
@@ -226,10 +232,6 @@ SIGNATURES: dict[str, PartitionSignature] = {
     )
 }
 
-# marks the end of a result stream, since None is a result (no witness)
-_END = object()
-
-
 @dataclass(frozen=True)
 class OrderScan:
     """Outcome of scanning every connected graph on one vertex count."""
@@ -300,9 +302,11 @@ def evaluate_signatures(g: Graph, sigs: tuple[PartitionSignature, ...]) -> tuple
     return tuple(verdicts)
 
 
-def _witness(sig: PartitionSignature, g: Graph) -> Graph | None:
-    """g if it satisfies sig, else None."""
-    return g if evaluate_signatures(g, (sig,))[0] else None
+def _judged(sig: PartitionSignature, keep: bool, g: Graph) -> tuple[Graph | None, bool]:
+    """(g, whether g satisfies sig), with None for a g that fails sig
+    unless keep: a worker sends back only the graphs its caller keeps."""
+    hit = evaluate_signatures(g, (sig,))[0]
+    return (g if keep or hit else None), hit
 
 
 def search_signature(
@@ -319,10 +323,12 @@ def search_signature(
     are always complete).  max_graphs caps the total number of graphs
     examined; hitting the cap marks the result budget_exceeded.  jobs > 1
     opens one pool of that many workers, at most the CPU count, for the
-    call; the workers get the graphs one vertex smaller as parents and
-    evaluate their children, and results do not change.  The signature
-    goes to the workers pickled, so with jobs > 1 its graph_class must be
-    a module-level function; a lambda raises.
+    call, and results do not change.  The graphs of each order below
+    n_max come back from the map and are the parents of the next order,
+    so no process enumerates them twice and the caller holds one order
+    at a time (at n_max = 10 the 261080 graphs of order 9, about 72 MB).
+    The signature goes to the workers pickled, so with jobs > 1 its
+    graph_class must be a module-level function; a lambda raises.
 
     The count of examined graphs is exact, but the work is not: past the
     cap, one parent's children (jobs = 1) or 2 * workers chunks of parents
@@ -330,29 +336,34 @@ def search_signature(
     """
     if not 1 <= n_max <= ENUMERATION_MAX:
         raise GraphError(f"search covers n_max 1..{ENUMERATION_MAX}")
-    witness = partial(_witness, sig)
     scans: list[OrderScan] = []
     witnesses: list[tuple[int, Graph]] = []
     examined = 0
     budget_exceeded = False
+    parents = [NULL_GRAPH]
     with _ordered_map(jobs) as ordered_map:
         for n in range(1, n_max + 1):
-            hits = map_children(ordered_map, witness, n)
+            keep = n < n_max
+            judged = map_children(ordered_map, partial(_judged, sig, keep), parents)
             budget = None if max_graphs is None else max(max_graphs - examined, 0)
             scanned = 0
+            kept: list[Graph] = []
             found: list[Graph] = []
-            for hit in islice(hits, budget):
+            for g, hit in islice(judged, budget):
                 scanned += 1
-                if hit is not None:
-                    found.append(hit)
+                if keep:
+                    kept.append(g)
+                if hit:
+                    found.append(g)
             examined += scanned
             # an order that used up the budget is cut short only if a graph is left
-            complete = scanned != budget or next(hits, _END) is _END
+            complete = scanned != budget or next(judged, None) is None
             budget_exceeded = not complete
             scans.append(OrderScan(n, scanned, len(found), complete))
             witnesses.extend((n, g) for g in found)
             if budget_exceeded or (found and stop_at_first_order):
                 break
+            parents = kept
     return SearchResult(sig.name, n_max, tuple(scans), tuple(witnesses), budget_exceeded)
 
 

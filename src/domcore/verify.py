@@ -54,6 +54,7 @@ from .canonical import canonical_form
 from .classify import classify_all, classify_by_enumeration
 from .enumeration import (
     LABELED_MAX,
+    NULL_GRAPH,
     _ordered_map,
     count_connected_graphs,
     enumerate_connected,  # noqa: F401 -- not called here; bench/tracing.py binds this name
@@ -653,38 +654,45 @@ class VerifyReport:
         }
 
 
-def _run_checks_on_graph(g: Graph) -> tuple[Graph, list]:
-    """Run every check of PER_GRAPH_CHECKS on g; returns (g, violations
-    as (check, graph6, message))."""
+def _run_checks_on_graph(keep: bool, g: Graph) -> tuple[Graph | None, list]:
+    """Run every check of PER_GRAPH_CHECKS on g; returns (g if keep else
+    None, violations as (check, graph6, message))."""
     ctx = _Ctx(g)
-    return g, [(name, ctx.g6, message) for name, fn in PER_GRAPH_CHECKS for message in fn(ctx)]
+    violations = [(name, ctx.g6, message) for name, fn in PER_GRAPH_CHECKS for message in fn(ctx)]
+    return g if keep else None, violations
 
 
 def verify_corpus(n_max: int, jobs: int = 1, progress=None) -> VerifyReport:
     """Run every invariant over all connected graphs with n <= n_max.
 
+    The graphs of order n come back from the checks and are the parents
+    of order n + 1 (enumeration.map_children), so each graph is expanded
+    once and the main process never enumerates; it holds one order's
+    graphs at a time, and those of the orders the labeled oracles cover.
     jobs > 1 runs the per-graph checks on one pool of that many workers,
     at most the CPU count, for the whole call, without changing the
-    report: the workers get the graphs one vertex smaller as parents,
-    build their children and check them (enumeration.map_children).
-    progress(n, count) is called after each order.
+    report: the workers get the parents, build their children and check
+    them.  progress(n, count) is called after each order.
     """
     if not 1 <= n_max <= VERIFY_MAX:
         raise GraphError(f"verification covers n_max 1..{VERIFY_MAX}")
     counts: dict[int, int] = {}
     bad: dict[str, list[tuple[str, str]]] = {name: [] for name, _ in PER_GRAPH_CHECKS}
-    # the labeled oracles need the graphs themselves; they come back with
-    # their check results and are held only for the orders the oracles cover
+    # the labeled oracles need the graphs of the orders they cover
     labeled: dict[int, list[Graph]] = {}
+    parents = [NULL_GRAPH]
     with _ordered_map(jobs) as ordered_map:
         for n in range(1, n_max + 1):
-            counts[n] = 0
-            for g, viols in map_children(ordered_map, _run_checks_on_graph, n):
-                counts[n] += 1
-                if n <= LABELED_MAX:
-                    labeled.setdefault(n, []).append(g)
+            keep = n < n_max or n <= LABELED_MAX
+            graphs = []
+            for g, viols in map_children(ordered_map, partial(_run_checks_on_graph, keep), parents):
+                graphs.append(g)
                 for name, g6, message in viols:
                     bad[name].append((g6, message))
+            counts[n] = len(graphs)
+            if n <= LABELED_MAX:
+                labeled[n] = graphs
+            parents = graphs
             if progress is not None:
                 progress(n, counts[n])
 

@@ -74,13 +74,13 @@ class NineSweep:
 def nine_sweep():
     """Single pass over all connected graphs with nine vertices.
 
-    The workers, one per CPU, build the children of the eight-vertex
-    graphs and run nine_sweep_step on them; the results come back in
-    stream order.
+    The main process enumerates the eight-vertex graphs; the workers,
+    one per CPU, build their children and run nine_sweep_step on them,
+    and the results come back in stream order.
     """
     sweep = NineSweep()
     with _ordered_map(os.cpu_count() or 1) as ordered_map:
-        steps = map_children(ordered_map, nine_sweep_step, 9)
+        steps = map_children(ordered_map, nine_sweep_step, enumerate_connected(8))
         for text, roundtrip_ok, sizes, cut_witness in steps:
             sweep.count += 1
             sweep.stream_sha256.update((text + "\n").encode())

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from functools import partial
 from hashlib import sha256
 from itertools import combinations, permutations
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import domcore.enumeration
 from domcore import (
     GraphError,
     build_graph,
@@ -17,6 +19,8 @@ from domcore import (
     count_graphs,
     enumerate_connected,
     enumerate_trees,
+    parse_graph6,
+    verify_corpus,
     write_graph6,
 )
 from domcore.canonical import automorphism_generators, canonical_form, rooted_canonical_bits
@@ -38,6 +42,7 @@ from domcore.enumeration import (
 )
 from domcore.graph import add_vertex, bits, connected_components, mask_of
 from domcore.recognize import is_tree
+from domcore.search import SIGNATURES, search_signature
 from helpers import (
     CONNECTED_COUNTS,
     STREAM_DIGESTS,
@@ -288,24 +293,50 @@ def test_ordered_map_never_exceeds_cpu_count(monkeypatch):
 
 
 def test_map_children_follows_the_stream():
-    # the digests pin the streams of n = 7 and 8, so those are not rebuilt
+    # the digests pin the streams of n = 7 and 8, so those are not rebuilt;
+    # each order's parents are the graphs the map gave back for the order before
     streams = {n: [write_graph6(g) for g in enumerate_connected(n)] for n in range(1, 7)}
     for jobs in (1, 2):
+        parents = [NULL_GRAPH]
         with _ordered_map(jobs) as ordered_map:
             for n in range(1, 9):
-                got = list(map_children(ordered_map, write_graph6, n))
+                got = list(map_children(ordered_map, write_graph6, parents))
                 if n in STREAM_DIGESTS:
                     text = "".join(line + "\n" for line in got)
                     assert sha256(text.encode()).hexdigest() == STREAM_DIGESTS[n], (jobs, n)
                 else:
                     assert got == streams[n], (jobs, n)
+                parents = [parse_graph6(line) for line in got]
 
 
-def test_map_children_bounds():
-    # the order is checked when the call is made, before any parent is drawn
-    for n in (0, ENUMERATION_MAX + 1):
-        with pytest.raises(GraphError):
-            map_children(map, write_graph6, n)
+@pytest.mark.parametrize("jobs", (1, 2))
+def test_each_graph_is_expanded_once_per_call(jobs, monkeypatch, tmp_path):
+    # search and verify keep each order's graphs as the next order's parents,
+    # so the null graph and every graph of order 1 to 5 is expanded once; with
+    # a pool only the workers expand, and the main process none
+    if jobs > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("the counting patch reaches the workers only by fork")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    log = tmp_path / "expansions"
+
+    def counting(parent):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return _connected_subsets(parent)
+
+    monkeypatch.setattr(domcore.enumeration, "_connected_subsets", counting)
+    want = 1 + sum(count_connected_graphs(k) for k in range(1, 6))
+    sig = SIGNATURES["cover-core-zero-anticore"]
+    for call in (
+        partial(search_signature, 6, sig, stop_at_first_order=False, jobs=jobs),
+        partial(verify_corpus, 6, jobs=jobs),
+    ):
+        log.write_text("")
+        call()
+        pids = log.read_text().split()
+        assert len(pids) == want, call
+        if jobs > 1:
+            assert str(os.getpid()) not in pids, call
 
 
 def test_enumeration_bounds():
