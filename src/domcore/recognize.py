@@ -9,13 +9,14 @@ so dead branches die on a couple of AND operations.
 
 The search also breaks the pattern's symmetry (Grochow and Kellis,
 "Network motif discovery using subgraph enumeration and
-symmetry-breaking", RECOMB 2007).  Aut(h) is found by brute force over
-the pattern's permutations, and a stabilizer chain along the embedding
-order gives conditions image(a) < image(b): of the |Aut(h)| embeddings
-onto one induced copy, exactly one meets them all, so each induced copy
-is found once instead of |Aut(h)| times.  Each condition is one mask
-cut on the candidates.  The conditions are computed on a pattern's
-first use, not at import.
+symmetry-breaking", RECOMB 2007).  Each pattern has one search plan,
+built in one pass on the pattern's first use, not at import: the
+embedding order, Aut(h) by brute force over the pattern's permutations,
+and a stabilizer chain along the order, which gives conditions
+image(a) < image(b).  Of the |Aut(h)| embeddings onto one induced copy,
+exactly one meets them all, so each induced copy is found once instead
+of |Aut(h)| times.  The plan is one row per level of the order, and
+each condition is one mask cut on that level's candidates.
 
 catalog_contains answers every catalog pattern in one pass.  Induced
 containment is monotone: an induced copy of P6 holds an induced P5, so
@@ -89,65 +90,46 @@ PATTERNS: dict[str, Graph] = {
 }
 
 
-def _embedding_order(h: Graph) -> list[int]:
-    """Pattern vertices ordered so each new one touches the mapped part."""
-    order = [max(range(h.n), key=lambda v: h.adj[v].bit_count())]
-    placed = 1 << order[0]
-    while len(order) < h.n:
-        candidates = [v for v in range(h.n) if not (placed >> v) & 1]
-        # prefer vertices constrained by many already-placed neighbors
-        v = max(candidates, key=lambda v: ((h.adj[v] & placed).bit_count(), h.adj[v].bit_count()))
-        order.append(v)
-        placed |= 1 << v
-    return order
-
-
-_ORDERS: dict[str, list[int]] = {name: _embedding_order(h) for name, h in PATTERNS.items()}
-
-
 @cache
-def _symmetry_conditions(pattern: str) -> tuple[tuple[int, int], ...]:
-    """Pairs (a, b) of pattern vertices: an embedding f is searched only
-    if f(a) < f(b) for every pair.
+def _search_plan(pattern: str) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]:
+    """Per level i of the embedding order: the pattern degree of its
+    vertex, the earlier levels it is adjacent to, those it is not
+    adjacent to, and those whose images its image must exceed.
 
-    Stabilizer chain along _ORDERS[pattern]: for each vertex a in turn,
-    every other b in a's orbit under the automorphisms that fix all
-    earlier vertices gives (a, b), and the group shrinks to a's
-    stabilizer.  Such a b is never an earlier vertex, since those are
-    fixed, so the search meets every condition at b's level.
+    The order starts at a vertex of largest degree; each next vertex has
+    the most placed neighbors, ties by degree.  Along it runs the
+    stabilizer chain: the image of the vertex a at level i must lie below
+    the image of every other vertex in a's orbit under the automorphisms
+    that fix all earlier levels, and the group shrinks to a's stabilizer.
+    The placed vertices are fixed, so each such vertex gets a later level.
     """
     h = PATTERNS[pattern]
+    adj = h.adj
     # Aut(h) by brute force: every permutation p with p(N(v)) = N(p(v))
     group = [
         p
         for p in permutations(range(h.n))
-        if all(h.adj[p[v]] == mask_of(p[u] for u in bits(h.adj[v])) for v in range(h.n))
+        if all(adj[p[v]] == mask_of(p[u] for u in bits(adj[v])) for v in range(h.n))
     ]
-    conditions = []
-    for a in _ORDERS[pattern]:
-        conditions.extend((a, b) for b in sorted({p[a] for p in group} - {a}))
+    order: list[int] = []
+    placed = 0
+    above = [0] * h.n  # bit i of above[v]: v is in the orbit of level i's vertex
+    for i in range(h.n):
+        a = max(
+            (v for v in range(h.n) if not (placed >> v) & 1),
+            key=lambda v: ((adj[v] & placed).bit_count(), adj[v].bit_count()),
+        )
+        for p in group:
+            above[p[a]] |= 1 << i
         group = [p for p in group if p[a] == a]
-    return tuple(conditions)
-
-
-@cache
-def _search_plan(pattern: str) -> tuple[tuple, ...]:
-    """Per level i of the embedding order: the pattern degree of its
-    vertex, the earlier levels it is adjacent to, those it is not
-    adjacent to, and those whose images its image must exceed (the
-    symmetry conditions that end at it)."""
-    h = PATTERNS[pattern]
-    order = _ORDERS[pattern]
-    level = {v: i for i, v in enumerate(order)}
-    above: list[list[int]] = [[] for _ in order]
-    for a, b in _symmetry_conditions(pattern):
-        above[level[b]].append(level[a])
+        order.append(a)
+        placed |= 1 << a
     return tuple(
         (
-            h.adj[v].bit_count(),
-            tuple(j for j in range(i) if (h.adj[v] >> order[j]) & 1),
-            tuple(j for j in range(i) if not (h.adj[v] >> order[j]) & 1),
-            tuple(above[i]),
+            adj[v].bit_count(),
+            tuple(j for j in range(i) if (adj[v] >> order[j]) & 1),
+            tuple(j for j in range(i) if not (adj[v] >> order[j]) & 1),
+            bits(above[v] & ((1 << i) - 1)),
         )
         for i, v in enumerate(order)
     )
@@ -155,7 +137,7 @@ def _search_plan(pattern: str) -> tuple[tuple, ...]:
 
 def contains_induced(g: Graph, pattern: str) -> bool:
     """True if g has an induced subgraph isomorphic to the named pattern."""
-    if pattern not in PATTERNS:
+    if type(pattern) is not str or pattern not in PATTERNS:
         raise GraphError(f"unknown pattern {pattern!r}")
     k = PATTERNS[pattern].n
     if k > g.n:

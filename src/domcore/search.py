@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import islice
 
@@ -234,7 +234,8 @@ SIGNATURES: dict[str, PartitionSignature] = {
 
 @dataclass(frozen=True)
 class OrderScan:
-    """Outcome of scanning every connected graph on one vertex count."""
+    """Outcome of scanning every connected graph on one vertex count; the
+    fields, in order, are a scan's keys in SearchResult.to_dict."""
 
     n: int
     graphs_scanned: int
@@ -264,15 +265,7 @@ class SearchResult:
         return {
             "signature": self.signature,
             "n_max": self.n_max,
-            "scans": [
-                {
-                    "n": s.n,
-                    "graphs_scanned": s.graphs_scanned,
-                    "witness_count": s.witness_count,
-                    "complete": s.complete,
-                }
-                for s in self.scans
-            ],
+            "scans": [asdict(s) for s in self.scans],
             "witnesses": [
                 {"n": n, "graph6": write_graph6(g)} for n, g in self.witnesses
             ],

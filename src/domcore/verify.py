@@ -160,10 +160,6 @@ class _Ctx:
         """catalog_contains(g): every pattern's answer, from one pass."""
         return catalog_contains(self.g)
 
-    def contains(self, pattern: str) -> bool:
-        """contains_induced(g, pattern), read from the catalog pass."""
-        return self.catalog[pattern]
-
 
 def _check_graph_surgery(ctx: _Ctx):
     g = ctx.g
@@ -409,13 +405,13 @@ def _check_cograph_core(ctx: _Ctx):
 
 _check_claw_p6_free_core = partial(
     _check_core_is_plus,
-    lambda ctx: ctx.once(is_claw_free, ctx.g) and not ctx.contains("P6"),
+    lambda ctx: ctx.once(is_claw_free, ctx.g) and not ctx.catalog["P6"],
     "(claw,P6)-free graph whose core is not the gamma-raising set",
 )
 
 _check_claw_bull_free_core = partial(
     _check_core_is_plus,
-    lambda ctx: ctx.once(is_claw_free, ctx.g) and not ctx.contains("bull"),
+    lambda ctx: ctx.once(is_claw_free, ctx.g) and not ctx.catalog["bull"],
     "(claw,bull)-free graph whose core is not the gamma-raising set",
 )
 
@@ -548,7 +544,7 @@ def _check_pattern_oracle(ctx: _Ctx):
                     mask |= 1 << b
             found.update(table.get(mask, ()))
     for name in PATTERNS:
-        if ctx.contains(name) != (name in found):
+        if ctx.catalog[name] != (name in found):
             yield f"pattern search disagrees with oracle on {name}"
 
 
@@ -556,10 +552,10 @@ def _check_recognizer_consistency(ctx: _Ctx):
     g = ctx.g
     if ctx.once(is_tree, g) and not (ctx.once(is_bipartite, g) and ctx.once(is_chordal, g)):
         yield "tree flagged non-bipartite or non-chordal"
-    if ctx.once(is_cograph, g) == ctx.contains("P4"):
+    if ctx.once(is_cograph, g) == ctx.catalog["P4"]:
         yield "cograph flag disagrees with induced P4 search"
     chordal = ctx.once(is_chordal, g)
-    holes = [c for c in ("C4", "C5", "C6", "C7") if ctx.contains(c)]
+    holes = [c for c in ("C4", "C5", "C6", "C7") if ctx.catalog[c]]
     if chordal and holes:
         yield f"chordal graph contains induced {holes[0]}"
     if g.n <= 7 and not chordal and not holes:

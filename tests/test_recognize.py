@@ -22,7 +22,7 @@ from domcore import (
     twin_clique_partition,
 )
 from domcore.graph import bits, mask_of
-from domcore.recognize import _ORDERS, _SUB_PATTERNS, PATTERNS, _symmetry_conditions, catalog_contains
+from domcore.recognize import _SUB_PATTERNS, PATTERNS, _search_plan, catalog_contains
 from domcore.solve import gamma_value
 from helpers import (
     complete,
@@ -89,8 +89,10 @@ def test_catalog_is_pinned():
 
 
 def test_unknown_pattern_rejected():
-    with pytest.raises(GraphError):
-        contains_induced(path(3), "K4")
+    # an unhashable name is an unknown pattern, not a TypeError
+    for pattern in ("K4", ["claw"], {"claw"}):
+        with pytest.raises(GraphError):
+            contains_induced(path(3), pattern)
 
 
 def test_claw_detection():
@@ -163,28 +165,43 @@ def test_sub_pattern_table_implies_every_catalog_containment():
 
 @pytest.mark.parametrize("name", list(PATTERNS))
 def test_symmetry_conditions_keep_one_automorphism(name):
-    # of the embeddings onto one induced copy, which differ by an
-    # automorphism, exactly one may survive the conditions: the identity
+    # the plan's rows are all the search reads.  Take each permutation of
+    # h's vertices as the images of the levels: the degree bounds and the
+    # adjacent and apart levels keep h's embeddings onto itself, one per
+    # automorphism, and the above levels keep exactly one of them, however
+    # a host graph labels the copy's vertices
+    plan = _search_plan(name)
     h = PATTERNS[name]
     edges = {frozenset(e) for e in h.edges()}
     automorphisms = [
         p for p in permutations(range(h.n)) if {frozenset((p[u], p[v])) for u, v in edges} == edges
     ]
-    conditions = _symmetry_conditions(name)
-    kept = [p for p in automorphisms if all(p[a] < p[b] for a, b in conditions)]
-    assert kept == [tuple(range(h.n))]
-    # each condition's second vertex comes later in the embedding order,
-    # so the search applies it as a lower bound at that vertex's level
-    order = _ORDERS[name]
-    assert all(order.index(a) < order.index(b) for a, b in conditions)
+    embeddings = [
+        images
+        for images in permutations(range(h.n))
+        if all(
+            h.adj[images[i]].bit_count() >= need
+            and all(h.has_edge(images[i], images[j]) for j in adjacent)
+            and not any(h.has_edge(images[i], images[j]) for j in apart)
+            for i, (need, adjacent, apart, _) in enumerate(plan)
+        )
+    ]
+    assert len(embeddings) == len(automorphisms)
+    for labels in permutations(range(h.n)):
+        kept = [
+            images
+            for images in embeddings
+            if all(labels[images[i]] > labels[images[j]] for i, (*_, above) in enumerate(plan) for j in above)
+        ]
+        assert len(kept) == 1, labels
+    # a row's above levels are earlier ones, whose images are already
+    # placed when the search reaches the row
+    assert all(j < i for i, (*_, above) in enumerate(plan) for j in above)
 
 
 def test_symmetry_plan_is_not_built_on_import():
     # the benchmark times fresh imports as set-up, so import builds nothing
-    code = (
-        "import domcore.recognize as r; "
-        "print(r._symmetry_conditions.cache_info().currsize, r._search_plan.cache_info().currsize)"
-    )
+    code = "import domcore.recognize as r; print(r._search_plan.cache_info().currsize)"
     out = subprocess.run(
         [sys.executable, "-c", code],
         env=src_env(),
@@ -192,7 +209,7 @@ def test_symmetry_plan_is_not_built_on_import():
         text=True,
         check=True,
     )
-    assert out.stdout.split() == ["0", "0"]
+    assert out.stdout.split() == ["0"]
 
 
 def test_is_chordal():
