@@ -247,14 +247,14 @@ def enumerate_connected(n: int):
     proportional to the recursion depth times the size of one parent's
     orbit table, so the stream can be consumed lazily.
     """
-    if not 1 <= n <= ENUMERATION_MAX:
+    if type(n) is not int or not 1 <= n <= ENUMERATION_MAX:
         raise GraphError(f"enumeration covers 1..{ENUMERATION_MAX} vertices")
     return _augment(n, _connected_subsets)
 
 
 def enumerate_trees(n: int):
     """Yield one representative per isomorphism class of trees, lazily, in a fixed order."""
-    if not 1 <= n <= TREE_ENUMERATION_MAX:
+    if type(n) is not int or not 1 <= n <= TREE_ENUMERATION_MAX:
         raise GraphError(f"tree enumeration covers 1..{TREE_ENUMERATION_MAX} vertices")
     return _augment(n, _leaf_subsets)
 
@@ -449,7 +449,7 @@ def labeled_connected_bitmap(n: int) -> tuple[bytearray, int]:
     changes, and the connected masks are those where every vertex is
     reached.
     """
-    if not 1 <= n <= LABELED_MAX:
+    if type(n) is not int or not 1 <= n <= LABELED_MAX:
         raise GraphError(f"labeled closure oracle covers 1..{LABELED_MAX} vertices")
     pairs = list(combinations(range(n), 2))
     low, ones, present = _index_bit_masks(len(pairs))
@@ -520,7 +520,7 @@ def relabeling_closure_bitmap(graphs, n: int) -> tuple[bytearray, int]:
     indices, so on the bitmap it is a product of exchanges of two index
     bits, done on the same 2**15-bit chunks.  Returns (bitmap, count).
     """
-    if not 1 <= n <= LABELED_MAX:
+    if type(n) is not int or not 1 <= n <= LABELED_MAX:
         raise GraphError(f"labeled closure oracle covers 1..{LABELED_MAX} vertices")
     pairs = list(combinations(range(n), 2))
     index = {pair: i for i, pair in enumerate(pairs)}

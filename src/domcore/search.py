@@ -327,7 +327,7 @@ def search_signature(
     cap, one parent's children (jobs = 1) or 2 * workers chunks of parents
     (jobs > 1; unstarted ones are cancelled) may be evaluated and discarded.
     """
-    if not 1 <= n_max <= ENUMERATION_MAX:
+    if type(n_max) is not int or not 1 <= n_max <= ENUMERATION_MAX:
         raise GraphError(f"search covers n_max 1..{ENUMERATION_MAX}")
     scans: list[OrderScan] = []
     witnesses: list[tuple[int, Graph]] = []

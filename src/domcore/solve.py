@@ -23,8 +23,9 @@ every independent dominating set of at most k picks, each once, and no
 other set.  The walk does not recurse for its last pick: a vertex w
 dominates u iff w is in N[u], so the vertices that dominate all of an
 undominated set U are the AND of N[u] over U (_common_dominators), and
-the walk hands the sets `chosen | w` over those w to its caller as one
-family.  The caller's function may stop the walk by returning a value.
+the walk yields the sets `chosen | w` over those w as one family; no
+last pick gets a generator of its own.  The walk is a generator, so a
+caller stops it by not reading on.
 
 - A feasibility probe (_exists_dominating) stops at the first family
   and answers with its set of lowest last pick, as a mask, or None; the
@@ -44,8 +45,8 @@ family.  The caller's function may stop the walk by returning a value.
   set is maximal, so it dominates, and it has at most n vertices, so
   the walk meets it.  The sets met are the maximal independent sets,
   each once; a graph has at most 3^(n/3) of them (Moon and Moser,
-  1965), and they arrive in families, so the walk calls back at most
-  that often.
+  1965), and they arrive in families, so the walk yields at most that
+  many.
 - A witness is fixed one vertex at a time by prefix probes
   (_least_set): each pick is the least vertex above the last one after
   which the walk still finds the remaining picks among the vertices
@@ -64,9 +65,9 @@ out, and no state survives a call.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable
 
 from .graph import (
     MAX_VERTICES,
@@ -176,56 +177,61 @@ def _pivot_walk(
     avail: int,
     chosen: int,
     remaining: int,
-    found: Callable[[int, int], int | None],
     independent: bool = False,
-) -> int | None:
-    """Hand `found` the ways to dominate `undominated` with up to `remaining` picks from `avail`.
+) -> Iterator[tuple[int, int]]:
+    """Yield the ways to dominate `undominated` with up to `remaining` picks from `avail`.
 
     The picks are added to `chosen`, and the sets come in families: a
-    call `found(chosen, last)` stands for the sets `chosen | w` over the
+    pair `(chosen, last)` stands for the sets `chosen | w` over the
     vertices w of `last`, or `chosen` alone when `last` is 0 and nothing
     is left undominated.  Each node branches on its pivot's candidates
     in increasing order and takes each out of `avail` for the later
     siblings, so no set is met twice, and every set that dominates has
     a subset that is met.  When `independent` is set, each pick's closed
     neighborhood is also taken out of `avail` for its descendants, so
-    the sets met are independent.  Returns the first value other than
-    None that `found` returns, or None.
+    the sets met are independent.  A caller that stops reading stops
+    the walk.
     """
     if not undominated:
-        return found(chosen, 0)
+        yield chosen, 0
+        return
     if remaining == 1:
-        last = _common_dominators(closed, undominated, avail)
-        return found(chosen, last) if last else None
+        if last := _common_dominators(closed, undominated, avail):
+            yield chosen, last
+        return
     cand = _node_scan(closed, undominated, avail, remaining)
     if cand is None:
-        return None
+        return
     for w in bits(cand):
         nb = closed[w]
         below = avail & ~nb if independent else avail
-        result = _pivot_walk(
-            closed, undominated & ~nb, below, chosen | 1 << w, remaining - 1, found, independent
-        )
-        if result is not None:
-            return result
+        picked, left = chosen | 1 << w, undominated & ~nb
+        # leaves are yielded in place: a generator per leaf made classify-random 5% slower
+        if not left:
+            yield picked, 0
+        elif remaining > 2:
+            yield from _pivot_walk(closed, left, below, picked, remaining - 1, independent)
+        elif last := _common_dominators(closed, left, below):
+            yield picked, last
         # a later sibling's sets hold none of the dominators tried before
         avail ^= 1 << w
-    return None
-
-
-def _first_set(chosen: int, last: int) -> int:
-    """A probe's answer: the first family's set with the lowest last pick."""
-    return chosen | (last & -last)
 
 
 def _exists_dominating(closed: list[int], full: int, budget: int, dominated: int = 0) -> int | None:
     """At most `budget` picks from `full` that dominate what `dominated` leaves of it, or None.
 
-    The picks are the first set the pivot walk meets, as a mask; the
-    empty mask answers when nothing is left undominated, so callers
-    test the result with `is not None`.
+    The picks are the first family's set with the lowest last pick, as
+    a mask; the empty mask answers when nothing is left undominated, so
+    callers test the result with `is not None`.
     """
-    return _pivot_walk(closed, full & ~dominated, full, 0, budget, _first_set)
+    undominated = full & ~dominated
+    if budget == 1 and undominated:
+        # a one-pick probe is a leaf, answered in place as in the walk
+        last = _common_dominators(closed, undominated, full)
+        return last & -last or None
+    for chosen, last in _pivot_walk(closed, undominated, full, 0, budget):
+        return chosen | (last & -last)
+    return None
 
 
 def exists_dominating_within(g: Graph, budget: int) -> bool:
@@ -262,19 +268,21 @@ def _least_set(closed: list[int], full: int, size: int, independent: bool = Fals
     """
     chosen = dominated = 0
     above = full
-    for left in range(size - 1, -1, -1):
+    for left in range(size - 1, 0, -1):
         for v in bits(above):
             nb = closed[v]
             after = above >> (v + 1) << (v + 1)
             if independent:
                 after &= ~nb
             undominated = full & ~(dominated | nb)
-            if _pivot_walk(closed, undominated, after, 0, left, _first_set, independent) is not None:
+            if next(_pivot_walk(closed, undominated, after, 0, left, independent), None) is not None:
                 break
         chosen |= 1 << v
         dominated |= nb
         above = after
-    return chosen
+    # the last pick is the least vertex left that dominates the rest
+    last = _common_dominators(closed, full & ~dominated, above)
+    return chosen | (last & -last)
 
 
 def gamma_exact(g: Graph) -> DominationReport:
@@ -311,12 +319,9 @@ def all_minimum_dominating_sets(g: Graph) -> DominationReport:
     value = gamma_value(g)
     full = g.full_mask
     found: list[int] = []
-
-    def expand(chosen: int, last: int) -> None:
+    for chosen, last in _pivot_walk(closed_masks(g), full, full, 0, value):
         found.extend([chosen | (1 << w) for w in bits(last)] if last else [chosen])
-
     # the walk meets each minimum set once; order them as combinations would
-    _pivot_walk(closed_masks(g), full, full, 0, value, expand)
     found.sort(key=bits)
     return DominationReport(value, found[0], tuple(found))
 
@@ -330,15 +335,12 @@ def core_and_corona(g: Graph, gamma: int | None = None) -> tuple[int, int]:
     if gamma is None:
         gamma = gamma_value(g)
     full = g.full_mask
-    folded = [full, 0]  # core, corona
-
-    def fold(chosen: int, last: int) -> None:
+    core, corona = full, 0
+    for chosen, last in _pivot_walk(closed_masks(g), full, full, 0, gamma):
         # the sets chosen | w share w only when it is the one dominator
-        folded[0] &= chosen | last if last & (last - 1) == 0 else chosen
-        folded[1] |= chosen | last
-
-    _pivot_walk(closed_masks(g), full, full, 0, gamma, fold)
-    return (folded[0], folded[1])
+        core &= chosen | last if last & (last - 1) == 0 else chosen
+        corona |= chosen | last
+    return core, corona
 
 
 def independence_number(g: Graph) -> int:
@@ -349,14 +351,9 @@ def independence_number(g: Graph) -> int:
     with budget n, each once.  The answer is the largest set met.
     """
     full = g.full_mask
-    largest = [0]
-
-    def widen(chosen: int, last: int) -> None:
-        # every set of a family has the same size
-        largest[0] = max(largest[0], chosen.bit_count() + (last != 0))
-
-    _pivot_walk(closed_masks(g), full, full, 0, g.n, widen, True)
-    return largest[0]
+    # every set of a family has the same size
+    walk = _pivot_walk(closed_masks(g), full, full, 0, g.n, True)
+    return max(chosen.bit_count() + (last != 0) for chosen, last in walk)
 
 
 def independent_domination_number(g: Graph) -> DominationReport:
@@ -372,7 +369,7 @@ def independent_domination_number(g: Graph) -> DominationReport:
     closed = closed_masks(g)
     full = g.full_mask
     for k in range(gamma_value(g), g.n + 1):
-        if _pivot_walk(closed, full, full, 0, k, _first_set, True) is not None:
+        if next(_pivot_walk(closed, full, full, 0, k, True), None) is not None:
             return DominationReport(k, _least_set(closed, full, k, True))
     raise AssertionError("every maximal independent set dominates")
 

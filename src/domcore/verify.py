@@ -670,7 +670,7 @@ def verify_corpus(n_max: int, jobs: int = 1, progress=None) -> VerifyReport:
     report: the workers get the parents, build their children and check
     them.  progress(n, count) is called after each order.
     """
-    if not 1 <= n_max <= VERIFY_MAX:
+    if type(n_max) is not int or not 1 <= n_max <= VERIFY_MAX:
         raise GraphError(f"verification covers n_max 1..{VERIFY_MAX}")
     counts: dict[int, int] = {}
     bad: dict[str, list[tuple[str, str]]] = {name: [] for name, _ in PER_GRAPH_CHECKS}

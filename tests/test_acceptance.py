@@ -71,16 +71,17 @@ class NineSweep:
 
 
 @pytest.fixture(scope="module")
-def nine_sweep():
+def nine_sweep(corpus8):
     """Single pass over all connected graphs with nine vertices.
 
-    The main process enumerates the eight-vertex graphs; the workers,
-    one per CPU, build their children and run nine_sweep_step on them,
-    and the results come back in stream order.
+    The parents are corpus8's eight-vertex graphs, so order 8 is not
+    enumerated twice; the workers, one per CPU, build their children and
+    run nine_sweep_step on them, and the results come back in stream order.
     """
     sweep = NineSweep()
+    parents = [g for n, g in corpus8 if n == 8]
     with _ordered_map(os.cpu_count() or 1) as ordered_map:
-        steps = map_children(ordered_map, nine_sweep_step, enumerate_connected(8))
+        steps = map_children(ordered_map, nine_sweep_step, parents)
         for text, roundtrip_ok, sizes, cut_witness in steps:
             sweep.count += 1
             sweep.stream_sha256.update((text + "\n").encode())

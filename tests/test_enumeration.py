@@ -352,6 +352,26 @@ def test_enumeration_bounds():
             enumerate_trees(n)
 
 
+ORDER_TAKERS = {
+    "enumerate_connected": enumerate_connected,
+    "enumerate_trees": enumerate_trees,
+    "verify_corpus": verify_corpus,
+    "search_signature": lambda n: search_signature(n, SIGNATURES["cover-core-zero-anticore"]),
+    "labeled_connected_bitmap": labeled_connected_bitmap,
+    "relabeling_closure_bitmap": lambda n: relabeling_closure_bitmap([], n),
+}
+
+
+@pytest.mark.parametrize("order", [2.5, True, "3"])
+@pytest.mark.parametrize("name", sorted(ORDER_TAKERS))
+def test_order_must_be_an_int(name, order):
+    # a float never reaches the recursion's base case and a str fails in
+    # range, so both are refused with the range check, and so is a bool,
+    # as Graph refuses it for a vertex count
+    with pytest.raises(GraphError):
+        ORDER_TAKERS[name](order)
+
+
 def _cheap_invariant(g, v):
     degs = sorted(g.adj[u].bit_count() for u in bits(g.adj[v]))
     return (g.adj[v].bit_count(), tuple(degs))

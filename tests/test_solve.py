@@ -20,7 +20,6 @@ from domcore.graph import MAX_VERTICES, bits, closed_masks, is_dominating, mask_
 from domcore.solve import (
     ALL_SETS_MAX,
     _exists_dominating,
-    _first_set,
     _greedy_cover,
     _node_scan,
     _pivot_walk,
@@ -194,7 +193,7 @@ def test_core_and_corona_above_twelve_vertices():
         for v in range(n):
             if _exists_dominating(closed, full, gamma - 1, closed[v]) is not None:
                 corona |= 1 << v
-            if _pivot_walk(closed, full, full & ~(1 << v), 0, gamma, _first_set) is None:
+            if next(_pivot_walk(closed, full, full & ~(1 << v), 0, gamma), None) is None:
                 core |= 1 << v
         assert core_and_corona(g) == (core, corona), n
 
@@ -354,13 +353,13 @@ def _fewest_picks(closed, undominated, pool, cap):
 @settings(max_examples=300)
 @given(graphs(0, 10), st.booleans(), st.randoms(use_true_random=False))
 def test_exists_dominating_matches_bruteforce(g, delete, rng):
-    # budgets 0..4 reach the walk's bulk last pick (budget 1) and its
-    # branching above it.  With a vertex v deleted, the search runs on two
-    # forms of G - v: masks with bit v cleared, and G's own masks with only
-    # v left out of the vertex set, the form classify probes; brute force
-    # on the cleared masks is the reference for both.  A set found must be
-    # picks from the vertex set, within the budget, that dominate with
-    # `dominated` all of the vertex set
+    # budgets 0..4 reach the one-pick probe (budget 1), the walk's bulk
+    # last pick and its branching above it.  With a vertex v deleted, the
+    # search runs on two forms of G - v: masks with bit v cleared, and G's
+    # own masks with only v left out of the vertex set, the form classify
+    # probes; brute force on the cleared masks is the reference for both.
+    # A set found must be picks from the vertex set, within the budget,
+    # that dominate with `dominated` all of the vertex set
     closed, full = closed_masks(g), g.full_mask
     forms = [closed]
     if g.n and delete:
@@ -386,28 +385,47 @@ def test_exists_dominating_matches_bruteforce(g, delete, rng):
 @given(graphs(0, 12), st.booleans(), st.booleans(), st.randoms(use_true_random=False))
 def test_pivot_walk_meets_each_minimum_set_once(g, leave_out, independent, rng):
     # union and intersection do not notice a set folded twice, so the
-    # families the walk hands out are expanded and counted here: at
+    # families the walk yields are expanded and counted here: at
     # remaining = gamma they must list every minimum dominating set with
     # its picks from avail exactly once, and in the independent mode at
     # remaining = i(G) every independent dominating set of that size
     closed, full = closed_masks(g), g.full_mask
     gamma = gamma_bruteforce(g).gamma
     avail = full & ~(1 << rng.randrange(g.n)) if g.n and leave_out else full
-    met = []
 
-    def found(chosen, last):
-        met.extend([chosen | (1 << w) for w in bits(last)] if last else [chosen])
+    def met(*walk_args):
+        sets = []
+        for chosen, last in _pivot_walk(closed, full, avail, 0, *walk_args):
+            sets.extend([chosen | (1 << w) for w in bits(last)] if last else [chosen])
+        return sorted(sets)
 
-    assert _pivot_walk(closed, full, avail, 0, gamma, found) is None
     want = [mask_of(c) for c in combinations(bits(avail), gamma)]
-    assert sorted(met) == sorted(s for s in want if is_dominating(g, s))
+    assert met(gamma) == sorted(s for s in want if is_dominating(g, s))
     if independent:
         size = _first_independent_dominating(g).bit_count()
-        met.clear()
-        assert _pivot_walk(closed, full, avail, 0, size, found, True) is None
         want = [mask_of(c) for c in combinations(bits(avail), size)]
         want = [s for s in want if _is_independent(g, s) and is_dominating(g, s)]
-        assert sorted(met) == sorted(want)
+        assert met(size, True) == sorted(want)
+
+
+def test_probe_stops_at_the_first_family(monkeypatch):
+    # the Petersen graph has 10 minimum sets of size 3: a probe at budget 3
+    # reads the walk up to its first family and stops, while the fold reads
+    # every family, so a probe that drained the walk would scan as many nodes
+    scans = []
+
+    def counted(*args):
+        scans.append(args)
+        return _node_scan(*args)
+
+    monkeypatch.setattr("domcore.solve._node_scan", counted)
+    g = petersen()
+    closed, full = closed_masks(g), g.full_mask
+    assert _exists_dominating(closed, full, 3) is not None
+    probe = len(scans)
+    scans.clear()
+    core_and_corona(g, 3)
+    assert probe < len(scans), (probe, len(scans))
 
 
 @given(graphs(0, 12), st.randoms(use_true_random=False))
