@@ -92,6 +92,12 @@ def test_analytic_counts():
         assert count_connected_graphs(n) == want
     assert count_connected_graphs(9) == 261080
     assert count_graphs(9) == 274668
+    assert count_graphs(20) == 645490122795799841856164638490742749440  # OEIS A000088
+    # both sequences for n = 0..20, pinned
+    counts = ([count_graphs(n) for n in range(21)], [count_connected_graphs(n) for n in range(21)])
+    assert sha256(repr(counts).encode()).hexdigest() == (
+        "33875af054a44ac12521cef0538444c46fad9c41a423c99f293dcf89c8d7e83e"
+    )
 
 
 def test_tree_counts():

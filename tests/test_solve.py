@@ -276,7 +276,7 @@ def test_gamma_tree_agrees():
             assert gamma_tree(t) == gamma_value(t)
 
 
-@given(forests(0, 12))
+@given(forests(0, 32))
 def test_gamma_tree_agrees_on_forests(g):
     assert gamma_tree(g) == gamma_value(g)
 
