@@ -73,12 +73,12 @@ exchanges of index bits until the set stops growing.
 from __future__ import annotations
 
 import os
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Iterator
 from contextlib import contextmanager
 from functools import partial
 from itertools import chain, combinations, islice
-from math import factorial, gcd
+from math import factorial, gcd, prod
 
 from .graph import Graph, GraphError, add_vertex, bits, cut_vertices
 from .canonical import (
@@ -271,8 +271,11 @@ def _ordered_map(jobs: int):
     or a partial of one.  A map keeps at most 2 * workers chunks
     submitted and unread, and draws one chunk ahead of them.  A worker
     that dies raises BrokenProcessPool in the reader, and when the
-    block ends, chunks not yet started are cancelled.
+    block ends, chunks not yet started are cancelled.  A jobs that is
+    not an int raises GraphError before any pool is built.
     """
+    if type(jobs) is not int:
+        raise GraphError("jobs must be an int")
     workers = min(jobs, os.cpu_count() or 1)
     if workers <= 1:
         yield map
@@ -333,17 +336,13 @@ def map_children(ordered_map, fn, parents):
     return chain.from_iterable(ordered_map(partial(_map_children, fn), parents))
 
 
-def _partitions(n: int):
-    """Yield integer partitions of n as descending tuples."""
-
-    def rec(remaining: int, largest: int, prefix: tuple[int, ...]):
-        if remaining == 0:
-            yield prefix
-            return
-        for part in range(min(remaining, largest), 0, -1):
-            yield from rec(remaining - part, part, prefix + (part,))
-
-    yield from rec(n, n, ())
+def _partitions(n: int, largest: int):
+    """Yield the partitions of n into parts of at most largest, as descending tuples."""
+    if n == 0:
+        yield ()
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
 
 
 def count_graphs(n: int) -> int:
@@ -351,27 +350,17 @@ def count_graphs(n: int) -> int:
 
     For a permutation with cycle type lambda, the edge orbits number
     sum(floor(l_i / 2)) + sum(gcd(l_i, l_j) over pairs); Burnside's
-    lemma averages 2**orbits over the symmetric group.
+    lemma averages 2**orbits over the symmetric group.  The permutations
+    of cycle type lambda number n! / (prod(l_i) * prod(m_l!)), where m_l
+    counts the parts equal to l.
     """
-    if n < 0:
-        raise GraphError("vertex count must be nonnegative")
-    if n == 0:
-        return 1
+    if type(n) is not int or n < 0:
+        raise GraphError("vertex count must be a nonnegative int")
     total = 0
-    for lam in _partitions(n):
-        orbits = sum(part // 2 for part in lam)
-        for i in range(len(lam)):
-            for j in range(i + 1, len(lam)):
-                orbits += gcd(lam[i], lam[j])
-        perms = factorial(n)
-        for part in lam:
-            perms //= part
-        counts: dict[int, int] = {}
-        for part in lam:
-            counts[part] = counts.get(part, 0) + 1
-        for c in counts.values():
-            perms //= factorial(c)
-        total += perms * (1 << orbits)
+    for lam in _partitions(n, n):
+        orbits = sum(part // 2 for part in lam) + sum(gcd(a, b) for a, b in combinations(lam, 2))
+        perms = factorial(n) // (prod(lam) * prod(map(factorial, Counter(lam).values())))
+        total += perms << orbits
     assert total % factorial(n) == 0
     return total // factorial(n)
 
@@ -382,25 +371,19 @@ def count_connected_graphs(n: int) -> int:
     Inverse Euler transform of the all-graphs sequence: if a(n) counts
     all graphs and c(n) connected ones, then
     n*a(n) = sum_{k=1..n} k*c(k) * sum_{d : k | d, d <= n} a(n - d).
+    The empty graph counts as connected, c(0) = 1; no sum reads it.
     """
-    if n < 0:
-        raise GraphError("vertex count must be nonnegative")
-    if n == 0:
-        return 1
+    if type(n) is not int or n < 0:
+        raise GraphError("vertex count must be a nonnegative int")
     a = [count_graphs(m) for m in range(n + 1)]
-    c = [0] * (n + 1)
+    c = [1]
     for m in range(1, n + 1):
+        # the k = m term contributes m * c(m) * a(0)
         total = m * a[m]
         for k in range(1, m):
-            inner = 0
-            d = k
-            while d <= m:
-                inner += a[m - d]
-                d += k
-            total -= k * c[k] * inner
-        # the k = m term contributes m * c(m) * a(0)
+            total -= k * c[k] * sum(a[m - d] for d in range(k, m + 1, k))
         assert total % m == 0
-        c[m] = total // m
+        c.append(total // m)
     return c[n]
 
 

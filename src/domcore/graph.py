@@ -157,13 +157,14 @@ class Graph:
 def _derived(n: int, adj: tuple[int, ...]) -> Graph:
     """Graph built from a valid graph's data, without validating it again.
 
-    Only for add_vertex, delete_vertex and add_pendant, whose results are
-    well formed whenever their input graph is and their own argument
-    checks pass; for recognize's twin_clique_partition, whose reduced
-    graph is the subgraph its valid input induces on one vertex per
-    part, relabeled by part index, so symmetric and loop-free; and for
-    graph6's parse_graph6, which checks its text and sets each edge in
-    both directions, off the diagonal, for n <= 64.
+    Only for add_vertex and delete_vertex (add_pendant builds through
+    add_vertex), whose results are well formed whenever their input
+    graph is and their own argument checks pass; for recognize's
+    twin_clique_partition, whose reduced graph is the subgraph its
+    valid input induces on one vertex per part, relabeled by part
+    index, so symmetric and loop-free; and for graph6's parse_graph6,
+    which checks its text and sets each edge in both directions, off
+    the diagonal, for n <= 64.
     """
     g = object.__new__(Graph)
     object.__setattr__(g, "n", n)
@@ -256,12 +257,7 @@ def delete_vertex(g: Graph, v: int) -> Graph:
 def add_pendant(g: Graph, v: int) -> Graph:
     """Attach a new degree-1 vertex (index n) to v."""
     g._check_vertex(v)
-    if g.n >= MAX_VERTICES:
-        raise GraphError(f"cannot exceed {MAX_VERTICES} vertices")
-    adj = list(g.adj)
-    adj[v] |= 1 << g.n
-    adj.append(1 << v)
-    return _derived(g.n + 1, tuple(adj))
+    return add_vertex(g, 1 << v)
 
 
 def add_vertex(g: Graph, neighbors: int) -> Graph:

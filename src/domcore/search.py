@@ -313,10 +313,10 @@ def search_signature(
 
     Orders run 1..n_max; with stop_at_first_order the scan finishes the
     first order containing a witness and stops (smallest-order witnesses
-    are always complete).  max_graphs caps the total number of graphs
-    examined; hitting the cap marks the result budget_exceeded.  jobs > 1
-    opens one pool of that many workers, at most the CPU count, for the
-    call, and results do not change.  The graphs of each order below
+    are always complete).  max_graphs (None, or an int >= 0) caps the
+    total number of graphs examined; hitting the cap marks the result
+    budget_exceeded.  jobs > 1 opens one pool of that many workers, at
+    most the CPU count, for the call, and results do not change.  The graphs of each order below
     n_max come back from the map and are the parents of the next order,
     so no process enumerates them twice and the caller holds one order
     at a time (at n_max = 10 the 261080 graphs of order 9, about 72 MB).
@@ -329,6 +329,8 @@ def search_signature(
     """
     if type(n_max) is not int or not 1 <= n_max <= ENUMERATION_MAX:
         raise GraphError(f"search covers n_max 1..{ENUMERATION_MAX}")
+    if max_graphs is not None and (type(max_graphs) is not int or max_graphs < 0):
+        raise GraphError("max_graphs must be None or an int >= 0")
     scans: list[OrderScan] = []
     witnesses: list[tuple[int, Graph]] = []
     examined = 0
@@ -338,7 +340,7 @@ def search_signature(
         for n in range(1, n_max + 1):
             keep = n < n_max
             judged = map_children(ordered_map, partial(_judged, sig, keep), parents)
-            budget = None if max_graphs is None else max(max_graphs - examined, 0)
+            budget = None if max_graphs is None else max_graphs - examined
             scanned = 0
             kept: list[Graph] = []
             found: list[Graph] = []

@@ -236,6 +236,8 @@ def _exists_dominating(closed: list[int], full: int, budget: int, dominated: int
 
 def exists_dominating_within(g: Graph, budget: int) -> bool:
     """Feasibility probe: is there a dominating set of size <= budget?"""
+    if type(budget) is not int:
+        raise GraphError("budget must be an int")
     return budget >= 0 and _exists_dominating(closed_masks(g), g.full_mask, budget) is not None
 
 
@@ -375,40 +377,24 @@ def independent_domination_number(g: Graph) -> DominationReport:
 
 
 def gamma_tree(g: Graph) -> int:
-    """Linear-time domination number for forests via dynamic programming.
+    """Linear-time domination number for forests, by the leaf-parent greedy
+    (Cockayne, Goodman and Hedetniemi, 1975).
 
-    Three states per vertex: in the set, out but covered from below, or
-    out and waiting for its parent.  Each component is layered from its
-    smallest vertex and solved from the deepest layer up: in a tree a
-    vertex's children are its neighbors in the next layer.  Rejects
-    graphs with cycles.
+    Each component is layered from its smallest vertex and walked from
+    the deepest layer up: a vertex that no pick dominates yet picks its
+    parent, its one neighbor in the layer above, or itself if it is the
+    root.  Siblings share a parent, so a layer's undominated vertices
+    are read once, before its picks.  Rejects graphs with cycles.
     """
-    INF = g.n + 1
-    in_cost = [0] * g.n
-    covered = [0] * g.n
-    needs = [0] * g.n
-    total = 0
-    components = 0
+    picks = dominated = components = 0
     for layers in component_layers(g):
-        below = 0
-        for layer in reversed(layers):
-            for v in bits(layer):
-                best_in = 1
-                sum_covered = 0
-                extra = INF
-                for c in bits(g.adj[v] & below):
-                    best_in += min(in_cost[c], covered[c], needs[c])
-                    base = min(in_cost[c], covered[c])
-                    sum_covered += base
-                    extra = min(extra, in_cost[c] - base)
-                in_cost[v] = best_in
-                needs[v] = sum_covered
-                covered[v] = sum_covered + extra
-            below = layer
-        root = layers[0].bit_length() - 1
-        total += min(in_cost[root], covered[root])
+        for depth in range(len(layers) - 1, -1, -1):
+            for v in bits(layers[depth] & ~dominated):
+                pick = g.adj[v] & layers[depth - 1] if depth else 1 << v
+                picks |= pick
+                dominated |= pick | g.adj[pick.bit_length() - 1]
         components += 1
     # a graph is a forest iff it has n minus its component count edges
     if g.edge_count() != g.n - components:
         raise GraphError("gamma_tree requires a forest")
-    return total
+    return picks.bit_count()

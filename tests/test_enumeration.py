@@ -43,6 +43,7 @@ from domcore.enumeration import (
 from domcore.graph import add_vertex, bits, connected_components, mask_of
 from domcore.recognize import is_tree
 from domcore.search import SIGNATURES, search_signature
+from domcore.solve import exists_dominating_within
 from helpers import (
     CONNECTED_COUNTS,
     STREAM_DIGESTS,
@@ -365,6 +366,8 @@ ORDER_TAKERS = {
     "search_signature": lambda n: search_signature(n, SIGNATURES["cover-core-zero-anticore"]),
     "labeled_connected_bitmap": labeled_connected_bitmap,
     "relabeling_closure_bitmap": lambda n: relabeling_closure_bitmap([], n),
+    "count_graphs": count_graphs,
+    "count_connected_graphs": count_connected_graphs,
 }
 
 
@@ -376,6 +379,26 @@ def test_order_must_be_an_int(name, order):
     # as Graph refuses it for a vertex count
     with pytest.raises(GraphError):
         ORDER_TAKERS[name](order)
+
+
+_SIG = SIGNATURES["cover-core-zero-anticore"]
+INT_TAKERS = {
+    "budget": lambda x: exists_dominating_within(path(5), x),
+    "max_graphs": lambda x: search_signature(3, _SIG, max_graphs=x),
+    "search jobs": lambda x: search_signature(3, _SIG, jobs=x),
+    "verify jobs": lambda x: verify_corpus(3, jobs=x),
+}
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [(name, value) for name in sorted(INT_TAKERS) for value in (2.5, True, "2")] + [("max_graphs", -1)],
+)
+def test_budget_cap_and_jobs_must_be_ints(name, value):
+    # refused before a pool is built, so no worker process starts
+    with pytest.raises(GraphError):
+        INT_TAKERS[name](value)
+    assert multiprocessing.active_children() == []
 
 
 def _cheap_invariant(g, v):
